@@ -7,9 +7,11 @@ serialize as comma-joined ascending integers inside key strings. Documents
 are built from deterministically ordered data only, so serialized bytes are
 identical across runs and thread counts.
 
-Validation re-checks everything that is closed-form (counts, memberships,
-witness patterns, circuit uniqueness, chirotope equalities, the circuit
-conflict) without re-running the 184,756-case enumeration. Regenerating
+Validation first checks the document's shape, so malformed input yields
+problems rather than exceptions, then re-checks everything that is
+closed-form (instance metadata, counts, memberships, witness patterns,
+circuit uniqueness, chirotope equalities, the circuit conflict) without
+re-running the 184,756-case enumeration. Regenerating
 the instance tope sets (well under a second) is allowed and used to anchor
 the membership checks.
 """
@@ -17,28 +19,26 @@ the membership checks.
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
 from .contradiction import (
-    CONFLICT_SUPPORT,
     FULL_N,
     INTERMEDIATE_RANK,
     KEPT_A,
     KEPT_B,
-    REDUCED_N,
     SOURCE_RANK,
     TARGET_RANK,
     ContradictionCertificate,
+    check_restriction,
     circuits_conflict,
-    verify_premise,
+    source_topes,
+    target_topes,
 )
 from .matroid import (
     TopeSet,
-    alternating_chirotope,
+    _subset_rank,
     check_uniform_tope_axioms,
     circuit_on_support,
-    pair_swap_chirotope,
 )
 from .search import (
     CIRCUIT_SUPPORTS,
@@ -50,6 +50,7 @@ from .search import (
     build_search_instance,
 )
 from .signed_vector import SignedVector
+from .strong_map import is_strong_map_topes
 
 CERTIFICATE_VERSION = 1
 
@@ -63,6 +64,29 @@ def subset_key(subset: tuple[int, ...]) -> str:
 
 def parse_subset_key(key: str) -> tuple[int, ...]:
     return tuple(int(p) for p in key.split(","))
+
+
+def _search_instance_fields(inst: SearchInstance) -> dict[str, Any]:
+    """The metadata a search document states about its instance, in order."""
+    return {
+        "n": inst.n,
+        "rank": inst.rank,
+        "choose": inst.choose,
+        "source_family": SOURCE_FAMILY,
+        "source_rank": SOURCE_RANK,
+        "target_family": TARGET_FAMILY,
+        "target_rank": TARGET_RANK,
+    }
+
+
+_PIPELINE_INSTANCE_FIELDS = {
+    "n": FULL_N,
+    "source_family": SOURCE_FAMILY,
+    "source_rank": SOURCE_RANK,
+    "target_family": TARGET_FAMILY,
+    "target_rank": TARGET_RANK,
+    "intermediate_rank": INTERMEDIATE_RANK,
+}
 
 
 def _survivor_entry(s: SurvivorRecord) -> dict[str, Any]:
@@ -79,13 +103,7 @@ def search_certificate_document(cert: SearchCertificate) -> dict[str, Any]:
     return {
         "version": CERTIFICATE_VERSION,
         "instance": {
-            "n": inst.n,
-            "rank": inst.rank,
-            "choose": inst.choose,
-            "source_family": SOURCE_FAMILY,
-            "source_rank": SOURCE_RANK,
-            "target_family": TARGET_FAMILY,
-            "target_rank": TARGET_RANK,
+            **_search_instance_fields(inst),
             "base_topes": [str(t) for t in inst.base],
             "pool_topes": [str(t) for t in inst.pool],
         },
@@ -111,15 +129,7 @@ def contradiction_certificate_document(cert: ContradictionCertificate) -> dict[s
     doc = search_certificate_document(cert.search)
     return {
         "version": CERTIFICATE_VERSION,
-        "instance": {
-            "n": FULL_N,
-            "source_family": SOURCE_FAMILY,
-            "source_rank": SOURCE_RANK,
-            "target_family": TARGET_FAMILY,
-            "target_rank": TARGET_RANK,
-            "intermediate_rank": INTERMEDIATE_RANK,
-            "reduction": doc["instance"],
-        },
+        "instance": {**_PIPELINE_INSTANCE_FIELDS, "reduction": doc["instance"]},
         "counts": {
             "source_topes": cert.source_tope_count,
             "target_topes": cert.target_tope_count,
@@ -212,14 +222,74 @@ def search_certificate_from_document(doc: dict[str, Any]) -> SearchCertificate:
 # validation
 # ----------------------------------------------------------------------
 
+# Document shapes: a JSON type, an object {key: shape}, or [shape] for an
+# array whose every item has that shape. They cover what the checks index or
+# iterate; scalars that are only compared with an expected value are read
+# with .get instead, so a missing one shows up as a mismatch.
+_SEARCH_INSTANCE_SHAPE = {"base_topes": list, "pool_topes": list}
+_SURVIVORS_SHAPE = [{"topes": [str], "vc_witnesses": dict, "excluded_check": dict, "circuits": dict}]
+_SEARCH_SHAPE = {
+    "instance": _SEARCH_INSTANCE_SHAPE,
+    "counts": dict,
+    "survivors": _SURVIVORS_SHAPE,
+    "conclusion": {"circuits": dict},
+}
+_CONTRADICTION_SHAPE = {
+    "instance": {"reduction": _SEARCH_INSTANCE_SHAPE},
+    "counts": dict,
+    "survivors": _SURVIVORS_SHAPE,
+    "restrictions": [{"kept": str}],
+    "conclusion": {"premise_strong_map": dict},
+}
+_JSON_TYPE_NAMES = {str: "a string", list: "an array", dict: "an object"}
+
+
+def _shape_problems(value: Any, shape: Any, where: str) -> list[str]:
+    if isinstance(shape, dict):
+        if type(value) is not dict:
+            return [f"{where} is not an object"]
+        problems = []
+        for key, inner in shape.items():
+            if key in value:
+                problems += _shape_problems(value[key], inner, f"{where}.{key}")
+            else:
+                problems.append(f"{where}.{key} is missing")
+        return problems
+    if isinstance(shape, list):
+        if type(value) is not list:
+            return [f"{where} is not an array"]
+        return [p for i, item in enumerate(value) for p in _shape_problems(item, shape[0], f"{where}[{i}]")]
+    if type(value) is not shape:
+        return [f"{where} is not {_JSON_TYPE_NAMES[shape]}"]
+    return []
+
+
+def _document_problems(doc: Any, shape: dict[str, Any]) -> list[str]:
+    """Problems that stop validation before the semantic checks: a document
+    that is not an object, an unsupported version, or a departure from ``shape``."""
+    if type(doc) is not dict:
+        return ["document is not a JSON object"]
+    version = doc.get("version")
+    if type(version) is not int or version != CERTIFICATE_VERSION:
+        return [f"unsupported version {version!r}"]
+    return _shape_problems(doc, shape, "document")
+
+
+def _check_fields(problems: list[str], where: str, stated: dict[str, Any], expected: dict[str, Any]) -> None:
+    """Each stated value must equal the expected one and have its JSON type
+    (so ``true`` is not 1 and ``6.0`` is not 6)."""
+    for key, want in expected.items():
+        got = stated.get(key)
+        if type(got) is not type(want) or got != want:
+            problems.append(f"{where}.{key} is {got!r}, expected {want!r}")
+
 
 def _validate_survivors(
     problems: list[str],
-    doc: dict[str, Any],
+    survivors: list[dict[str, Any]],
+    fresh: SearchInstance,
     base: tuple[str, ...],
     pool: tuple[str, ...],
-    n: int,
-    rank: int,
 ) -> None:
     base_set = set(base)
     member_set = base_set | set(pool)
@@ -228,11 +298,11 @@ def _validate_survivors(
 
     seen: set[frozenset[str]] = set()
     prev_rank = -1
-    for idx, entry in enumerate(doc["survivors"]):
+    for idx, entry in enumerate(survivors):
         tag = f"survivor {idx}"
         topes = entry["topes"]
-        if len(topes) != len(base) + doc["instance"].get("choose", 10):
-            problems.append(f"{tag}: expected 16 topes, found {len(topes)}")
+        if len(topes) != len(base) + fresh.choose:
+            problems.append(f"{tag}: expected {len(base) + fresh.choose} topes, found {len(topes)}")
             continue
         tset = frozenset(topes)
         if len(tset) != len(topes):
@@ -248,14 +318,14 @@ def _validate_survivors(
             problems.append(f"{tag}: duplicates another survivor")
         seen.add(tset)
 
-        picks = tuple(sorted(pool_index[t] for t in tset - base_set))
-        combo_rank = _combination_rank(picks, len(pool))
+        picks = tuple(sorted(pool_index[t] + 1 for t in tset - base_set))
+        combo_rank = _subset_rank(picks, len(pool))
         if combo_rank <= prev_rank:
             problems.append(f"{tag}: out of enumeration order")
         prev_rank = combo_rank
 
         try:
-            tope_set = TopeSet(n, rank, frozenset(SignedVector.parse(t) for t in topes))
+            tope_set = TopeSet(fresh.n, fresh.rank, frozenset(SignedVector.parse(t) for t in topes))
         except ValueError as exc:
             problems.append(f"{tag}: malformed tope: {exc}")
             continue
@@ -283,123 +353,102 @@ def _validate_survivors(
                 problems.append(f"{tag}: stated circuit on {subset_key(q)} does not match the tope set")
 
 
-def _combination_rank(combo: tuple[int, ...], n: int) -> int:
-    rank = 0
-    prev = -1
-    k = len(combo)
-    for i, c in enumerate(combo):
-        for x in range(prev + 1, c):
-            rank += math.comb(n - x - 1, k - i - 1)
-        prev = c
-    return rank
-
-
-def _validate_search_core(problems: list[str], doc: dict[str, Any]) -> None:
-    inst_doc = doc["instance"]
+def _validate_search_core(
+    problems: list[str],
+    where: str,
+    inst_doc: dict[str, Any],
+    counts: dict[str, Any],
+    survivors: list[dict[str, Any]],
+) -> None:
     fresh = build_search_instance()
+    _check_fields(problems, where, inst_doc, _search_instance_fields(fresh))
     base = tuple(str(t) for t in fresh.base)
     pool = tuple(str(t) for t in fresh.pool)
     if tuple(inst_doc["base_topes"]) != base:
         problems.append("instance base topes differ from the generated target topes")
     if tuple(inst_doc["pool_topes"]) != pool:
         problems.append("instance pool topes differ from the generated pool")
-
-    counts = doc["counts"]
-    expected_combos = math.comb(len(pool), fresh.choose)
-    if counts["combinations_checked"] != expected_combos:
-        problems.append(
-            f"combinations_checked is {counts['combinations_checked']}, expected {expected_combos}"
-        )
-    if counts["survivor_count"] != len(doc["survivors"]):
-        problems.append("survivor_count disagrees with the survivor list")
-
-    stated = doc["conclusion"]["circuits"]
-    for q, c in zip(CIRCUIT_SUPPORTS, FORCED_CIRCUITS):
-        if stated.get(subset_key(q)) != c:
-            problems.append(f"conclusion circuit on {subset_key(q)} is {stated.get(subset_key(q))}, expected {c}")
-
-    _validate_survivors(problems, doc, base, pool, fresh.n, fresh.rank)
+    expected_counts = {
+        "combinations_checked": fresh.combination_count,
+        "survivor_count": len(survivors),
+    }
+    _check_fields(problems, "document.counts", counts, expected_counts)
+    _validate_survivors(problems, survivors, fresh, base, pool)
 
 
 def validate_search_document(doc: dict[str, Any]) -> list[str]:
     """Re-check a search certificate document; returns problem descriptions."""
-    problems: list[str] = []
-    if doc.get("version") != CERTIFICATE_VERSION:
-        problems.append(f"unsupported version {doc.get('version')}")
+    problems = _document_problems(doc, _SEARCH_SHAPE)
+    if problems:
         return problems
-    _validate_search_core(problems, doc)
+    _validate_search_core(
+        problems, "document.instance", doc["instance"], doc["counts"], doc["survivors"]
+    )
+    stated = doc["conclusion"]["circuits"]
+    for q, c in zip(CIRCUIT_SUPPORTS, FORCED_CIRCUITS):
+        if stated.get(subset_key(q)) != c:
+            problems.append(f"conclusion circuit on {subset_key(q)} is {stated.get(subset_key(q))}, expected {c}")
     return problems
 
 
 def validate_contradiction_document(doc: dict[str, Any]) -> list[str]:
     """Re-check a full pipeline document; returns problem descriptions."""
-    problems: list[str] = []
-    if doc.get("version") != CERTIFICATE_VERSION:
-        problems.append(f"unsupported version {doc.get('version')}")
+    problems = _document_problems(doc, _CONTRADICTION_SHAPE)
+    if problems:
         return problems
+    instance, counts = doc["instance"], doc["counts"]
+    _check_fields(problems, "document.instance", instance, _PIPELINE_INSTANCE_FIELDS)
+    _validate_search_core(
+        problems, "document.instance.reduction", instance["reduction"], counts, doc["survivors"]
+    )
 
-    inner = dict(doc)
-    inner["instance"] = doc["instance"]["reduction"]
-    inner["counts"] = {
-        "combinations_checked": doc["counts"]["combinations_checked"],
-        "survivor_count": doc["counts"]["survivor_count"],
-    }
-    inner["conclusion"] = {
-        "circuits": {
-            subset_key(CIRCUIT_SUPPORTS[0]): FORCED_CIRCUITS[0],
-            subset_key(CIRCUIT_SUPPORTS[1]): FORCED_CIRCUITS[1],
-        }
-    }
-    _validate_search_core(problems, inner)
-
-    counts = doc["counts"]
-    premise = verify_premise(FULL_N)
+    source, target = source_topes(FULL_N), target_topes(FULL_N)
+    premise = is_strong_map_topes(source, target)
     stated_premise = doc["conclusion"]["premise_strong_map"]
-    if not stated_premise.get("holds") or not premise.holds:
+    if stated_premise.get("holds") is not True or not premise.holds:
         problems.append("premise strong map does not hold")
-    if stated_premise.get("corank") != premise.corank:
-        problems.append(f"premise corank is {stated_premise.get('corank')}, expected {premise.corank}")
+    _check_fields(
+        problems,
+        "document.conclusion.premise_strong_map",
+        stated_premise,
+        {"corank": premise.corank},
+    )
+    _check_fields(
+        problems,
+        "document.counts",
+        counts,
+        {"source_topes": len(source), "target_topes": len(target)},
+    )
 
-    from .contradiction import source_topes, target_topes
-
-    if counts["source_topes"] != len(source_topes(FULL_N)):
-        problems.append("source tope count disagrees with the generated instance")
-    if counts["target_topes"] != len(target_topes(FULL_N)):
-        problems.append("target tope count disagrees with the generated instance")
-
-    lifted: dict[tuple[int, ...], str] = {}
+    forced = tuple(SignedVector.parse(c) for c in FORCED_CIRCUITS)
+    kept_sets = {subset_key(k): k for k in (KEPT_A, KEPT_B)}
+    lifted: dict[tuple[int, ...], SignedVector] = {}
     for entry in doc["restrictions"]:
-        kept = parse_subset_key(entry["kept"])
-        if kept not in (KEPT_A, KEPT_B):
+        kept = kept_sets.get(entry["kept"])
+        if kept is None:
             problems.append(f"unexpected kept set {entry['kept']}")
             continue
-        if not entry["source_restriction_is_alternating"] or alternating_chirotope(
-            FULL_N, SOURCE_RANK
-        ).restrict(kept) != alternating_chirotope(REDUCED_N, SOURCE_RANK):
+        check = check_restriction(kept, forced)
+        source_ok = check.source_restriction_is_alternating
+        if entry.get("source_restriction_is_alternating") is not True or not source_ok:
             problems.append(f"source restriction to {entry['kept']} does not reduce correctly")
-        if not entry["target_restriction_matches"] or pair_swap_chirotope(FULL_N).restrict(
-            kept
-        ) != pair_swap_chirotope(REDUCED_N):
+        target_ok = check.target_restriction_matches
+        if entry.get("target_restriction_matches") is not True or not target_ok:
             problems.append(f"target restriction to {entry['kept']} does not reduce correctly")
-        circuit = SignedVector.parse(entry["lifted_circuit"])
-        restricted = str(circuit.restrict(kept))
-        if restricted not in FORCED_CIRCUITS:
-            problems.append(f"lifted circuit through {entry['kept']} does not restrict to a forced circuit")
-        lifted[kept] = entry["lifted_circuit"]
+        if entry.get("lifted_circuit") != str(check.lifted_circuit):
+            problems.append(
+                f"lifted circuit through {entry['kept']} is {entry.get('lifted_circuit')!r},"
+                f" expected {str(check.lifted_circuit)!r}"
+            )
+        lifted[kept] = check.lifted_circuit
     if set(lifted) != {KEPT_A, KEPT_B}:
         problems.append("restriction entries incomplete")
         return problems
 
     conclusion = doc["conclusion"]
-    if conclusion["circuit_a"] != lifted[KEPT_A] or conclusion["circuit_b"] != lifted[KEPT_B]:
+    a, b = lifted[KEPT_A], lifted[KEPT_B]
+    if conclusion.get("circuit_a") != str(a) or conclusion.get("circuit_b") != str(b):
         problems.append("conclusion circuits disagree with the restriction records")
-    a = SignedVector.parse(conclusion["circuit_a"])
-    b = SignedVector.parse(conclusion["circuit_b"])
-    conflict_mask = 0
-    for e in CONFLICT_SUPPORT:
-        conflict_mask |= 1 << (e - 1)
-    if a.support_mask != conflict_mask or b.support_mask != conflict_mask:
-        problems.append("lifted circuits are not supported on the shared conflict support")
     if not circuits_conflict(a, b):
         problems.append("lifted circuits do not conflict")
     if conclusion.get("contradiction") is not True:
@@ -413,6 +462,6 @@ def validate_contradiction_document(doc: dict[str, Any]) -> list[str]:
 
 def validate_certificate_document(doc: dict[str, Any]) -> list[str]:
     """Dispatch on document flavor: restrictions present means full pipeline."""
-    if doc.get("restrictions"):
+    if type(doc) is dict and doc.get("restrictions"):
         return validate_contradiction_document(doc)
     return validate_search_document(doc)

@@ -4,20 +4,24 @@ A factorizable corank-2 strong map from the rank-4 alternating instance to
 the rank-2 pair-swap instance would pass through a uniform rank-3 oriented
 matroid whose tope set is wedged strictly between the two: 16 canonical
 topes containing all 6 of the target's and drawn from the source's 26. The
-search enumerates all C(20, 10) = 184,756 ways to pick the 10 free topes,
+search decides all C(20, 10) = 184,756 ways to pick the 10 free topes,
 keeps the candidates that satisfy the uniform tope-set axioms, and records
 for each survivor the avoided-pattern witnesses, the two named excluded
 topes, and the two circuits every survivor is forced to share.
 
-The hot loop runs on precomputed bitmasks: one byte per 4-subset holding
-which of its 8 canonical restriction patterns a tope produces. A candidate
-fails exactly when some 4-subset's byte saturates (all 8 patterns hit), so
-the check is a handful of shifts per combination. Survivors are re-verified
-through the ordinary axiom checker, which also yields the witnesses.
+One kernel decides every candidate, here and in the n=8 oracle: a pruned
+depth-first search over pool indices in lexicographic order, on bitmasks
+with one byte per 4-subset holding which of its 8 canonical restriction
+patterns a tope produces. A candidate fails exactly when some 4-subset's
+byte saturates (all 8 patterns hit). Bytes only accumulate as topes are
+added, so a saturated prefix is pruned and the combinations below it are
+credited without being visited; all 184,756 are still counted. Survivors
+are re-verified through the ordinary axiom checker, which also yields the
+witnesses.
 
-Enumeration order is the lexicographic order of index combinations; worker
-chunks are contiguous rank ranges merged in order, so the certificate is
-identical for every thread count.
+Threads split the first pick's range into contiguous blocks whose results
+are concatenated in order, so the certificate is identical for every thread
+count.
 """
 
 from __future__ import annotations
@@ -25,11 +29,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
+from typing import NamedTuple
 
 from .matroid import (
     TopeSet,
+    _restriction_pattern_id,
     alternating_chirotope,
+    canonical_tope_count,
     check_uniform_tope_axioms,
     circuit_on_support,
     pair_swap_chirotope,
@@ -95,116 +102,118 @@ class SearchCertificate:
     conclusion_circuits: tuple[SignedVector, SignedVector]
 
 
-def build_search_instance() -> SearchInstance:
-    """Base = target topes, pool = the 20 remaining source topes, fixed order."""
-    source = topes_of(alternating_chirotope(SEARCH_N, 4))
-    target = topes_of(pair_swap_chirotope(SEARCH_N))
+def build_search_instance(n: int = SEARCH_N) -> SearchInstance:
+    """Base = target topes, pool = the remaining source topes, fixed order."""
+    source = topes_of(alternating_chirotope(n, SEARCH_RANK + 1))
+    target = topes_of(pair_swap_chirotope(n))
     if not target.topes <= source.topes:
         raise RuntimeError("target topes escaped the source tope set; generation bug")
     base = tuple(sorted(target.topes, key=SignedVector.order_key))
     pool = tuple(sorted(source.topes - target.topes, key=SignedVector.order_key))
-    if len(base) != 6 or len(pool) != 20:
+    expected = (canonical_tope_count(n, SEARCH_RANK - 1), canonical_tope_count(n, SEARCH_RANK + 1))
+    if (len(base), len(source)) != expected:
         raise RuntimeError(
             f"unexpected instance sizes: base={len(base)}, pool={len(pool)}; generation bug"
         )
-    return SearchInstance(n=SEARCH_N, rank=SEARCH_RANK, choose=10, base=base, pool=pool)
+    choose = canonical_tope_count(n, SEARCH_RANK) - len(base)
+    return SearchInstance(n=n, rank=SEARCH_RANK, choose=choose, base=base, pool=pool)
 
 
 # ----------------------------------------------------------------------
-# combination rank plumbing (lexicographic, 0-based elements)
+# the saturation kernel
 # ----------------------------------------------------------------------
 
 
-def unrank_combination(rank: int, n: int, k: int) -> list[int]:
-    """The k-combination of {0..n-1} at the given lexicographic rank."""
-    if not 0 <= rank < math.comb(n, k):
-        raise ValueError(f"rank {rank} outside 0..C({n},{k})-1")
-    combo = []
-    x = 0
-    for i in range(k):
-        while True:
-            c = math.comb(n - x - 1, k - i - 1)
-            if rank < c:
-                break
-            rank -= c
-            x += 1
-        combo.append(x)
-        x += 1
-    return combo
+class PatternMasks(NamedTuple):
+    """The kernel's bit tables for one instance."""
+
+    base: int  # OR of the base topes' pattern masks
+    pool: tuple[int, ...]  # one pattern mask per pool tope
+    low: int  # the lowest bit of every byte
 
 
-def advance_combination(combo: list[int], n: int) -> bool:
-    """Step to the lexicographic successor in place; False at the last one."""
-    k = len(combo)
-    i = k - 1
-    while i >= 0 and combo[i] == n - k + i:
-        i -= 1
-    if i < 0:
-        return False
-    combo[i] += 1
-    for j in range(i + 1, k):
-        combo[j] = combo[j - 1] + 1
-    return True
+def pattern_masks(instance: SearchInstance) -> PatternMasks:
+    """One byte per 4-subset, in lexicographic order, holding the bit of the
+    canonical pattern a tope's restriction produces there. ORing tope masks
+    accumulates the hit patterns; a byte reaching 0xFF means all 8 are hit."""
+    quads = tuple(combinations(range(1, instance.n + 1), instance.rank + 1))
 
+    def tope_mask(vec: SignedVector) -> int:
+        text = str(vec)
+        return sum(1 << (8 * qi + _restriction_pattern_id(text, q)) for qi, q in enumerate(quads))
 
-# ----------------------------------------------------------------------
-# enumeration
-# ----------------------------------------------------------------------
-
-_QUADS = tuple(combinations(range(1, SEARCH_N + 1), SEARCH_RANK + 1))
-
-
-def _pattern_byte_mask(vec: SignedVector) -> int:
-    """One byte per 4-subset: the bit of the canonical pattern this tope's
-    restriction produces there. ORing tope masks accumulates hit patterns."""
-    s = str(vec)
-    mask = 0
-    for qi, q in enumerate(_QUADS):
-        flip = s[q[0] - 1] == "-"
-        pid = 0
-        for j in range(1, 4):
-            if (s[q[j] - 1] == "-") != flip:
-                pid |= 1 << (j - 1)
-        mask |= 1 << (qi * 8 + pid)
-    return mask
-
-
-def _scan_rank_range(
-    pool_masks: list[int], base_mask: int, lo: int, hi: int, npool: int, choose: int
-) -> list[tuple[int, ...]]:
-    """Check combination ranks [lo, hi); return passing index tuples in order.
-
-    A candidate passes the avoided-pattern condition at every 4-subset iff no
-    byte of the ORed mask saturates at 0xFF.
-    """
-    hits: list[tuple[int, ...]] = []
-    if lo >= hi:
-        return hits
-    combo = unrank_combination(lo, npool, choose)
-    span = range(0, len(_QUADS) * 8, 8)
-    for _ in range(hi - lo):
-        m = base_mask
-        for i in combo:
-            m |= pool_masks[i]
-        for off in span:
-            if (m >> off) & 0xFF == 0xFF:
-                break
-        else:
-            hits.append(tuple(combo))
-        advance_combination(combo, npool)
-    return hits
-
-
-def passes_pattern_check(instance: SearchInstance, picks: tuple[int, ...]) -> bool:
-    """Bitmask verdict for a single pool-index selection (test hook for
-    cross-checking against the ordinary axiom checker)."""
-    base_mask = 0
+    base = 0
     for t in instance.base:
-        base_mask |= _pattern_byte_mask(t)
-    m = base_mask
-    for i in picks:
-        m |= _pattern_byte_mask(instance.pool[i])
-    return all((m >> off) & 0xFF != 0xFF for off in range(0, len(_QUADS) * 8, 8))
+        base |= tope_mask(t)
+    return PatternMasks(
+        base=base,
+        pool=tuple(tope_mask(t) for t in instance.pool),
+        low=int.from_bytes(b"\x01" * len(quads), "little"),
+    )
+
+
+def saturated(mask: int, low: int) -> bool:
+    """True iff some byte of ``mask`` is 0xFF, tested for all bytes at once:
+    after the three shift-ANDs, bit 8q survives exactly when bits 8q..8q+7
+    were all set (Warren, Hacker's Delight, ch. 6)."""
+    x = mask & mask >> 1
+    x &= x >> 2
+    x &= x >> 4
+    return x & low != 0
+
+
+@dataclass(frozen=True)
+class SaturationRun:
+    """What one kernel run found and counted."""
+
+    picks: tuple[tuple[int, ...], ...]  # unsaturated selections, lexicographic
+    nodes: int  # children tried
+    credited: int  # selections decided, pruned subtrees included
+    exhausted: bool  # the node budget ran out before the search finished
+
+
+def saturation_search(
+    instance: SearchInstance, branches: range | None = None, budget: int | None = None
+) -> SaturationRun:
+    """Pruned depth-first search for the ``choose``-subsets of the pool whose
+    combined pattern mask, with the base's, saturates no byte.
+
+    Pool indices are picked in increasing order, so selections are found in
+    lexicographic order. A node is one child tried: OR in its pattern mask,
+    then test every byte at once. Pattern bytes only accumulate along a
+    branch, so a saturated prefix is pruned exactly, and its whole subtree of
+    comb(npool - i - 1, rem - 1) selections is credited. ``branches`` limits
+    the first pick (default: every feasible one); ``budget`` caps the nodes
+    tried, and a run that hits it stops with ``exhausted`` set.
+    """
+    masks = pattern_masks(instance)
+    pool_masks, low = masks.pool, masks.low
+    npool = len(pool_masks)
+    if branches is None:
+        branches = range(npool - instance.choose + 1)
+    limit = math.inf if budget is None else budget
+    found: list[tuple[int, ...]] = []
+    nodes = credited = 0
+
+    def walk(children: range, prefix: tuple[int, ...], mask: int, rem: int) -> bool:
+        """Try each child after ``prefix``; False once the budget runs out."""
+        nonlocal nodes, credited
+        for i in children:
+            if nodes == limit:
+                return False
+            nodes += 1
+            m = mask | pool_masks[i]
+            if saturated(m, low):
+                credited += math.comb(npool - i - 1, rem - 1)
+            elif rem == 1:
+                found.append((*prefix, i))
+                credited += 1
+            elif not walk(range(i + 1, npool - rem + 2), (*prefix, i), m, rem - 1):
+                return False
+        return True
+
+    finished = walk(branches, (), masks.base, instance.choose)
+    return SaturationRun(tuple(found), nodes, credited, exhausted=not finished)
 
 
 def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> SurvivorRecord:
@@ -212,7 +221,7 @@ def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> Surviv
     tope_set = TopeSet(instance.n, instance.rank, members)
     report = check_uniform_tope_axioms(tope_set)
     if not report.passed:
-        raise RuntimeError(f"mask scan and axiom checker disagree on picks {picks}")
+        raise RuntimeError(f"saturation kernel and axiom checker disagree on picks {picks}")
     strings = {str(t) for t in members}
     return SurvivorRecord(
         topes=tope_set.ordered(),
@@ -223,42 +232,28 @@ def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> Surviv
 
 
 def enumerate_survivors(instance: SearchInstance, threads: int = 1) -> SearchCertificate:
-    """Run the full enumeration and assemble the certificate.
+    """Run the kernel over the whole instance and assemble the certificate.
 
-    Threads only split the combination-rank range into contiguous chunks;
-    chunk results are merged in rank order, so the output is independent of
-    the thread count.
+    Threads only split the first pick's range into contiguous blocks; their
+    survivors are concatenated in block order, so the output is independent
+    of the thread count.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    npool = len(instance.pool)
-    total = instance.combination_count
-    base_mask = 0
-    for t in instance.base:
-        base_mask |= _pattern_byte_mask(t)
-    pool_masks = [_pattern_byte_mask(t) for t in instance.pool]
-
-    if threads == 1:
-        hit_lists = [_scan_rank_range(pool_masks, base_mask, 0, total, npool, instance.choose)]
-    else:
-        bounds = [total * i // threads for i in range(threads + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _scan_rank_range, pool_masks, base_mask, lo, hi, npool, instance.choose
-                )
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            hit_lists = [f.result() for f in futures]
+    first = range(len(instance.pool) - instance.choose + 1)
+    bounds = [len(first) * k // threads for k in range(threads + 1)]
+    blocks = [first[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(max_workers=threads) as executor:
+        runs = list(executor.map(saturation_search, repeat(instance), blocks))
 
     survivors = tuple(
-        _survivor_record(instance, picks) for chunk in hit_lists for picks in chunk
+        _survivor_record(instance, picks) for run in runs for picks in run.picks
     )
     if not survivors:
         raise VerificationError("no survivors found; the search instance is corrupt")
     return SearchCertificate(
         instance=instance,
-        combinations_checked=total,
+        combinations_checked=sum(run.credited for run in runs),
         survivors=survivors,
         conclusion_circuits=(survivors[0].circuits[0][1], survivors[0].circuits[1][1]),
     )

@@ -13,6 +13,34 @@ from omcert.certificate import (
 )
 
 
+SEARCH_INSTANCE_FIELDS = (
+    "n",
+    "rank",
+    "choose",
+    "source_family",
+    "source_rank",
+    "target_family",
+    "target_rank",
+)
+PIPELINE_INSTANCE_FIELDS = (
+    "n",
+    "source_family",
+    "source_rank",
+    "target_family",
+    "target_rank",
+    "intermediate_rank",
+)
+
+
+def copied(doc):
+    return json.loads(json.dumps(doc))
+
+
+def altered(value):
+    """A different value of the same JSON type."""
+    return value + 1 if isinstance(value, int) else value + "x"
+
+
 @pytest.fixture(scope="module")
 def search_doc(search_certificate):
     return json.loads(serialize_certificate(search_certificate))
@@ -120,3 +148,83 @@ class TestValidation:
         bad = json.loads(json.dumps(contradiction_doc))
         bad["conclusion"]["verdict"] = "factorizable"
         assert any("verdict" in p for p in validate_contradiction_document(bad))
+
+    @pytest.mark.parametrize("field", SEARCH_INSTANCE_FIELDS)
+    def test_search_instance_metadata_checked(self, search_doc, field):
+        bad = copied(search_doc)
+        bad["instance"][field] = altered(bad["instance"][field])
+        problems = validate_search_document(bad)
+        assert any(p.startswith(f"document.instance.{field} is") for p in problems)
+
+    @pytest.mark.parametrize("field", SEARCH_INSTANCE_FIELDS)
+    def test_reduction_instance_metadata_checked(self, contradiction_doc, field):
+        bad = copied(contradiction_doc)
+        reduction = bad["instance"]["reduction"]
+        reduction[field] = altered(reduction[field])
+        problems = validate_contradiction_document(bad)
+        assert any(p.startswith(f"document.instance.reduction.{field} is") for p in problems)
+
+    @pytest.mark.parametrize("field", PIPELINE_INSTANCE_FIELDS)
+    def test_pipeline_instance_metadata_checked(self, contradiction_doc, field):
+        bad = copied(contradiction_doc)
+        bad["instance"][field] = altered(bad["instance"][field])
+        problems = validate_contradiction_document(bad)
+        assert any(p.startswith(f"document.instance.{field} is") for p in problems)
+
+
+class TestShape:
+    @pytest.mark.parametrize("doc", [[], "text", None, {"version": 1}])
+    def test_malformed_documents_reported(self, doc):
+        for validate in (
+            validate_search_document,
+            validate_contradiction_document,
+            validate_certificate_document,
+        ):
+            assert validate(doc)
+
+    def test_missing_key_named(self, search_doc):
+        bad = copied(search_doc)
+        del bad["instance"]["pool_topes"]
+        assert validate_search_document(bad) == ["document.instance.pool_topes is missing"]
+
+    def test_missing_scalar_reported(self, search_doc):
+        bad = copied(search_doc)
+        del bad["counts"]["survivor_count"]
+        assert validate_search_document(bad) == [
+            "document.counts.survivor_count is None, expected 20"
+        ]
+
+    @pytest.mark.parametrize("value", ["184756", 184756.0, True])
+    def test_wrong_json_type_reported(self, search_doc, value):
+        bad = copied(search_doc)
+        bad["counts"]["combinations_checked"] = value
+        assert validate_search_document(bad) == [
+            f"document.counts.combinations_checked is {value!r}, expected 184756"
+        ]
+
+    def test_boolean_version_rejected(self, search_doc):
+        bad = copied(search_doc)
+        bad["version"] = True
+        assert validate_search_document(bad) == ["unsupported version True"]
+
+    def test_survivor_entry_checked(self, search_doc):
+        bad = copied(search_doc)
+        bad["survivors"][0] = []
+        del bad["survivors"][1]["circuits"]
+        bad["survivors"][2]["topes"][0] = ["+-----"]
+        assert validate_search_document(bad) == [
+            "document.survivors[0] is not an object",
+            "document.survivors[1].circuits is missing",
+            "document.survivors[2].topes[0] is not a string",
+        ]
+
+    def test_misstated_lifted_circuit_reported(self, contradiction_doc):
+        bad = copied(contradiction_doc)
+        bad["restrictions"][0]["lifted_circuit"] = "+-?"
+        problems = validate_contradiction_document(bad)
+        assert any(p.startswith("lifted circuit through 1,2,3,4,5,6 is '+-?'") for p in problems)
+
+    def test_unknown_kept_set_reported(self, contradiction_doc):
+        bad = copied(contradiction_doc)
+        bad["restrictions"][0]["kept"] = "1,x"
+        assert any("unexpected kept set" in p for p in validate_contradiction_document(bad))

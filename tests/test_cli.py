@@ -111,6 +111,27 @@ class TestVerifyPipeline:
         assert code == 1
         assert "invalid certificate" in err
 
+    @pytest.mark.parametrize("text", ["[]", '{"version": 1}'])
+    def test_malformed_certificate_exits_1(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify-n8", "--certificate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "invalid certificate" in err
+
+    def test_misstated_instance_exits_1(self, capsys, tmp_path, search_certificate):
+        doc = json.loads(serialize_certificate(search_certificate))
+        doc["instance"]["rank"] = 5
+        doc["instance"]["source_rank"] = 7
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify-n8", "--certificate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "instance.rank is 5, expected 3" in err
+        assert "instance.source_rank is 7, expected 4" in err
+
     def test_missing_certificate_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify-n8", "--certificate", str(tmp_path / "nope.json"))
         assert code == 1

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-import math
 import random
 from itertools import combinations
 
 import pytest
 
 from omcert.matroid import (
+    TopeSet,
     check_covector_axioms,
     check_uniform_tope_axioms,
     covectors_from_topes,
@@ -16,10 +16,10 @@ from omcert.search import (
     FORCED_CIRCUITS,
     SearchCertificate,
     VerificationError,
-    advance_combination,
     enumerate_survivors,
-    passes_pattern_check,
-    unrank_combination,
+    pattern_masks,
+    saturated,
+    saturation_search,
     verify_search_conclusions,
 )
 from omcert.signed_vector import SignedVector
@@ -28,22 +28,39 @@ from omcert.strong_map import is_strong_map_topes
 sv = SignedVector.parse
 
 
-class TestCombinationPlumbing:
-    def test_unrank_matches_itertools(self):
-        combos = list(combinations(range(7), 3))
-        for rank, combo in enumerate(combos):
-            assert tuple(unrank_combination(rank, 7, 3)) == combo
+class TestKernel:
+    def test_matches_flat_scan_reference(self, search_instance):
+        # reference: visit every combination in lexicographic order and test
+        # each pattern byte on its own, with no pruning
+        masks = pattern_masks(search_instance)
+        offsets = range(0, 15 * 8, 8)
+        expected = []
+        for combo in combinations(range(20), 10):
+            m = masks.base
+            for i in combo:
+                m |= masks.pool[i]
+            if all((m >> off) & 0xFF != 0xFF for off in offsets):
+                expected.append(combo)
+        run = saturation_search(search_instance)
+        assert list(run.picks) == expected
+        assert run.credited == 184756
+        assert not run.exhausted
 
-    def test_advance_matches_itertools(self):
-        combo = [0, 1, 2]
-        seen = [tuple(combo)]
-        while advance_combination(combo, 7):
-            seen.append(tuple(combo))
-        assert seen == list(combinations(range(7), 3))
+    def test_node_total_pinned(self, search_instance):
+        assert saturation_search(search_instance).nodes == 12727
 
-    def test_unrank_bounds(self):
-        with pytest.raises(ValueError):
-            unrank_combination(math.comb(7, 3), 7, 3)
+    def test_branch_blocks_partition_the_run(self, search_instance):
+        whole = saturation_search(search_instance)
+        blocks = [saturation_search(search_instance, range(lo, hi)) for lo, hi in ((0, 4), (4, 11))]
+        assert sum((b.picks for b in blocks), ()) == whole.picks
+        assert sum(b.nodes for b in blocks) == whole.nodes
+        assert sum(b.credited for b in blocks) == whole.credited
+
+    def test_budget_stops_the_run(self, search_instance):
+        run = saturation_search(search_instance, budget=100)
+        assert run.exhausted and run.nodes == 100
+        run = saturation_search(search_instance, budget=12727)
+        assert not run.exhausted and len(run.picks) == 20
 
 
 class TestInstance:
@@ -86,14 +103,16 @@ class TestEnumeration:
 
     def test_mask_scan_agrees_with_axiom_checker_on_samples(self, search_instance):
         rng = random.Random(20260810)
+        masks = pattern_masks(search_instance)
         base = frozenset(search_instance.base)
         for _ in range(200):
             picks = tuple(sorted(rng.sample(range(20), 10)))
             members = base | {search_instance.pool[i] for i in picks}
-            from omcert.matroid import TopeSet
-
             report = check_uniform_tope_axioms(TopeSet(6, 3, members))
-            assert passes_pattern_check(search_instance, picks) == report.passed
+            m = masks.base
+            for i in picks:
+                m |= masks.pool[i]
+            assert saturated(m, masks.low) != report.passed
 
     def test_thread_split_gives_same_survivors(self, search_instance, search_certificate):
         cert3 = enumerate_survivors(search_instance, threads=3)
