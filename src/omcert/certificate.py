@@ -7,13 +7,15 @@ serialize as comma-joined ascending integers inside key strings. Documents
 are built from deterministically ordered data only, so serialized bytes are
 identical across runs and thread counts.
 
-Validation first checks the document's shape, so malformed input yields
-problems rather than exceptions, then re-checks everything that is
-closed-form (instance metadata, counts, memberships, witness patterns,
-circuit uniqueness, chirotope equalities, the circuit conflict) without
-re-running the 184,756-case enumeration. Regenerating
-the instance tope sets (well under a second) is allowed and used to anchor
-the membership checks.
+Validation rebuilds the certificate rather than re-checking it field by
+field. From the document it reads only the version and each survivor's tope
+list: every tope set is mapped to its pool picks and rebuilt through the
+prover's own survivor record (which checks the uniform tope-set axioms),
+``combinations_checked`` comes from the closed form C(20, 10), and a full
+document also gets the contradiction stage run on the rebuilt search. The
+stated document must then equal the rebuilt one under a type-strict
+recursive diff that names the path of each difference. The 184,756-case
+enumeration is never re-run.
 """
 
 from __future__ import annotations
@@ -24,33 +26,23 @@ from typing import Any
 from .contradiction import (
     FULL_N,
     INTERMEDIATE_RANK,
-    KEPT_A,
-    KEPT_B,
     SOURCE_RANK,
     TARGET_RANK,
     ContradictionCertificate,
-    check_restriction,
-    circuits_conflict,
-    source_topes,
-    target_topes,
-)
-from .matroid import (
-    TopeSet,
-    _subset_rank,
-    check_uniform_tope_axioms,
-    circuit_on_support,
+    build_contradiction_certificate,
 )
 from .search import (
     CIRCUIT_SUPPORTS,
-    EXCLUDED_TOPES,
-    FORCED_CIRCUITS,
     SearchCertificate,
     SearchInstance,
     SurvivorRecord,
+    VerificationError,
+    _search_certificate,
+    _survivor_record,
     build_search_instance,
+    verify_search_conclusions,
 )
 from .signed_vector import SignedVector
-from .strong_map import is_strong_map_topes
 
 CERTIFICATE_VERSION = 1
 
@@ -64,29 +56,6 @@ def subset_key(subset: tuple[int, ...]) -> str:
 
 def parse_subset_key(key: str) -> tuple[int, ...]:
     return tuple(int(p) for p in key.split(","))
-
-
-def _search_instance_fields(inst: SearchInstance) -> dict[str, Any]:
-    """The metadata a search document states about its instance, in order."""
-    return {
-        "n": inst.n,
-        "rank": inst.rank,
-        "choose": inst.choose,
-        "source_family": SOURCE_FAMILY,
-        "source_rank": SOURCE_RANK,
-        "target_family": TARGET_FAMILY,
-        "target_rank": TARGET_RANK,
-    }
-
-
-_PIPELINE_INSTANCE_FIELDS = {
-    "n": FULL_N,
-    "source_family": SOURCE_FAMILY,
-    "source_rank": SOURCE_RANK,
-    "target_family": TARGET_FAMILY,
-    "target_rank": TARGET_RANK,
-    "intermediate_rank": INTERMEDIATE_RANK,
-}
 
 
 def _survivor_entry(s: SurvivorRecord) -> dict[str, Any]:
@@ -103,7 +72,13 @@ def search_certificate_document(cert: SearchCertificate) -> dict[str, Any]:
     return {
         "version": CERTIFICATE_VERSION,
         "instance": {
-            **_search_instance_fields(inst),
+            "n": inst.n,
+            "rank": inst.rank,
+            "choose": inst.choose,
+            "source_family": SOURCE_FAMILY,
+            "source_rank": SOURCE_RANK,
+            "target_family": TARGET_FAMILY,
+            "target_rank": TARGET_RANK,
             "base_topes": [str(t) for t in inst.base],
             "pool_topes": [str(t) for t in inst.pool],
         },
@@ -129,7 +104,15 @@ def contradiction_certificate_document(cert: ContradictionCertificate) -> dict[s
     doc = search_certificate_document(cert.search)
     return {
         "version": CERTIFICATE_VERSION,
-        "instance": {**_PIPELINE_INSTANCE_FIELDS, "reduction": doc["instance"]},
+        "instance": {
+            "n": FULL_N,
+            "source_family": SOURCE_FAMILY,
+            "source_rank": SOURCE_RANK,
+            "target_family": TARGET_FAMILY,
+            "target_rank": TARGET_RANK,
+            "intermediate_rank": INTERMEDIATE_RANK,
+            "reduction": doc["instance"],
+        },
         "counts": {
             "source_topes": cert.source_tope_count,
             "target_topes": cert.target_tope_count,
@@ -222,241 +205,128 @@ def search_certificate_from_document(doc: dict[str, Any]) -> SearchCertificate:
 # validation
 # ----------------------------------------------------------------------
 
-# Document shapes: a JSON type, an object {key: shape}, or [shape] for an
-# array whose every item has that shape. They cover what the checks index or
-# iterate; scalars that are only compared with an expected value are read
-# with .get instead, so a missing one shows up as a mismatch.
-_SEARCH_INSTANCE_SHAPE = {"base_topes": list, "pool_topes": list}
-_SURVIVORS_SHAPE = [{"topes": [str], "vc_witnesses": dict, "excluded_check": dict, "circuits": dict}]
-_SEARCH_SHAPE = {
-    "instance": _SEARCH_INSTANCE_SHAPE,
-    "counts": dict,
-    "survivors": _SURVIVORS_SHAPE,
-    "conclusion": {"circuits": dict},
-}
-_CONTRADICTION_SHAPE = {
-    "instance": {"reduction": _SEARCH_INSTANCE_SHAPE},
-    "counts": dict,
-    "survivors": _SURVIVORS_SHAPE,
-    "restrictions": [{"kept": str}],
-    "conclusion": {"premise_strong_map": dict},
-}
-_JSON_TYPE_NAMES = {str: "a string", list: "an array", dict: "an object"}
 
-
-def _shape_problems(value: Any, shape: Any, where: str) -> list[str]:
-    if isinstance(shape, dict):
-        if type(value) is not dict:
+def _diff(stated: Any, expected: Any, where: str) -> list[str]:
+    """Every place where ``stated`` departs from ``expected``. JSON types must
+    match (``true`` is not 1 and ``6.0`` is not 6); missing and unexpected
+    keys and array lengths are reported; key order is ignored."""
+    if type(expected) is dict:
+        if type(stated) is not dict:
             return [f"{where} is not an object"]
         problems = []
-        for key, inner in shape.items():
-            if key in value:
-                problems += _shape_problems(value[key], inner, f"{where}.{key}")
+        for key, want in expected.items():
+            if key in stated:
+                problems += _diff(stated[key], want, f"{where}.{key}")
             else:
                 problems.append(f"{where}.{key} is missing")
-        return problems
-    if isinstance(shape, list):
-        if type(value) is not list:
+        return problems + [f"{where}.{key} is unexpected" for key in stated if key not in expected]
+    if type(expected) is list:
+        if type(stated) is not list:
             return [f"{where} is not an array"]
-        return [p for i, item in enumerate(value) for p in _shape_problems(item, shape[0], f"{where}[{i}]")]
-    if type(value) is not shape:
-        return [f"{where} is not {_JSON_TYPE_NAMES[shape]}"]
+        problems = []
+        if len(stated) != len(expected):
+            problems.append(f"{where} has {len(stated)} entries, expected {len(expected)}")
+        for i, (got, want) in enumerate(zip(stated, expected)):
+            problems += _diff(got, want, f"{where}[{i}]")
+        return problems
+    if type(stated) is not type(expected) or stated != expected:
+        return [f"{where} is {stated!r}, expected {expected!r}"]
     return []
 
 
-def _document_problems(doc: Any, shape: dict[str, Any]) -> list[str]:
-    """Problems that stop validation before the semantic checks: a document
-    that is not an object, an unsupported version, or a departure from ``shape``."""
+def _survivor_picks(entry: Any, where: str, base: set[str], pool: dict[str, int]) -> tuple[int, ...]:
+    """The sorted pool indices of a stated survivor's topes outside the base."""
+    if type(entry) is not dict:
+        raise VerificationError(f"{where} is not an object")
+    if "topes" not in entry:
+        raise VerificationError(f"{where}.topes is missing")
+    topes = entry["topes"]
+    if type(topes) is not list:
+        raise VerificationError(f"{where}.topes is not an array")
+    picks = set()
+    for j, tope in enumerate(topes):
+        if type(tope) is not str:
+            raise VerificationError(f"{where}.topes[{j}] is not a string")
+        if tope in pool:
+            picks.add(pool[tope])
+        elif tope not in base:
+            raise VerificationError(f"{where}.topes[{j}] is {tope!r}, not a tope of the instance")
+    return tuple(sorted(picks))
+
+
+def _rebuilt_search(doc: Any) -> tuple[SearchCertificate | None, list[str]]:
+    """Rebuild the search certificate from the document's version and its
+    survivors' tope lists, diffing each stated survivor entry with its own
+    rebuilt one. The certificate is None when some survivor cannot be rebuilt."""
     if type(doc) is not dict:
-        return ["document is not a JSON object"]
+        return None, ["document is not a JSON object"]
     version = doc.get("version")
     if type(version) is not int or version != CERTIFICATE_VERSION:
-        return [f"unsupported version {version!r}"]
-    return _shape_problems(doc, shape, "document")
+        return None, [f"unsupported version {version!r}"]
+    if "survivors" not in doc:
+        return None, ["document.survivors is missing"]
+    stated = doc["survivors"]
+    if type(stated) is not list:
+        return None, ["document.survivors is not an array"]
+    if not stated:
+        return None, ["document.survivors has 0 entries, expected at least 1"]
 
-
-def _check_fields(problems: list[str], where: str, stated: dict[str, Any], expected: dict[str, Any]) -> None:
-    """Each stated value must equal the expected one and have its JSON type
-    (so ``true`` is not 1 and ``6.0`` is not 6)."""
-    for key, want in expected.items():
-        got = stated.get(key)
-        if type(got) is not type(want) or got != want:
-            problems.append(f"{where}.{key} is {got!r}, expected {want!r}")
-
-
-def _validate_survivors(
-    problems: list[str],
-    survivors: list[dict[str, Any]],
-    fresh: SearchInstance,
-    base: tuple[str, ...],
-    pool: tuple[str, ...],
-) -> None:
-    base_set = set(base)
-    member_set = base_set | set(pool)
-    pool_index = {t: i for i, t in enumerate(pool)}
-    expected_circuits = dict(zip(CIRCUIT_SUPPORTS, FORCED_CIRCUITS))
-
-    seen: set[frozenset[str]] = set()
-    prev_rank = -1
-    for idx, entry in enumerate(survivors):
-        tag = f"survivor {idx}"
-        topes = entry["topes"]
-        if len(topes) != len(base) + fresh.choose:
-            problems.append(f"{tag}: expected {len(base) + fresh.choose} topes, found {len(topes)}")
-            continue
-        tset = frozenset(topes)
-        if len(tset) != len(topes):
-            problems.append(f"{tag}: duplicate topes")
-            continue
-        if not base_set <= tset:
-            problems.append(f"{tag}: base topes missing")
-            continue
-        if not tset <= member_set:
-            problems.append(f"{tag}: topes outside the instance pool")
-            continue
-        if tset in seen:
-            problems.append(f"{tag}: duplicates another survivor")
-        seen.add(tset)
-
-        picks = tuple(sorted(pool_index[t] + 1 for t in tset - base_set))
-        combo_rank = _subset_rank(picks, len(pool))
-        if combo_rank <= prev_rank:
-            problems.append(f"{tag}: out of enumeration order")
-        prev_rank = combo_rank
-
+    instance = build_search_instance()
+    base = {str(t) for t in instance.base}
+    pool = {str(t): i for i, t in enumerate(instance.pool)}
+    records: list[SurvivorRecord] = []
+    problems: list[str] = []
+    previous: tuple[int, ...] = ()
+    for i, entry in enumerate(stated):
+        where = f"document.survivors[{i}]"
         try:
-            tope_set = TopeSet(fresh.n, fresh.rank, frozenset(SignedVector.parse(t) for t in topes))
-        except ValueError as exc:
-            problems.append(f"{tag}: malformed tope: {exc}")
+            picks = _survivor_picks(entry, where, base, pool)
+        except VerificationError as exc:
+            problems.append(str(exc))
             continue
-
-        report = check_uniform_tope_axioms(tope_set)
-        if not report.passed:
-            problems.append(f"{tag}: fails the uniform tope-set axioms")
+        try:
+            record = _survivor_record(instance, picks)
+        except VerificationError:
+            problems.append(f"{where}.topes fail the uniform tope-set axioms")
             continue
-        stated = {k: v for k, v in entry["vc_witnesses"].items()}
-        for q, w in report.witnesses:
-            if stated.get(subset_key(q)) != str(w):
-                problems.append(f"{tag}: witness for {subset_key(q)} is not the first avoided pattern")
-                break
-        for tope, absent in entry["excluded_check"].items():
-            if tope not in EXCLUDED_TOPES:
-                problems.append(f"{tag}: unexpected exclusion entry {tope}")
-            elif not absent or tope in tset:
-                problems.append(f"{tag}: excluded tope {tope} present")
-        for q, expected in expected_circuits.items():
-            stated_circuit = entry["circuits"].get(subset_key(q))
-            if stated_circuit != expected:
-                problems.append(f"{tag}: circuit on {subset_key(q)} is {stated_circuit}, expected {expected}")
-                continue
-            if str(circuit_on_support(tope_set, q)) != expected:
-                problems.append(f"{tag}: stated circuit on {subset_key(q)} does not match the tope set")
-
-
-def _validate_search_core(
-    problems: list[str],
-    where: str,
-    inst_doc: dict[str, Any],
-    counts: dict[str, Any],
-    survivors: list[dict[str, Any]],
-) -> None:
-    fresh = build_search_instance()
-    _check_fields(problems, where, inst_doc, _search_instance_fields(fresh))
-    base = tuple(str(t) for t in fresh.base)
-    pool = tuple(str(t) for t in fresh.pool)
-    if tuple(inst_doc["base_topes"]) != base:
-        problems.append("instance base topes differ from the generated target topes")
-    if tuple(inst_doc["pool_topes"]) != pool:
-        problems.append("instance pool topes differ from the generated pool")
-    expected_counts = {
-        "combinations_checked": fresh.combination_count,
-        "survivor_count": len(survivors),
-    }
-    _check_fields(problems, "document.counts", counts, expected_counts)
-    _validate_survivors(problems, survivors, fresh, base, pool)
+        # the kernel finds survivors in plain tuple order of their picks
+        if picks <= previous:
+            problems.append(f"{where} is not after the previous survivor in enumeration order")
+        previous = picks
+        problems += _diff(entry, _survivor_entry(record), where)
+        records.append(record)
+    if len(records) < len(stated):
+        return None, problems
+    return _search_certificate(instance, tuple(records), instance.combination_count), problems
 
 
 def validate_search_document(doc: dict[str, Any]) -> list[str]:
-    """Re-check a search certificate document; returns problem descriptions."""
-    problems = _document_problems(doc, _SEARCH_SHAPE)
-    if problems:
+    """Re-check a search certificate document by rebuilding it; returns
+    problem descriptions."""
+    cert, problems = _rebuilt_search(doc)
+    if cert is None:
         return problems
-    _validate_search_core(
-        problems, "document.instance", doc["instance"], doc["counts"], doc["survivors"]
-    )
-    stated = doc["conclusion"]["circuits"]
-    for q, c in zip(CIRCUIT_SUPPORTS, FORCED_CIRCUITS):
-        if stated.get(subset_key(q)) != c:
-            problems.append(f"conclusion circuit on {subset_key(q)} is {stated.get(subset_key(q))}, expected {c}")
+    # the survivors were diffed entry by entry during the rebuild
+    expected = {**search_certificate_document(cert), "survivors": doc["survivors"]}
+    problems += _diff(doc, expected, "document")
+    try:
+        verify_search_conclusions(cert)
+    except VerificationError as exc:
+        problems.append(f"search conclusions do not hold: {exc}")
     return problems
 
 
 def validate_contradiction_document(doc: dict[str, Any]) -> list[str]:
-    """Re-check a full pipeline document; returns problem descriptions."""
-    problems = _document_problems(doc, _CONTRADICTION_SHAPE)
-    if problems:
+    """Re-check a full pipeline document by rebuilding it; returns problem
+    descriptions."""
+    cert, problems = _rebuilt_search(doc)
+    if cert is None:
         return problems
-    instance, counts = doc["instance"], doc["counts"]
-    _check_fields(problems, "document.instance", instance, _PIPELINE_INSTANCE_FIELDS)
-    _validate_search_core(
-        problems, "document.instance.reduction", instance["reduction"], counts, doc["survivors"]
-    )
-
-    source, target = source_topes(FULL_N), target_topes(FULL_N)
-    premise = is_strong_map_topes(source, target)
-    stated_premise = doc["conclusion"]["premise_strong_map"]
-    if stated_premise.get("holds") is not True or not premise.holds:
-        problems.append("premise strong map does not hold")
-    _check_fields(
-        problems,
-        "document.conclusion.premise_strong_map",
-        stated_premise,
-        {"corank": premise.corank},
-    )
-    _check_fields(
-        problems,
-        "document.counts",
-        counts,
-        {"source_topes": len(source), "target_topes": len(target)},
-    )
-
-    forced = tuple(SignedVector.parse(c) for c in FORCED_CIRCUITS)
-    kept_sets = {subset_key(k): k for k in (KEPT_A, KEPT_B)}
-    lifted: dict[tuple[int, ...], SignedVector] = {}
-    for entry in doc["restrictions"]:
-        kept = kept_sets.get(entry["kept"])
-        if kept is None:
-            problems.append(f"unexpected kept set {entry['kept']}")
-            continue
-        check = check_restriction(kept, forced)
-        source_ok = check.source_restriction_is_alternating
-        if entry.get("source_restriction_is_alternating") is not True or not source_ok:
-            problems.append(f"source restriction to {entry['kept']} does not reduce correctly")
-        target_ok = check.target_restriction_matches
-        if entry.get("target_restriction_matches") is not True or not target_ok:
-            problems.append(f"target restriction to {entry['kept']} does not reduce correctly")
-        if entry.get("lifted_circuit") != str(check.lifted_circuit):
-            problems.append(
-                f"lifted circuit through {entry['kept']} is {entry.get('lifted_circuit')!r},"
-                f" expected {str(check.lifted_circuit)!r}"
-            )
-        lifted[kept] = check.lifted_circuit
-    if set(lifted) != {KEPT_A, KEPT_B}:
-        problems.append("restriction entries incomplete")
-        return problems
-
-    conclusion = doc["conclusion"]
-    a, b = lifted[KEPT_A], lifted[KEPT_B]
-    if conclusion.get("circuit_a") != str(a) or conclusion.get("circuit_b") != str(b):
-        problems.append("conclusion circuits disagree with the restriction records")
-    if not circuits_conflict(a, b):
-        problems.append("lifted circuits do not conflict")
-    if conclusion.get("contradiction") is not True:
-        problems.append("contradiction flag is not set")
-    if conclusion.get("verdict") != "nonfactorizable":
-        problems.append(f"verdict is {conclusion.get('verdict')!r}, expected 'nonfactorizable'")
-    if conclusion.get("search_verified") is not True:
-        problems.append("search stage is not marked verified")
+    full = build_contradiction_certificate(search_cert=cert)
+    expected = {**contradiction_certificate_document(full), "survivors": doc["survivors"]}
+    problems += _diff(doc, expected, "document")
+    if full.verdict != "nonfactorizable":
+        problems.append(f"rebuilt verdict is {full.verdict!r}, expected 'nonfactorizable'")
     return problems
 
 

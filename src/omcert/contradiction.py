@@ -11,8 +11,8 @@ Two standard facts are consumed as named assumptions rather than re-proved:
 circuits of a deletion are exactly the parent circuits supported inside the
 kept set, and a uniform oriented matroid carries exactly one circuit pair
 per (rank+1)-subset. Both come with desk-scale empirical checks over the
-search survivors; the reduction of an arbitrary intermediate to a uniform
-one is recorded as a trusted citation.
+search survivors, and a failed check fails the verdict; the reduction of an
+arbitrary intermediate to a uniform one is recorded as a trusted citation.
 """
 
 from __future__ import annotations
@@ -152,35 +152,48 @@ def circuits_conflict(a: SignedVector, b: SignedVector) -> bool:
     return a.support_mask == b.support_mask and a != b and a != b.opposite()
 
 
-def _check_circuit_uniqueness(cert: SearchCertificate) -> bool:
-    """Every survivor carries exactly one circuit pair per 4-subset
-    (circuit_on_support raises on zero or multiple)."""
+# a survivor's tope set with its circuit on each 4-subset, computed once for
+# both assumption checks; None when some 4-subset carries zero or several
+CircuitTable = tuple[TopeSet, dict[tuple[int, ...], SignedVector] | None]
+
+
+def _circuit_tables(cert: SearchCertificate) -> tuple[CircuitTable, ...]:
+    quads = tuple(combinations(range(1, REDUCED_N + 1), INTERMEDIATE_RANK + 1))
+    tables = []
     for survivor in cert.survivors:
         ts = survivor.tope_set()
-        for q in combinations(range(1, REDUCED_N + 1), INTERMEDIATE_RANK + 1):
-            try:
-                circuit_on_support(ts, q)
-            except ValueError:
-                return False
-    return True
+        try:
+            circuits = {q: circuit_on_support(ts, q) for q in quads}
+        except ValueError:
+            circuits = None
+        tables.append((ts, circuits))
+    return tuple(tables)
 
 
-def _check_deletion_circuits(cert: SearchCertificate) -> bool:
+def _check_circuit_uniqueness(tables: tuple[CircuitTable, ...]) -> bool:
+    """Every survivor carries exactly one circuit pair per 4-subset, i.e. its
+    table exists (circuit_on_support raises on zero or multiple)."""
+    return all(circuits is not None for _, circuits in tables)
+
+
+def _check_deletion_circuits(tables: tuple[CircuitTable, ...]) -> bool:
     """Circuits of survivor deletions agree with parent circuits supported in
     the kept set, across every 5-element deletion and every 4-subset of it."""
-    for survivor in cert.survivors:
-        ts = survivor.tope_set()
+    for ts, circuits in tables:
+        if circuits is None:
+            return False
         for kept in combinations(range(1, REDUCED_N + 1), 5):
             deletion = restriction_tope_set(ts, kept)
             for q in combinations(kept, INTERMEDIATE_RANK + 1):
                 relabeled = tuple(kept.index(e) + 1 for e in q)
-                parent = circuit_on_support(ts, q).restrict(kept)
+                parent = circuits[q].restrict(kept)
                 if circuit_on_support(deletion, relabeled) != parent.canonical():
                     return False
     return True
 
 
 def _assumption_records(cert: SearchCertificate) -> tuple[AssumptionRecord, ...]:
+    tables = _circuit_tables(cert)
     return (
         AssumptionRecord(
             name="deletion-circuits",
@@ -188,7 +201,7 @@ def _assumption_records(cert: SearchCertificate) -> tuple[AssumptionRecord, ...]
                 "circuits of a deletion are exactly the circuits of the parent "
                 "matroid whose support lies inside the kept set"
             ),
-            verified=_check_deletion_circuits(cert),
+            verified=_check_deletion_circuits(tables),
             note="checked on every 5-element deletion of every survivor",
         ),
         AssumptionRecord(
@@ -197,7 +210,7 @@ def _assumption_records(cert: SearchCertificate) -> tuple[AssumptionRecord, ...]
                 "a uniform oriented matroid of rank r carries exactly one circuit "
                 "pair per (r+1)-subset of the ground set"
             ),
-            verified=_check_circuit_uniqueness(cert),
+            verified=_check_circuit_uniqueness(tables),
             note="checked on all 4-subsets of every survivor",
         ),
         AssumptionRecord(
@@ -217,8 +230,8 @@ def build_contradiction_certificate(
 ) -> ContradictionCertificate:
     """Run (or reuse) the search, then assemble every stage into one record.
 
-    Any failed stage yields a certificate whose verdict names that stage;
-    the verdict is "nonfactorizable" only when every stage holds.
+    Any failed stage or assumption check yields a certificate whose verdict
+    names it; the verdict is "nonfactorizable" only when every one holds.
     """
     source, target = source_topes(FULL_N), target_topes(FULL_N)
     premise = is_strong_map_topes(source, target)
@@ -234,6 +247,7 @@ def build_contradiction_certificate(
     ra = check_restriction(KEPT_A, cert.conclusion_circuits)
     rb = check_restriction(KEPT_B, cert.conclusion_circuits)
     conflict = circuits_conflict(ra.lifted_circuit, rb.lifted_circuit)
+    assumptions = _assumption_records(cert)
 
     failing = None
     if not premise.holds:
@@ -246,6 +260,8 @@ def build_contradiction_certificate(
         failing = "restriction-b"
     elif not conflict:
         failing = "circuit-conflict"
+    else:
+        failing = next((a.name for a in assumptions if a.verified is False), None)
 
     return ContradictionCertificate(
         premise=premise,
@@ -256,7 +272,7 @@ def build_contradiction_certificate(
         restriction_a=ra,
         restriction_b=rb,
         circuits_conflict=conflict,
-        assumptions=_assumption_records(cert),
+        assumptions=assumptions,
         verdict="nonfactorizable" if failing is None else f"invalid:{failing}",
     )
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -159,21 +160,6 @@ class Chirotope:
             raise ValueError(f"restriction to {keep} drops the rank below {self.r}")
         return Chirotope(len(keep), self.r, vals)
 
-    def contract(self, u: int) -> Chirotope:
-        """Contraction of a single non-loop element, relabeled to 1..n-1."""
-        if not 1 <= u <= self.n:
-            raise ValueError(f"element {u} outside 1..{self.n}")
-        if self.r < 2:
-            raise ValueError("cannot contract at rank 1")
-        remaining = [e for e in range(1, self.n + 1) if e != u]
-        vals = tuple(
-            self.value((u,) + tuple(remaining[i - 1] for i in combo))
-            for combo in combinations(range(1, self.n), self.r - 1)
-        )
-        if not any(vals):
-            raise ValueError(f"element {u} is a loop; contraction would be identically zero")
-        return Chirotope(self.n - 1, self.r - 1, vals)
-
     # ------------------------------------------------------------------
     # cocircuits
     # ------------------------------------------------------------------
@@ -257,6 +243,11 @@ class TopeSet:
         return tuple(sorted(self.topes, key=SignedVector.order_key))
 
     def strings(self) -> tuple[str, ...]:
+        return self._strings
+
+    @cached_property
+    def _strings(self) -> tuple[str, ...]:
+        # every circuit and axiom check reads these; build them once per set
         return tuple(str(t) for t in self.ordered())
 
 

@@ -217,17 +217,33 @@ def saturation_search(
 
 
 def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> SurvivorRecord:
+    """The record of the base plus the picked pool topes; raises if they fail
+    the uniform tope-set axioms."""
     members = frozenset(instance.base) | {instance.pool[i] for i in picks}
     tope_set = TopeSet(instance.n, instance.rank, members)
     report = check_uniform_tope_axioms(tope_set)
     if not report.passed:
-        raise RuntimeError(f"saturation kernel and axiom checker disagree on picks {picks}")
-    strings = {str(t) for t in members}
+        raise VerificationError(f"picks {picks} fail the uniform tope-set axioms")
+    strings = tope_set.strings()
     return SurvivorRecord(
         topes=tope_set.ordered(),
         vc_witnesses=report.witnesses,
         excluded_absent=tuple((t, t not in strings) for t in EXCLUDED_TOPES),
         circuits=tuple((q, circuit_on_support(tope_set, q)) for q in CIRCUIT_SUPPORTS),
+    )
+
+
+def _search_certificate(
+    instance: SearchInstance, survivors: tuple[SurvivorRecord, ...], combinations_checked: int
+) -> SearchCertificate:
+    """Assemble a certificate; the conclusion is the first survivor's circuit pair."""
+    if not survivors:
+        raise VerificationError("no survivors found; the search instance is corrupt")
+    return SearchCertificate(
+        instance=instance,
+        combinations_checked=combinations_checked,
+        survivors=survivors,
+        conclusion_circuits=(survivors[0].circuits[0][1], survivors[0].circuits[1][1]),
     )
 
 
@@ -249,14 +265,7 @@ def enumerate_survivors(instance: SearchInstance, threads: int = 1) -> SearchCer
     survivors = tuple(
         _survivor_record(instance, picks) for run in runs for picks in run.picks
     )
-    if not survivors:
-        raise VerificationError("no survivors found; the search instance is corrupt")
-    return SearchCertificate(
-        instance=instance,
-        combinations_checked=sum(run.credited for run in runs),
-        survivors=survivors,
-        conclusion_circuits=(survivors[0].circuits[0][1], survivors[0].circuits[1][1]),
-    )
+    return _search_certificate(instance, survivors, sum(run.credited for run in runs))
 
 
 def verify_search_conclusions(cert: SearchCertificate) -> bool:

@@ -64,7 +64,9 @@ def is_covector_by_extension(x: SignedVector, topes: TopeSet) -> bool:
 
     In a uniform oriented matroid, x is a covector iff every full-support
     vector conforming to x is a tope: each completion collapses back to x by
-    repeated single-index elimination.
+    repeated single-index elimination. The pipeline does not call this; it is
+    kept as the independent oracle the tests compare ``covectors_from_topes``
+    against.
     """
     if x.n != topes.n:
         raise ValueError(f"ground-set mismatch: {x.n} vs {topes.n}")

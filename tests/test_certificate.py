@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+import omcert.contradiction
+import omcert.search
+from omcert import build_contradiction_certificate, build_search_instance, enumerate_survivors
 from omcert.certificate import (
     search_certificate_from_document,
     serialize_certificate,
@@ -11,6 +15,10 @@ from omcert.certificate import (
     validate_contradiction_document,
     validate_search_document,
 )
+
+# sha256 of the emitted certificates; any change to their bytes must be deliberate
+SEARCH_SHA256 = "64f4e2c3c28f2e7c9cd02c4392bfc53380ac0e13d08acf5ad6cfb4d09c9bfaca"
+FULL_SHA256 = "2508ca15969e1b5bd7cca9ea64c944a2be49bddb3fee1ba2bbaa0143cb500f79"
 
 
 SEARCH_INSTANCE_FIELDS = (
@@ -39,6 +47,24 @@ def copied(doc):
 def altered(value):
     """A different value of the same JSON type."""
     return value + 1 if isinstance(value, int) else value + "x"
+
+
+def duplicated(entries):
+    return entries + entries[:1]
+
+
+# Edits that a field-by-field validator once accepted: (flavor, path, new
+# value or a function of the old one).
+EDITS = {
+    "assumption-unverified": ("full", ("conclusion", "assumptions", 0, "verified"), False),
+    "assumptions-emptied": ("full", ("conclusion", "assumptions"), []),
+    "reduction-count": ("full", ("counts", "reduction_source_topes"), 999),
+    "premise-method": ("full", ("conclusion", "premise_strong_map", "method"), "vibes"),
+    "duplicated-restriction": ("full", ("restrictions",), duplicated),
+    "extra-key": ("full", ("extra",), True),
+    "source-topes-count": ("search", ("counts", "source_topes"), 27),
+    "pool-size-count": ("search", ("counts", "pool_size"), 21),
+}
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +123,13 @@ class TestSerialization:
             assert entry["source_restriction_is_alternating"] is True
             assert entry["target_restriction_matches"] is True
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_certificate_bytes_pinned(self, threads):
+        search = enumerate_survivors(build_search_instance(), threads=threads)
+        full = build_contradiction_certificate(search_cert=search)
+        assert hashlib.sha256(serialize_certificate(search)).hexdigest() == SEARCH_SHA256
+        assert hashlib.sha256(serialize_certificate(full)).hexdigest() == FULL_SHA256
+
     def test_round_trip(self, search_certificate, search_doc):
         rebuilt = search_certificate_from_document(search_doc)
         assert serialize_certificate(rebuilt) == serialize_certificate(search_certificate)
@@ -139,6 +172,16 @@ class TestValidation:
         bad["survivors"] = bad["survivors"][:19]
         assert validate_search_document(bad)
 
+    def test_survivors_out_of_order_or_repeated(self, search_doc):
+        s = search_doc["survivors"]
+        for survivors in ([s[1], s[0], *s[2:]], [s[0], *s]):
+            bad = copied(search_doc)
+            bad["survivors"] = copied(survivors)
+            bad["counts"]["survivor_count"] = len(survivors)
+            assert validate_search_document(bad) == [
+                "document.survivors[1] is not after the previous survivor in enumeration order"
+            ]
+
     def test_tampered_circuit_detected(self, contradiction_doc):
         bad = json.loads(json.dumps(contradiction_doc))
         bad["conclusion"]["circuit_b"] = bad["conclusion"]["circuit_a"]
@@ -148,6 +191,29 @@ class TestValidation:
         bad = json.loads(json.dumps(contradiction_doc))
         bad["conclusion"]["verdict"] = "factorizable"
         assert any("verdict" in p for p in validate_contradiction_document(bad))
+
+    @pytest.mark.parametrize("name", EDITS)
+    def test_edit_rejected_at_its_path(self, search_doc, contradiction_doc, name):
+        flavor, path, value = EDITS[name]
+        bad = copied(contradiction_doc if flavor == "full" else search_doc)
+        *parents, last = path
+        target = bad
+        for key in parents:
+            target = target[key]
+        target[last] = value(target[last]) if callable(value) else value
+        validate = validate_contradiction_document if flavor == "full" else validate_search_document
+        where = "document" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+        assert any(p.startswith(where) for p in validate(bad))
+
+    def test_validation_never_enumerates(self, monkeypatch, search_doc, contradiction_doc):
+        def refuse(*args, **kwargs):
+            raise AssertionError("validation re-ran the enumeration")
+
+        for module in (omcert.search, omcert.contradiction):
+            monkeypatch.setattr(module, "saturation_search", refuse)
+            monkeypatch.setattr(module, "enumerate_survivors", refuse)
+        assert validate_search_document(search_doc) == []
+        assert validate_contradiction_document(contradiction_doc) == []
 
     @pytest.mark.parametrize("field", SEARCH_INSTANCE_FIELDS)
     def test_search_instance_metadata_checked(self, search_doc, field):
@@ -190,9 +256,7 @@ class TestShape:
     def test_missing_scalar_reported(self, search_doc):
         bad = copied(search_doc)
         del bad["counts"]["survivor_count"]
-        assert validate_search_document(bad) == [
-            "document.counts.survivor_count is None, expected 20"
-        ]
+        assert validate_search_document(bad) == ["document.counts.survivor_count is missing"]
 
     @pytest.mark.parametrize("value", ["184756", 184756.0, True])
     def test_wrong_json_type_reported(self, search_doc, value):
@@ -221,10 +285,13 @@ class TestShape:
     def test_misstated_lifted_circuit_reported(self, contradiction_doc):
         bad = copied(contradiction_doc)
         bad["restrictions"][0]["lifted_circuit"] = "+-?"
-        problems = validate_contradiction_document(bad)
-        assert any(p.startswith("lifted circuit through 1,2,3,4,5,6 is '+-?'") for p in problems)
+        assert validate_contradiction_document(bad) == [
+            "document.restrictions[0].lifted_circuit is '+-?', expected '+-00-+00'"
+        ]
 
     def test_unknown_kept_set_reported(self, contradiction_doc):
         bad = copied(contradiction_doc)
         bad["restrictions"][0]["kept"] = "1,x"
-        assert any("unexpected kept set" in p for p in validate_contradiction_document(bad))
+        assert validate_contradiction_document(bad) == [
+            "document.restrictions[0].kept is '1,x', expected '1,2,3,4,5,6'"
+        ]

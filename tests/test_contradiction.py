@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
+import omcert.contradiction
+from omcert.certificate import serialize_certificate, validate_contradiction_document
 from omcert.contradiction import (
     CONFLICT_SUPPORT,
     KEPT_A,
     KEPT_B,
+    build_contradiction_certificate,
     check_restriction,
     circuits_conflict,
     direct_search_n8,
@@ -92,6 +97,25 @@ class TestCertificate:
         assert byname["deletion-circuits"].verified is True
         assert byname["uniform-circuit-uniqueness"].verified is True
         assert byname["uniform-intermediate"].verified is None
+
+    @pytest.mark.parametrize(
+        "check, name",
+        [
+            ("_check_deletion_circuits", "deletion-circuits"),
+            ("_check_circuit_uniqueness", "uniform-circuit-uniqueness"),
+        ],
+    )
+    def test_failed_assumption_fails_verdict(self, monkeypatch, search_certificate, check, name):
+        monkeypatch.setattr(omcert.contradiction, check, lambda tables: False)
+        cert = build_contradiction_certificate(search_cert=search_certificate)
+        assert cert.verdict == f"invalid:{name}"
+        doc = json.loads(serialize_certificate(cert))
+        assert f"rebuilt verdict is 'invalid:{name}', expected 'nonfactorizable'" in (
+            validate_contradiction_document(doc)
+        )
+        monkeypatch.undo()
+        problems = validate_contradiction_document(doc)
+        assert any(p.startswith("document.conclusion.verdict is") for p in problems)
 
 
 class TestDirectSearch:

@@ -155,22 +155,6 @@ class TestMinors:
         with pytest.raises(ValueError):
             alternating_chirotope(6, 4).restrict((1, 2, 3))
 
-    def test_contract_alternating(self):
-        assert alternating_chirotope(6, 4).contract(1) == alternating_chirotope(5, 3)
-
-    def test_contract_middle_element(self):
-        got = alternating_chirotope(4, 2).contract(2)
-        assert got.n == 3 and got.r == 1
-        # signs at {1,3,4} before relabel: chi(2,1)=-1, chi(2,3)=+1, chi(2,4)=+1
-        assert got.values == (-1, 1, 1)
-
-    def test_contract_loop_rejected(self):
-        loopy = Chirotope(3, 2, (1, 0, 0))  # element 3 is a loop
-        with pytest.raises(ValueError):
-            loopy.contract(3)
-        with pytest.raises(ValueError):
-            alternating_chirotope(3, 1).contract(1)
-
 
 class TestCocircuits:
     def test_alternating_4_2(self):
