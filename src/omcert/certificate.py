@@ -16,6 +16,12 @@ document also gets the contradiction stage run on the rebuilt search. The
 stated document must then equal the rebuilt one under a type-strict
 recursive diff that names the path of each difference. The 184,756-case
 enumeration is never re-run.
+
+A search document is rebuilt once: ``search_certificate_from_document``
+returns the validated rebuild, so ``omcert verify-n8 --certificate``
+validates once and continues with it. It raises ``VerificationError`` on an
+invalid document, a stricter contract than a plain parser: a library caller
+gets a certificate only from a document that validates.
 """
 
 from __future__ import annotations
@@ -25,16 +31,15 @@ from typing import Any
 
 from .contradiction import (
     FULL_N,
-    INTERMEDIATE_RANK,
-    SOURCE_RANK,
-    TARGET_RANK,
     ContradictionCertificate,
     build_contradiction_certificate,
 )
 from .search import (
     CIRCUIT_SUPPORTS,
+    SEARCH_RANK,
+    SOURCE_RANK,
+    TARGET_RANK,
     SearchCertificate,
-    SearchInstance,
     SurvivorRecord,
     VerificationError,
     _search_certificate,
@@ -42,7 +47,6 @@ from .search import (
     build_search_instance,
     verify_search_conclusions,
 )
-from .signed_vector import SignedVector
 
 CERTIFICATE_VERSION = 1
 
@@ -52,10 +56,6 @@ TARGET_FAMILY = "m2"
 
 def subset_key(subset: tuple[int, ...]) -> str:
     return ",".join(str(e) for e in subset)
-
-
-def parse_subset_key(key: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in key.split(","))
 
 
 def _survivor_entry(s: SurvivorRecord) -> dict[str, Any]:
@@ -110,7 +110,7 @@ def contradiction_certificate_document(cert: ContradictionCertificate) -> dict[s
             "source_rank": SOURCE_RANK,
             "target_family": TARGET_FAMILY,
             "target_rank": TARGET_RANK,
-            "intermediate_rank": INTERMEDIATE_RANK,
+            "intermediate_rank": SEARCH_RANK,
             "reduction": doc["instance"],
         },
         "counts": {
@@ -164,41 +164,6 @@ def certificate_document(cert: SearchCertificate | ContradictionCertificate) -> 
 def serialize_certificate(cert: SearchCertificate | ContradictionCertificate | dict) -> bytes:
     doc = cert if isinstance(cert, dict) else certificate_document(cert)
     return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-
-
-def search_certificate_from_document(doc: dict[str, Any]) -> SearchCertificate:
-    """Rebuild the in-memory search certificate from its document form."""
-    inst_doc = doc["instance"]
-    inst = SearchInstance(
-        n=inst_doc["n"],
-        rank=inst_doc["rank"],
-        choose=inst_doc["choose"],
-        base=tuple(SignedVector.parse(s) for s in inst_doc["base_topes"]),
-        pool=tuple(SignedVector.parse(s) for s in inst_doc["pool_topes"]),
-    )
-    survivors = tuple(
-        SurvivorRecord(
-            topes=tuple(SignedVector.parse(s) for s in entry["topes"]),
-            vc_witnesses=tuple(
-                (parse_subset_key(k), SignedVector.parse(v))
-                for k, v in entry["vc_witnesses"].items()
-            ),
-            excluded_absent=tuple(entry["excluded_check"].items()),
-            circuits=tuple(
-                (parse_subset_key(k), SignedVector.parse(v))
-                for k, v in entry["circuits"].items()
-            ),
-        )
-        for entry in doc["survivors"]
-    )
-    circuits = doc["conclusion"]["circuits"]
-    conclusion = tuple(SignedVector.parse(circuits[subset_key(q)]) for q in CIRCUIT_SUPPORTS)
-    return SearchCertificate(
-        instance=inst,
-        combinations_checked=doc["counts"]["combinations_checked"],
-        survivors=survivors,
-        conclusion_circuits=(conclusion[0], conclusion[1]),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -286,8 +251,8 @@ def _rebuilt_search(doc: Any) -> tuple[SearchCertificate | None, list[str]]:
             continue
         try:
             record = _survivor_record(instance, picks)
-        except VerificationError:
-            problems.append(f"{where}.topes fail the uniform tope-set axioms")
+        except VerificationError as exc:
+            problems.append(f"{where}.topes: {exc}")
             continue
         # the kernel finds survivors in plain tuple order of their picks
         if picks <= previous:
@@ -300,12 +265,13 @@ def _rebuilt_search(doc: Any) -> tuple[SearchCertificate | None, list[str]]:
     return _search_certificate(instance, tuple(records), instance.combination_count), problems
 
 
-def validate_search_document(doc: dict[str, Any]) -> list[str]:
-    """Re-check a search certificate document by rebuilding it; returns
-    problem descriptions."""
+def _validated_search(doc: Any) -> tuple[SearchCertificate | None, list[str]]:
+    """Rebuild a search document, diff it against the rebuild and check the
+    rebuilt conclusions. The certificate is None when some survivor cannot be
+    rebuilt; it is valid only when the problem list is empty."""
     cert, problems = _rebuilt_search(doc)
     if cert is None:
-        return problems
+        return None, problems
     # the survivors were diffed entry by entry during the rebuild
     expected = {**search_certificate_document(cert), "survivors": doc["survivors"]}
     problems += _diff(doc, expected, "document")
@@ -313,7 +279,22 @@ def validate_search_document(doc: dict[str, Any]) -> list[str]:
         verify_search_conclusions(cert)
     except VerificationError as exc:
         problems.append(f"search conclusions do not hold: {exc}")
-    return problems
+    return cert, problems
+
+
+def validate_search_document(doc: dict[str, Any]) -> list[str]:
+    """Re-check a search certificate document by rebuilding it; returns
+    problem descriptions."""
+    return _validated_search(doc)[1]
+
+
+def search_certificate_from_document(doc: dict[str, Any]) -> SearchCertificate:
+    """The search certificate rebuilt from a valid document. Raises
+    VerificationError, one problem per line, if the document is invalid."""
+    cert, problems = _validated_search(doc)
+    if cert is None or problems:
+        raise VerificationError("\n".join(problems))
+    return cert
 
 
 def validate_contradiction_document(doc: dict[str, Any]) -> list[str]:

@@ -16,7 +16,6 @@ from .certificate import (
     certificate_document,
     search_certificate_from_document,
     serialize_certificate,
-    validate_search_document,
 )
 from .contradiction import build_contradiction_certificate
 from .matroid import (
@@ -215,15 +214,16 @@ def _run_contradiction(cfg: RunConfig, certificate_path: str | None) -> int:
         try:
             with open(certificate_path, "rb") as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError: malformed JSON or undecodable bytes; RecursionError: too deeply nested
             print(f"error: cannot load {certificate_path}: {exc}", file=sys.stderr)
             return 1
-        problems = validate_search_document(loaded)
-        if problems:
-            for p in problems:
-                print(f"invalid certificate: {p}", file=sys.stderr)
+        try:
+            search_cert = search_certificate_from_document(loaded)
+        except VerificationError as exc:
+            for problem in str(exc).splitlines():
+                print(f"invalid certificate: {problem}", file=sys.stderr)
             return 1
-        search_cert = search_certificate_from_document(loaded)
     cert = build_contradiction_certificate(search_cert=search_cert, threads=cfg.threads)
     doc = certificate_document(cert)
     status = (

@@ -11,8 +11,9 @@ Two standard facts are consumed as named assumptions rather than re-proved:
 circuits of a deletion are exactly the parent circuits supported inside the
 kept set, and a uniform oriented matroid carries exactly one circuit pair
 per (rank+1)-subset. Both come with desk-scale empirical checks over the
-search survivors, and a failed check fails the verdict; the reduction of an
-arbitrary intermediate to a uniform one is recorded as a trusted citation.
+search survivors, which read the circuit table each survivor record carries,
+and a failed check fails the verdict; the reduction of an arbitrary
+intermediate to a uniform one is recorded as a trusted citation.
 """
 
 from __future__ import annotations
@@ -21,29 +22,28 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .matroid import (
-    TopeSet,
     alternating_chirotope,
     circuit_on_support,
     pair_swap_chirotope,
     restriction_tope_set,
-    topes_of,
 )
 from .search import (
+    SEARCH_N,
+    SOURCE_RANK,
     SearchCertificate,
+    SurvivorRecord,
     VerificationError,
     build_search_instance,
     enumerate_survivors,
     saturation_search,
+    source_topes,
+    target_topes,
     verify_search_conclusions,
 )
 from .signed_vector import SignedVector
 from .strong_map import StrongMapVerdict, is_strong_map_topes
 
 FULL_N = 8
-REDUCED_N = 6
-SOURCE_RANK = 4
-TARGET_RANK = 2
-INTERMEDIATE_RANK = 3
 
 KEPT_A = (1, 2, 3, 4, 5, 6)
 KEPT_B = (1, 2, 5, 6, 7, 8)
@@ -92,14 +92,6 @@ class ContradictionCertificate:
     verdict: str
 
 
-def source_topes(n: int = FULL_N) -> TopeSet:
-    return topes_of(alternating_chirotope(n, SOURCE_RANK))
-
-
-def target_topes(n: int = FULL_N) -> TopeSet:
-    return topes_of(pair_swap_chirotope(n))
-
-
 def verify_premise(n: int = FULL_N) -> StrongMapVerdict:
     """Tope-inclusion verdict for the strong map between the n-element instances."""
     return is_strong_map_topes(source_topes(n), target_topes(n))
@@ -128,9 +120,9 @@ def check_restriction(
     if kept not in (KEPT_A, KEPT_B):
         raise ValueError(f"kept must be one of {KEPT_A} or {KEPT_B}, got {kept}")
     source_ok = alternating_chirotope(FULL_N, SOURCE_RANK).restrict(kept) == alternating_chirotope(
-        REDUCED_N, SOURCE_RANK
+        SEARCH_N, SOURCE_RANK
     )
-    target_ok = pair_swap_chirotope(FULL_N).restrict(kept) == pair_swap_chirotope(REDUCED_N)
+    target_ok = pair_swap_chirotope(FULL_N).restrict(kept) == pair_swap_chirotope(SEARCH_N)
 
     lifts = [lift_through_restriction(c, kept, FULL_N) for c in conclusion_circuits]
     lifts = [lift for lift in lifts if lift.support_mask == CONFLICT_MASK]
@@ -152,48 +144,34 @@ def circuits_conflict(a: SignedVector, b: SignedVector) -> bool:
     return a.support_mask == b.support_mask and a != b and a != b.opposite()
 
 
-# a survivor's tope set with its circuit on each 4-subset, computed once for
-# both assumption checks; None when some 4-subset carries zero or several
-CircuitTable = tuple[TopeSet, dict[tuple[int, ...], SignedVector] | None]
-
-
-def _circuit_tables(cert: SearchCertificate) -> tuple[CircuitTable, ...]:
-    quads = tuple(combinations(range(1, REDUCED_N + 1), INTERMEDIATE_RANK + 1))
-    tables = []
-    for survivor in cert.survivors:
-        ts = survivor.tope_set()
-        try:
-            circuits = {q: circuit_on_support(ts, q) for q in quads}
-        except ValueError:
-            circuits = None
-        tables.append((ts, circuits))
-    return tuple(tables)
-
-
-def _check_circuit_uniqueness(tables: tuple[CircuitTable, ...]) -> bool:
+def _check_circuit_uniqueness(survivors: tuple[SurvivorRecord, ...]) -> bool:
     """Every survivor carries exactly one circuit pair per 4-subset, i.e. its
-    table exists (circuit_on_support raises on zero or multiple)."""
-    return all(circuits is not None for _, circuits in tables)
+    circuit table has no None entry (circuit_on_support raises on zero or
+    multiple)."""
+    return all(c is not None for s in survivors for c in s.circuit_table)
 
 
-def _check_deletion_circuits(tables: tuple[CircuitTable, ...]) -> bool:
-    """Circuits of survivor deletions agree with parent circuits supported in
-    the kept set, across every 5-element deletion and every 4-subset of it."""
-    for ts, circuits in tables:
-        if circuits is None:
+def _check_deletion_circuits(survivors: tuple[SurvivorRecord, ...]) -> bool:
+    """Circuits of survivor deletions agree with the parent circuits, read
+    from each survivor's circuit table, supported in the kept set, across
+    every 5-element deletion and every 4-subset of it."""
+    for survivor in survivors:
+        parent = survivor.tope_set()
+        ground = range(1, parent.n + 1)
+        circuits = dict(zip(combinations(ground, parent.r + 1), survivor.circuit_table))
+        if None in circuits.values():
             return False
-        for kept in combinations(range(1, REDUCED_N + 1), 5):
-            deletion = restriction_tope_set(ts, kept)
-            for q in combinations(kept, INTERMEDIATE_RANK + 1):
+        for kept in combinations(ground, 5):
+            deletion = restriction_tope_set(parent, kept)
+            for q in combinations(kept, parent.r + 1):
                 relabeled = tuple(kept.index(e) + 1 for e in q)
-                parent = circuits[q].restrict(kept)
-                if circuit_on_support(deletion, relabeled) != parent.canonical():
+                restricted = circuits[q].restrict(kept)
+                if circuit_on_support(deletion, relabeled) != restricted.canonical():
                     return False
     return True
 
 
 def _assumption_records(cert: SearchCertificate) -> tuple[AssumptionRecord, ...]:
-    tables = _circuit_tables(cert)
     return (
         AssumptionRecord(
             name="deletion-circuits",
@@ -201,7 +179,7 @@ def _assumption_records(cert: SearchCertificate) -> tuple[AssumptionRecord, ...]
                 "circuits of a deletion are exactly the circuits of the parent "
                 "matroid whose support lies inside the kept set"
             ),
-            verified=_check_deletion_circuits(tables),
+            verified=_check_deletion_circuits(cert.survivors),
             note="checked on every 5-element deletion of every survivor",
         ),
         AssumptionRecord(
@@ -210,7 +188,7 @@ def _assumption_records(cert: SearchCertificate) -> tuple[AssumptionRecord, ...]
                 "a uniform oriented matroid of rank r carries exactly one circuit "
                 "pair per (r+1)-subset of the ground set"
             ),
-            verified=_check_circuit_uniqueness(tables),
+            verified=_check_circuit_uniqueness(cert.survivors),
             note="checked on all 4-subsets of every survivor",
         ),
         AssumptionRecord(

@@ -7,7 +7,8 @@ topes containing all 6 of the target's and drawn from the source's 26. The
 search decides all C(20, 10) = 184,756 ways to pick the 10 free topes,
 keeps the candidates that satisfy the uniform tope-set axioms, and records
 for each survivor the avoided-pattern witnesses, the two named excluded
-topes, and the two circuits every survivor is forced to share.
+topes, and its circuit on every 4-subset, among them the two circuits every
+survivor is forced to share.
 
 One kernel decides every candidate, here and in the n=8 oracle: a pruned
 depth-first search over pool indices in lexicographic order, on bitmasks
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, repeat
 from typing import NamedTuple
 
@@ -50,7 +51,9 @@ class VerificationError(Exception):
 
 
 SEARCH_N = 6
-SEARCH_RANK = 3
+SEARCH_RANK = 3  # the rank of the intermediate sought
+SOURCE_RANK = SEARCH_RANK + 1
+TARGET_RANK = SEARCH_RANK - 1
 CIRCUIT_SUPPORTS = ((1, 2, 3, 4), (1, 2, 5, 6))
 FORCED_CIRCUITS = ("+-+-00", "+-00-+")
 EXCLUDED_TOPES = ("+-+---", "+----+")
@@ -71,15 +74,27 @@ class SearchInstance:
     def combination_count(self) -> int:
         return math.comb(len(self.pool), self.choose)
 
+    @property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """The (rank+1)-subsets of the ground set, in lexicographic order."""
+        return tuple(combinations(range(1, self.n + 1), self.rank + 1))
+
 
 @dataclass(frozen=True)
 class SurvivorRecord:
-    """One candidate that passed the uniform tope-set axioms."""
+    """One candidate that passed the uniform tope-set axioms.
+
+    ``circuit_table`` holds the circuit on every (rank+1)-subset in
+    lexicographic order, None where zero or several patterns are avoided;
+    ``circuits`` is its entries on the two forced supports. The table is
+    derived from the topes, so it is neither compared nor serialized.
+    """
 
     topes: tuple[SignedVector, ...]
     vc_witnesses: tuple[tuple[tuple[int, ...], SignedVector], ...]
     excluded_absent: tuple[tuple[str, bool], ...]
     circuits: tuple[tuple[tuple[int, ...], SignedVector], ...]
+    circuit_table: tuple[SignedVector | None, ...] = field(compare=False, repr=False)
 
     def circuit_map(self) -> dict[tuple[int, ...], SignedVector]:
         return dict(self.circuits)
@@ -102,15 +117,24 @@ class SearchCertificate:
     conclusion_circuits: tuple[SignedVector, SignedVector]
 
 
+def source_topes(n: int) -> TopeSet:
+    """Topes of the rank-4 alternating instance on n elements."""
+    return topes_of(alternating_chirotope(n, SOURCE_RANK))
+
+
+def target_topes(n: int) -> TopeSet:
+    """Topes of the rank-2 pair-swap instance on n elements."""
+    return topes_of(pair_swap_chirotope(n))
+
+
 def build_search_instance(n: int = SEARCH_N) -> SearchInstance:
     """Base = target topes, pool = the remaining source topes, fixed order."""
-    source = topes_of(alternating_chirotope(n, SEARCH_RANK + 1))
-    target = topes_of(pair_swap_chirotope(n))
+    source, target = source_topes(n), target_topes(n)
     if not target.topes <= source.topes:
         raise RuntimeError("target topes escaped the source tope set; generation bug")
     base = tuple(sorted(target.topes, key=SignedVector.order_key))
     pool = tuple(sorted(source.topes - target.topes, key=SignedVector.order_key))
-    expected = (canonical_tope_count(n, SEARCH_RANK - 1), canonical_tope_count(n, SEARCH_RANK + 1))
+    expected = (canonical_tope_count(n, TARGET_RANK), canonical_tope_count(n, SOURCE_RANK))
     if (len(base), len(source)) != expected:
         raise RuntimeError(
             f"unexpected instance sizes: base={len(base)}, pool={len(pool)}; generation bug"
@@ -136,7 +160,7 @@ def pattern_masks(instance: SearchInstance) -> PatternMasks:
     """One byte per 4-subset, in lexicographic order, holding the bit of the
     canonical pattern a tope's restriction produces there. ORing tope masks
     accumulates the hit patterns; a byte reaching 0xFF means all 8 are hit."""
-    quads = tuple(combinations(range(1, instance.n + 1), instance.rank + 1))
+    quads = instance.supports
 
     def tope_mask(vec: SignedVector) -> int:
         text = str(vec)
@@ -217,19 +241,32 @@ def saturation_search(
 
 
 def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> SurvivorRecord:
-    """The record of the base plus the picked pool topes; raises if they fail
-    the uniform tope-set axioms."""
+    """The record of the base plus the picked pool topes, with its circuit on
+    every support; raises if they fail the uniform tope-set axioms or carry no
+    unique circuit on a forced support."""
     members = frozenset(instance.base) | {instance.pool[i] for i in picks}
     tope_set = TopeSet(instance.n, instance.rank, members)
     report = check_uniform_tope_axioms(tope_set)
     if not report.passed:
         raise VerificationError(f"picks {picks} fail the uniform tope-set axioms")
+    supports = instance.supports
+    table: list[SignedVector | None] = []
+    for q in supports:
+        try:
+            table.append(circuit_on_support(tope_set, q))
+        except ValueError:  # zero or several patterns avoided on q
+            table.append(None)
+    circuits = tuple((q, table[supports.index(q)]) for q in CIRCUIT_SUPPORTS)
+    for q, circuit in circuits:
+        if circuit is None:
+            raise VerificationError(f"picks {picks} carry no unique circuit on {q}")
     strings = tope_set.strings()
     return SurvivorRecord(
         topes=tope_set.ordered(),
         vc_witnesses=report.witnesses,
         excluded_absent=tuple((t, t not in strings) for t in EXCLUDED_TOPES),
-        circuits=tuple((q, circuit_on_support(tope_set, q)) for q in CIRCUIT_SUPPORTS),
+        circuits=circuits,
+        circuit_table=tuple(table),
     )
 
 

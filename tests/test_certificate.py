@@ -15,6 +15,8 @@ from omcert.certificate import (
     validate_contradiction_document,
     validate_search_document,
 )
+from omcert.matroid import circuit_on_support
+from omcert.search import CIRCUIT_SUPPORTS, VerificationError
 
 # sha256 of the emitted certificates; any change to their bytes must be deliberate
 SEARCH_SHA256 = "64f4e2c3c28f2e7c9cd02c4392bfc53380ac0e13d08acf5ad6cfb4d09c9bfaca"
@@ -134,6 +136,12 @@ class TestSerialization:
         rebuilt = search_certificate_from_document(search_doc)
         assert serialize_certificate(rebuilt) == serialize_certificate(search_certificate)
 
+    def test_invalid_document_not_rebuilt(self, search_doc):
+        bad = copied(search_doc)
+        bad["instance"]["rank"] = 5
+        with pytest.raises(VerificationError, match="document.instance.rank is 5, expected 3"):
+            search_certificate_from_document(bad)
+
 
 class TestValidation:
     def test_emitted_documents_are_clean(self, search_doc, contradiction_doc):
@@ -204,6 +212,18 @@ class TestValidation:
         validate = validate_contradiction_document if flavor == "full" else validate_search_document
         where = "document" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
         assert any(p.startswith(where) for p in validate(bad))
+
+    def test_survivor_rebuild_failure_named(self, monkeypatch, search_doc):
+        def several_on_forced_support(tope_set, q):
+            if q == CIRCUIT_SUPPORTS[1]:
+                raise ValueError("several patterns avoided")
+            return circuit_on_support(tope_set, q)
+
+        monkeypatch.setattr(omcert.search, "circuit_on_support", several_on_forced_support)
+        problems = validate_search_document(search_doc)
+        assert len(problems) == 20
+        assert problems[0].startswith("document.survivors[0].topes: picks (")
+        assert problems[0].endswith("carry no unique circuit on (1, 2, 5, 6)")
 
     def test_validation_never_enumerates(self, monkeypatch, search_doc, contradiction_doc):
         def refuse(*args, **kwargs):

@@ -120,6 +120,17 @@ class TestVerifyPipeline:
         assert out == ""
         assert "invalid certificate" in err
 
+    @pytest.mark.parametrize(
+        "payload", [b"[" * 200_000 + b"]" * 200_000, b"\xff\xfe{"], ids=["deep", "non-utf8"]
+    )
+    def test_unloadable_certificate_exits_1(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_bytes(payload)
+        code, out, err = run_cli(capsys, "verify-n8", "--certificate", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"error: cannot load {path}" in err
+
     def test_misstated_instance_exits_1(self, capsys, tmp_path, search_certificate):
         doc = json.loads(serialize_certificate(search_certificate))
         doc["instance"]["rank"] = 5

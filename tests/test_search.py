@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -9,9 +10,11 @@ from omcert.matroid import (
     TopeSet,
     check_covector_axioms,
     check_uniform_tope_axioms,
+    circuit_on_support,
     covectors_from_topes,
 )
 from omcert.search import (
+    CIRCUIT_SUPPORTS,
     EXCLUDED_TOPES,
     FORCED_CIRCUITS,
     SearchCertificate,
@@ -94,6 +97,14 @@ class TestEnumeration:
             assert report.passed
             assert len(report.witnesses) == 15
 
+    def test_circuit_table_matches_extractor(self, search_certificate):
+        quads = tuple(combinations(range(1, 7), 4))
+        for survivor in search_certificate.survivors:
+            ts = survivor.tope_set()
+            table = survivor.circuit_table
+            assert table == tuple(circuit_on_support(ts, q) for q in quads)
+            assert tuple((q, table[quads.index(q)]) for q in CIRCUIT_SUPPORTS) == survivor.circuits
+
     def test_survivors_contain_base(self, search_certificate, search_instance):
         base = set(search_instance.base)
         for survivor in search_certificate.survivors:
@@ -144,11 +155,8 @@ class TestConclusions:
 
     def test_verify_rejects_tampered_certificate(self, search_certificate):
         first = search_certificate.survivors[0]
-        bad_survivor = type(first)(
-            topes=first.topes,
-            vc_witnesses=first.vc_witnesses,
-            excluded_absent=((EXCLUDED_TOPES[0], False), (EXCLUDED_TOPES[1], True)),
-            circuits=first.circuits,
+        bad_survivor = dataclasses.replace(
+            first, excluded_absent=((EXCLUDED_TOPES[0], False), (EXCLUDED_TOPES[1], True))
         )
         tampered = SearchCertificate(
             instance=search_certificate.instance,
