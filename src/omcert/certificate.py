@@ -27,6 +27,7 @@ gets a certificate only from a document that validates.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .contradiction import (
@@ -171,6 +172,15 @@ def serialize_certificate(cert: SearchCertificate | ContradictionCertificate | d
 # ----------------------------------------------------------------------
 
 
+_PLAIN_KEY = re.compile(r"[A-Za-z0-9_]+")
+
+
+def _path_key(key: str) -> str:
+    """A key as it appears in a problem path: plain keys as they are, any other
+    as a JSON string literal, so no key can break a problem across lines."""
+    return key if _PLAIN_KEY.fullmatch(key) else json.dumps(key)
+
+
 def _diff(stated: Any, expected: Any, where: str) -> list[str]:
     """Every place where ``stated`` departs from ``expected``. JSON types must
     match (``true`` is not 1 and ``6.0`` is not 6); missing and unexpected
@@ -180,11 +190,14 @@ def _diff(stated: Any, expected: Any, where: str) -> list[str]:
             return [f"{where} is not an object"]
         problems = []
         for key, want in expected.items():
+            path = f"{where}.{_path_key(key)}"
             if key in stated:
-                problems += _diff(stated[key], want, f"{where}.{key}")
+                problems += _diff(stated[key], want, path)
             else:
-                problems.append(f"{where}.{key} is missing")
-        return problems + [f"{where}.{key} is unexpected" for key in stated if key not in expected]
+                problems.append(f"{path} is missing")
+        return problems + [
+            f"{where}.{_path_key(key)} is unexpected" for key in stated if key not in expected
+        ]
     if type(expected) is list:
         if type(stated) is not list:
             return [f"{where} is not an array"]

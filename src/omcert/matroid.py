@@ -4,7 +4,7 @@ The chirotope is the authoritative definition of every instance here; topes,
 cocircuits and covectors are derived from it:
 
   chirotope --(per (r-1)-subset sign reads)--> cocircuits
-  cocircuits --(composition closure)--> topes
+  cocircuits --(conformal cover)--> topes
   topes --(composition membership test)--> covectors
 
 Two instance families are built directly: the alternating chirotope (all
@@ -214,9 +214,33 @@ def pair_swap_chirotope(n: int) -> Chirotope:
 # ----------------------------------------------------------------------
 
 
+def pattern_index(neg: int, subset: tuple[int, ...]) -> int:
+    """Canonical pattern index of a full-support vector's restriction to
+    ``subset``, read from its negative mask.
+
+    The sign at the least element is normalized to '+', and bit j-1 is set
+    when the j-th further element then reads '-'. So indices follow the
+    string order read from the last element of the subset back, not the
+    fixed string order: on (1, 2, 3), '++-' is 2 and '+-+' is 1.
+    """
+    flip = neg >> (subset[0] - 1) & 1
+    pid = 0
+    for j in range(1, len(subset)):
+        if (neg >> (subset[j] - 1) & 1) != flip:
+            pid |= 1 << (j - 1)
+    return pid
+
+
 @dataclass(frozen=True)
 class TopeSet:
-    """Canonical full-support covectors of an oriented matroid, with (n, r) metadata."""
+    """Canonical full-support covectors of an oriented matroid, with (n, r) metadata.
+
+    ``hit_patterns`` is derived from the topes and cached on first use: for
+    every (r+1)-subset Q in lexicographic order, a bitmask of the canonical
+    patterns (numbered by ``pattern_index``) that the topes' restrictions to
+    Q produce. Every axiom and circuit check reads it. It is not a field, so
+    neither equality nor the certificate bytes read it.
+    """
 
     n: int
     r: int
@@ -247,8 +271,18 @@ class TopeSet:
 
     @cached_property
     def _strings(self) -> tuple[str, ...]:
-        # every circuit and axiom check reads these; build them once per set
         return tuple(str(t) for t in self.ordered())
+
+    @cached_property
+    def hit_patterns(self) -> tuple[int, ...]:
+        negs = [t.neg for t in self.topes]
+        table = []
+        for q in combinations(range(1, self.n + 1), self.r + 1):
+            hit = 0
+            for neg in negs:
+                hit |= 1 << pattern_index(neg, q)
+            table.append(hit)
+        return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -276,22 +310,28 @@ def topes_from_cocircuits(
     n: int,
     safety_bound: int = 200_000,
 ) -> TopeSet:
-    """Close the signed cocircuits under composition; topes are the full-support results.
+    """Topes as the full-support vectors covered by their conformal cocircuits.
 
-    Composition only ever grows support, so a breadth-first closure seeded
-    with both signs of every cocircuit reaches every covector, and the rank
-    can be read off the (uniform) cocircuit support size. The safety bound
-    guards against malformed input blowing up the closure.
+    Every covector of an oriented matroid is the composition of the
+    cocircuits conformal to it (conformal decomposition, dualized: Björner,
+    Las Vergnas, Sturmfels, White & Ziegler, *Oriented Matroids*, §3.7). So a
+    full-support X is a tope exactly when the supports of the signed
+    cocircuits that agree with X on their support cover the ground set. Each
+    signed cocircuit ORs its support into the cover of every canonical
+    completion of its zero set; the topes are the completions covered
+    everywhere. The rank is read off the (uniform) cocircuit support size.
+    ``safety_bound`` caps the completions visited, guarding against
+    malformed input with large zero sets.
     """
-    seeds: list[tuple[int, int]] = []
+    signed: list[tuple[int, int]] = []
     sizes = set()
     for c in cocircuits:
         if c.n != n:
             raise ValueError(f"cocircuit {c} lives on {c.n} elements, expected {n}")
         sizes.add(c.support_size())
-        seeds.append((c.pos, c.neg))
-        seeds.append((c.neg, c.pos))
-    if not seeds:
+        signed.append((c.pos, c.neg))
+        signed.append((c.neg, c.pos))
+    if not signed:
         raise ValueError("empty cocircuit set")
     if len(sizes) != 1:
         raise ValueError("mixed cocircuit support sizes; only uniform instances are supported")
@@ -300,31 +340,34 @@ def topes_from_cocircuits(
         raise ValueError("cocircuit support size inconsistent with any rank")
 
     full = (1 << n) - 1
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for xp, xn in frontier:
-            free = full & ~(xp | xn)
-            if not free:
-                continue
-            for yp, yn in seeds:
-                z = (xp | (yp & free), xn | (yn & free))
-                if z not in seen:
-                    seen.add(z)
-                    fresh.append(z)
-                    if len(seen) > safety_bound:
-                        raise ValueError(f"composition closure exceeded {safety_bound} vectors; malformed input?")
-        frontier = fresh
+    cover: dict[int, int] = {}  # positive mask of a canonical completion -> covered elements
+    visited = 0
+    for cp, cn in signed:
+        if cn & 1:
+            continue  # every completion is negative at element 1, so not canonical
+        support = cp | cn
+        zero = full & ~support
+        free = zero & ~1  # element 1 stays positive
+        base = cp | (zero & 1)
+        neg = free
+        while True:  # every subset of the free elements as the negative part
+            pos = base | (free & ~neg)
+            cover[pos] = cover.get(pos, 0) | support
+            visited += 1
+            if visited > safety_bound:
+                raise ValueError(f"conformal cover exceeded {safety_bound} completions; malformed input?")
+            if not neg:
+                break
+            neg = (neg - 1) & free
 
     topes = frozenset(
-        SignedVector(n, p, m).canonical() for p, m in seen if (p | m) == full
+        SignedVector(n, pos, full & ~pos) for pos, covered in cover.items() if covered == full
     )
     return TopeSet(n, r, topes)
 
 
 def topes_of(chi: Chirotope) -> TopeSet:
-    """Tope set of a uniform chirotope via its cocircuit composition closure."""
+    """Tope set of a uniform chirotope via the conformal cover of its cocircuits."""
     return topes_from_cocircuits(chi.cocircuits(), chi.n)
 
 
@@ -516,21 +559,6 @@ class UniformTopeReport:
         return dict(self.witnesses)
 
 
-def _restriction_pattern_id(text: str, subset: tuple[int, ...]) -> int:
-    """Canonical pattern index of a full-support vector's restriction to ``subset``.
-
-    Patterns are indexed in the fixed string order: sign at the least element
-    normalized to '+', remaining positions read as binary with '-' = 1.
-    """
-    flip = text[subset[0] - 1] == "-"
-    pid = 0
-    for j in range(1, len(subset)):
-        ch = text[subset[j] - 1]
-        if (ch == "-") != flip:
-            pid |= 1 << (j - 1)
-    return pid
-
-
 def _pattern_vector(n: int, subset: tuple[int, ...], pid: int) -> SignedVector:
     """The pid-th canonical full pattern supported exactly on ``subset``."""
     pos = 1 << (subset[0] - 1)
@@ -550,21 +578,22 @@ def check_uniform_tope_axioms(topes: TopeSet) -> UniformTopeReport:
     For full-support topes, a pattern supported on Q is perpendicular to a
     tope exactly when the tope's restriction to Q differs from both the
     pattern and its opposite, so each Q is checked against the set of
-    canonical restriction patterns its topes produce. The first avoided
-    pattern in the fixed string order is recorded as the witness.
+    canonical restriction patterns its topes produce (the set's
+    ``hit_patterns``). The avoided pattern of least ``pattern_index`` is
+    recorded as the witness.
     """
     expected = canonical_tope_count(topes.n, topes.r)
-    strings = topes.strings()
+    every = (1 << (1 << topes.r)) - 1  # all 2**(|Q|-1) canonical patterns per (r+1)-subset
     witnesses = []
     missing = []
-    half = 1 << topes.r  # 2**(|Q|-1) canonical patterns per (r+1)-subset
-    for q in combinations(range(1, topes.n + 1), topes.r + 1):
-        hit = {_restriction_pattern_id(s, q) for s in strings}
-        wid = next((i for i in range(half) if i not in hit), None)
-        if wid is None:
-            missing.append(q)
-        else:
+    subsets = combinations(range(1, topes.n + 1), topes.r + 1)
+    for q, hit in zip(subsets, topes.hit_patterns):
+        avoided = every & ~hit
+        if avoided:
+            wid = (avoided & -avoided).bit_length() - 1
             witnesses.append((q, _pattern_vector(topes.n, q, wid)))
+        else:
+            missing.append(q)
     return UniformTopeReport(
         n=topes.n,
         r=topes.r,
@@ -590,13 +619,13 @@ def circuit_on_support(topes: TopeSet, subset: tuple[int, ...] | list[int]) -> S
         prev = e
     if len(q) != topes.r + 1:
         raise ValueError(f"support size must be rank+1 = {topes.r + 1}, got {len(q)}")
-    hit = {_restriction_pattern_id(s, q) for s in topes.strings()}
-    avoided = [i for i in range(1 << topes.r) if i not in hit]
+    hit = topes.hit_patterns[_subset_rank(q, topes.n)]
+    avoided = ((1 << (1 << topes.r)) - 1) & ~hit
     if not avoided:
         raise ValueError(f"no pattern on {q} avoids every tope; not a uniform tope set")
-    if len(avoided) > 1:
-        raise ValueError(f"{len(avoided)} patterns on {q} avoid every tope; rank or count metadata is wrong")
-    return _pattern_vector(topes.n, q, avoided[0])
+    if avoided & (avoided - 1):
+        raise ValueError(f"{avoided.bit_count()} patterns on {q} avoid every tope; rank or count metadata is wrong")
+    return _pattern_vector(topes.n, q, avoided.bit_length() - 1)
 
 
 def restriction_tope_set(topes: TopeSet, keep: tuple[int, ...] | list[int]) -> TopeSet:

@@ -13,34 +13,38 @@ survivor is forced to share.
 One kernel decides every candidate, here and in the n=8 oracle: a pruned
 depth-first search over pool indices in lexicographic order, on bitmasks
 with one byte per 4-subset holding which of its 8 canonical restriction
-patterns a tope produces. A candidate fails exactly when some 4-subset's
-byte saturates (all 8 patterns hit). Bytes only accumulate as topes are
-added, so a saturated prefix is pruned and the combinations below it are
-credited without being visited; all 184,756 are still counted. Survivors
-are re-verified through the ordinary axiom checker, which also yields the
-witnesses.
+patterns a tope produces (numbered by ``matroid.pattern_index``, as in every
+tope set's ``hit_patterns`` table). A candidate fails exactly when some
+4-subset's byte saturates (all 8 patterns hit). Bytes only accumulate as
+topes are added, so a saturated prefix is pruned and the combinations below
+it are credited without being visited; all 184,756 are still counted.
+Survivors are re-verified through the ordinary axiom checker, which also
+yields the witnesses.
 
-Threads split the first pick's range into contiguous blocks whose results
-are concatenated in order, so the certificate is identical for every thread
-count.
+Threads split the first pick's range into contiguous blocks, one plain
+``threading.Thread`` per block (no executor, whose import would load
+``logging``, ``queue`` and ``traceback`` into every process). Each block's
+run is stored at its block index and the results are concatenated in order,
+so the certificate is identical for every thread count; an exception in any
+block is re-raised to the caller.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import combinations
 from typing import NamedTuple
 
 from .matroid import (
     TopeSet,
-    _restriction_pattern_id,
     alternating_chirotope,
     canonical_tope_count,
     check_uniform_tope_axioms,
     circuit_on_support,
     pair_swap_chirotope,
+    pattern_index,
     topes_of,
 )
 from .signed_vector import SignedVector
@@ -163,8 +167,7 @@ def pattern_masks(instance: SearchInstance) -> PatternMasks:
     quads = instance.supports
 
     def tope_mask(vec: SignedVector) -> int:
-        text = str(vec)
-        return sum(1 << (8 * qi + _restriction_pattern_id(text, q)) for qi, q in enumerate(quads))
+        return sum(1 << (8 * qi + pattern_index(vec.neg, q)) for qi, q in enumerate(quads))
 
     base = 0
     for t in instance.base:
@@ -287,17 +290,34 @@ def _search_certificate(
 def enumerate_survivors(instance: SearchInstance, threads: int = 1) -> SearchCertificate:
     """Run the kernel over the whole instance and assemble the certificate.
 
-    Threads only split the first pick's range into contiguous blocks; their
+    Threads only split the first pick's range into contiguous blocks, one
+    thread per block; each run is stored at its block's index and the
     survivors are concatenated in block order, so the output is independent
-    of the thread count.
+    of the thread count. An exception raised in a block is re-raised here,
+    the lowest block's first, once every thread has finished.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     first = range(len(instance.pool) - instance.choose + 1)
     bounds = [len(first) * k // threads for k in range(threads + 1)]
     blocks = [first[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(max_workers=threads) as executor:
-        runs = list(executor.map(saturation_search, repeat(instance), blocks))
+    runs: list[SaturationRun | None] = [None] * threads
+    errors: list[BaseException | None] = [None] * threads
+
+    def run_block(k: int) -> None:
+        try:
+            runs[k] = saturation_search(instance, blocks[k])
+        except BaseException as exc:  # handed to the caller's thread below
+            errors[k] = exc
+
+    workers = [threading.Thread(target=run_block, args=(k,)) for k in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
     survivors = tuple(
         _survivor_record(instance, picks) for run in runs for picks in run.picks

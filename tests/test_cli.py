@@ -143,6 +143,20 @@ class TestVerifyPipeline:
         assert "instance.rank is 5, expected 3" in err
         assert "instance.source_rank is 7, expected 4" in err
 
+    def test_key_cannot_forge_problem_lines(self, capsys, tmp_path, search_certificate):
+        doc = json.loads(serialize_certificate(search_certificate))
+        doc["a\ninvalid certificate: everything fine"] = 1
+        doc["survivors"][0]["circuits"]["1,2,3,4"] = "+-+-0-"
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify-n8", "--certificate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "invalid certificate: document.survivors[0].circuits.\"1,2,3,4\" is '+-+-0-', expected '+-+-00'",
+            'invalid certificate: document."a\\ninvalid certificate: everything fine" is unexpected',
+        ]
+
     def test_missing_certificate_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify-n8", "--certificate", str(tmp_path / "nope.json"))
         assert code == 1

@@ -49,6 +49,30 @@ def swap_position(e: int) -> int:
     return e + 1 if e % 2 else e - 1
 
 
+def closure_topes(chi: Chirotope) -> frozenset[SignedVector]:
+    """Reference tope generator: close both signs of every cocircuit under
+    composition breadth-first (composition only grows support, so this
+    reaches every covector) and keep the full-support results."""
+    n = chi.n
+    seeds = set()
+    for c in chi.cocircuits():
+        seeds |= {(c.pos, c.neg), (c.neg, c.pos)}
+    full = (1 << n) - 1
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for xp, xn in frontier:
+            free = full & ~(xp | xn)
+            for yp, yn in seeds:
+                z = (xp | (yp & free), xn | (yn & free))
+                if z not in seen:
+                    seen.add(z)
+                    fresh.append(z)
+        frontier = fresh
+    return frozenset(SignedVector(n, p, m).canonical() for p, m in seen if p | m == full)
+
+
 class TestPhi:
     def test_pinned_counts(self):
         assert phi(3, 5) == 26
@@ -220,9 +244,27 @@ class TestTopeGeneration:
     def test_swap6_exact_set(self, swap6):
         assert swap6.strings() == SWAP6_TOPES
 
-    def test_direct_rule_agrees_with_closure(self):
-        for n, r in ((4, 2), (4, 4), (6, 4), (8, 4)):
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_alternating_matches_closure(self, n):
+        for r in range(1, n + 1):
+            chi = alternating_chirotope(n, r)
+            assert topes_of(chi).topes == closure_topes(chi)
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 8))
+    def test_pair_swap_matches_closure(self, n):
+        chi = pair_swap_chirotope(n)
+        assert topes_of(chi).topes == closure_topes(chi)
+
+    def test_pair_swap_restrictions_match_closure(self):
+        chi = pair_swap_chirotope(8)
+        for kept in combinations(range(1, 9), 6):
+            restricted = chi.restrict(kept)
+            assert topes_of(restricted).topes == closure_topes(restricted)
+
+    def test_direct_rule_agrees_with_topes_of(self):
+        for n, r in ((4, 2), (4, 4), (6, 4), (8, 4), (14, 4)):
             assert topes_of(alternating_chirotope(n, r)).topes == alternating_topes_direct(n, r).topes
+        assert len(topes_of(alternating_chirotope(14, 4))) == 378
 
     def test_direct_rule_small_case(self):
         assert alternating_topes_direct(4, 2).strings() == ("++++", "+++-", "++--", "+---")

@@ -2,16 +2,22 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from itertools import combinations
+import threading
+from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import omcert.search
 from omcert.matroid import (
     TopeSet,
+    alternating_topes_direct,
     check_covector_axioms,
     check_uniform_tope_axioms,
     circuit_on_support,
     covectors_from_topes,
+    restriction_tope_set,
 )
 from omcert.search import (
     CIRCUIT_SUPPORTS,
@@ -126,14 +132,96 @@ class TestEnumeration:
             assert saturated(m, masks.low) != report.passed
 
     def test_thread_split_gives_same_survivors(self, search_instance, search_certificate):
-        cert3 = enumerate_survivors(search_instance, threads=3)
-        assert [s.tope_strings() for s in cert3.survivors] == [
-            s.tope_strings() for s in search_certificate.survivors
-        ]
+        for threads in (2, 3):
+            cert = enumerate_survivors(search_instance, threads=threads)
+            assert [s.tope_strings() for s in cert.survivors] == [
+                s.tope_strings() for s in search_certificate.survivors
+            ]
+            assert cert.combinations_checked == 184756
+
+    def test_block_exception_reraised(self, search_instance, monkeypatch):
+        kernel = omcert.search.saturation_search
+        calls = []
+
+        def fail_second_block(instance, branches=None, budget=None):
+            calls.append(branches)
+            if branches.start > 0:
+                raise RuntimeError("second block failed")
+            return kernel(instance, branches, budget)
+
+        monkeypatch.setattr(omcert.search, "saturation_search", fail_second_block)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second block failed"):
+            enumerate_survivors(search_instance, threads=2)
+        assert sorted(b.start for b in calls) == [0, 5]
+        assert threading.active_count() == before
 
     def test_bad_thread_count(self, search_instance):
         with pytest.raises(ValueError):
             enumerate_survivors(search_instance, threads=0)
+
+
+# ----------------------------------------------------------------------
+# the tope sets' pattern tables, checked against perpendicularity
+# ----------------------------------------------------------------------
+
+
+def perpendicular_patterns(topes: TopeSet, q: tuple[int, ...]) -> list[SignedVector]:
+    """Canonical full patterns on q perpendicular to every tope, in the
+    witness order: strings compared from the last element back, '+' < '-'."""
+    found = []
+    for signs in product("+-", repeat=len(q) - 1):
+        text = ["0"] * topes.n
+        for e, c in zip(q, ("+", *signs)):
+            text[e - 1] = c
+        pattern = sv("".join(text))
+        if all(pattern.perpendicular(t) for t in topes.topes):
+            found.append(pattern)
+    return sorted(found, key=lambda p: p.order_key()[::-1])
+
+
+def assert_pattern_table_agrees(topes: TopeSet) -> None:
+    report = check_uniform_tope_axioms(topes)
+    witnesses = report.witness_map()
+    for q in combinations(range(1, topes.n + 1), topes.r + 1):
+        perp = perpendicular_patterns(topes, q)
+        if not perp:
+            assert q in report.missing and q not in witnesses
+            with pytest.raises(ValueError, match="no pattern"):
+                circuit_on_support(topes, q)
+            continue
+        assert witnesses[q] == perp[0]
+        if len(perp) == 1:
+            assert circuit_on_support(topes, q) == perp[0]
+        else:
+            with pytest.raises(ValueError, match=f"{len(perp)} patterns"):
+                circuit_on_support(topes, q)
+
+
+SOURCE6 = alternating_topes_direct(6, 4).ordered()
+
+
+class TestPatternTable:
+    def test_survivors_and_their_deletions(self, search_certificate):
+        for survivor in search_certificate.survivors:
+            parent = survivor.tope_set()
+            assert_pattern_table_agrees(parent)
+            for kept in combinations(range(1, 7), 5):
+                assert_pattern_table_agrees(restriction_tope_set(parent, kept))
+
+    @settings(max_examples=40, deadline=None)
+    @example(picks=[0, 3, 4, 6, 7, 10, 11, 12, 13, 14, 15, 16, 18, 19, 20, 21])
+    @given(picks=st.lists(st.integers(0, 25), min_size=16, max_size=16, unique=True))
+    def test_sixteen_source_topes(self, picks):
+        assert_pattern_table_agrees(TopeSet(6, 3, frozenset(SOURCE6[i] for i in picks)))
+
+    def test_kernel_bytes_match_table(self, search_instance):
+        masks = pattern_masks(search_instance)
+        base = TopeSet(6, 3, frozenset(search_instance.base))
+        assert masks.base == sum(hit << 8 * qi for qi, hit in enumerate(base.hit_patterns))
+        for tope, mask in zip(search_instance.pool, masks.pool):
+            table = TopeSet(6, 3, frozenset({tope})).hit_patterns
+            assert [mask >> 8 * qi & 0xFF for qi in range(15)] == list(table)
 
 
 class TestConclusions:
