@@ -40,7 +40,6 @@ class RunConfig:
     n: int = 6
     rank: int = 4
     family: str = "alternating"
-    threads: int = 1
     output_path: str | None = None
     format: str = "json"
 
@@ -172,7 +171,7 @@ def _search_text(doc: dict) -> list[str]:
 
 
 def _cmd_lemma6(cfg: RunConfig) -> int:
-    cert = enumerate_survivors(build_search_instance(), threads=cfg.threads)
+    cert = enumerate_survivors(build_search_instance())
     try:
         verify_search_conclusions(cert)
         verified = True
@@ -209,8 +208,9 @@ def _contradiction_text(doc: dict) -> list[str]:
 
 
 def _run_contradiction(cfg: RunConfig, certificate_path: str | None) -> int:
-    search_cert = None
-    if certificate_path:
+    if not certificate_path:
+        search_cert = enumerate_survivors(build_search_instance())
+    else:
         try:
             with open(certificate_path, "rb") as fh:
                 loaded = json.load(fh)
@@ -224,7 +224,7 @@ def _run_contradiction(cfg: RunConfig, certificate_path: str | None) -> int:
             for problem in str(exc).splitlines():
                 print(f"invalid certificate: {problem}", file=sys.stderr)
             return 1
-    cert = build_contradiction_certificate(search_cert=search_cert, threads=cfg.threads)
+    cert = build_contradiction_certificate(search_cert=search_cert)
     doc = certificate_document(cert)
     status = (
         _emit_text(cfg, _contradiction_text(doc))
@@ -270,7 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     instance.add_argument("--rank", type=int, default=None)
 
     threaded = argparse.ArgumentParser(add_help=False)
-    threaded.add_argument("--threads", type=int, default=1)
+    threaded.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        metavar="N",
+        help="accepted for compatibility; the search runs in one thread and N has no effect",
+    )
 
     sub.add_parser("topes", parents=[common, instance], help="list canonical topes of one instance")
     sub.add_parser("axioms", parents=[common, instance], help="axiom reports for one instance")
@@ -301,9 +307,10 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
     family = getattr(args, "family", "alternating")
     n = getattr(args, "n", 6)
     rank = getattr(args, "rank", None)
+    # strongmap's target is always the pair-swap instance, family m2
+    if n % 2 and (family == "m2" or args.command == "strongmap"):
+        parser.error(f"family m2 needs an even ground set, got n={n}")
     if family == "m2":
-        if n % 2:
-            parser.error(f"family m2 needs an even ground set, got n={n}")
         if rank is None:
             rank = 2
         elif rank != 2:
@@ -314,15 +321,13 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error(f"n must be within 1..32, got {n}")
     if not 1 <= rank <= n:
         parser.error(f"rank must be within 1..n, got rank={rank}, n={n}")
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
-        parser.error(f"threads must be >= 1, got {threads}")
+    if getattr(args, "threads", 1) < 1:
+        parser.error(f"threads must be >= 1, got {args.threads}")
     return RunConfig(
         command=args.command,
         n=n,
         rank=rank,
         family=family,
-        threads=threads,
         output_path=args.output_path,
         format=args.format,
     )

@@ -34,7 +34,6 @@ from .search import (
     SurvivorRecord,
     VerificationError,
     build_search_instance,
-    enumerate_survivors,
     saturation_search,
     source_topes,
     target_topes,
@@ -203,10 +202,8 @@ def _assumption_records(cert: SearchCertificate) -> tuple[AssumptionRecord, ...]
     )
 
 
-def build_contradiction_certificate(
-    search_cert: SearchCertificate | None = None, threads: int = 1
-) -> ContradictionCertificate:
-    """Run (or reuse) the search, then assemble every stage into one record.
+def build_contradiction_certificate(search_cert: SearchCertificate) -> ContradictionCertificate:
+    """Assemble the given search and every n=8 stage into one record.
 
     Any failed stage or assumption check yields a certificate whose verdict
     names it; the verdict is "nonfactorizable" only when every one holds.
@@ -214,20 +211,16 @@ def build_contradiction_certificate(
     source, target = source_topes(FULL_N), target_topes(FULL_N)
     premise = is_strong_map_topes(source, target)
 
-    cert = search_cert if search_cert is not None else enumerate_survivors(
-        build_search_instance(), threads=threads
-    )
     try:
-        search_ok = verify_search_conclusions(cert)
+        search_ok = verify_search_conclusions(search_cert)
     except VerificationError:
         search_ok = False
 
-    ra = check_restriction(KEPT_A, cert.conclusion_circuits)
-    rb = check_restriction(KEPT_B, cert.conclusion_circuits)
+    ra = check_restriction(KEPT_A, search_cert.conclusion_circuits)
+    rb = check_restriction(KEPT_B, search_cert.conclusion_circuits)
     conflict = circuits_conflict(ra.lifted_circuit, rb.lifted_circuit)
-    assumptions = _assumption_records(cert)
+    assumptions = _assumption_records(search_cert)
 
-    failing = None
     if not premise.holds:
         failing = "premise"
     elif not search_ok:
@@ -245,7 +238,7 @@ def build_contradiction_certificate(
         premise=premise,
         source_tope_count=len(source),
         target_tope_count=len(target),
-        search=cert,
+        search=search_cert,
         search_verified=search_ok,
         restriction_a=ra,
         restriction_b=rb,
@@ -278,8 +271,8 @@ def direct_search_n8(budget: int) -> DirectSearchOutcome:
     source topes with the saturation kernel, at most ``budget`` nodes.
 
     A node is one candidate tope tried on top of a prefix. The whole space
-    is 177,833,728 nodes, which the kernel exhausted in 96 s and 131 s in
-    two runs on one core (Python 3.11, 2-core machine).
+    is 177,833,728 nodes, which the kernel exhausts in about 170 s on one
+    core (``pytest -m slow``: 169.6 s, Python 3.11.7, 2-core machine).
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")

@@ -20,19 +20,11 @@ topes are added, so a saturated prefix is pruned and the combinations below
 it are credited without being visited; all 184,756 are still counted.
 Survivors are re-verified through the ordinary axiom checker, which also
 yields the witnesses.
-
-Threads split the first pick's range into contiguous blocks, one plain
-``threading.Thread`` per block (no executor, whose import would load
-``logging``, ``queue`` and ``traceback`` into every process). Each block's
-run is stored at its block index and the results are concatenated in order,
-so the certificate is identical for every thread count; an exception in any
-block is re-raised to the caller.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
@@ -199,9 +191,7 @@ class SaturationRun:
     exhausted: bool  # the node budget ran out before the search finished
 
 
-def saturation_search(
-    instance: SearchInstance, branches: range | None = None, budget: int | None = None
-) -> SaturationRun:
+def saturation_search(instance: SearchInstance, budget: int | None = None) -> SaturationRun:
     """Pruned depth-first search for the ``choose``-subsets of the pool whose
     combined pattern mask, with the base's, saturates no byte.
 
@@ -209,15 +199,12 @@ def saturation_search(
     lexicographic order. A node is one child tried: OR in its pattern mask,
     then test every byte at once. Pattern bytes only accumulate along a
     branch, so a saturated prefix is pruned exactly, and its whole subtree of
-    comb(npool - i - 1, rem - 1) selections is credited. ``branches`` limits
-    the first pick (default: every feasible one); ``budget`` caps the nodes
-    tried, and a run that hits it stops with ``exhausted`` set.
+    comb(npool - i - 1, rem - 1) selections is credited. ``budget`` caps the
+    nodes tried, and a run that hits it stops with ``exhausted`` set.
     """
     masks = pattern_masks(instance)
     pool_masks, low = masks.pool, masks.low
     npool = len(pool_masks)
-    if branches is None:
-        branches = range(npool - instance.choose + 1)
     limit = math.inf if budget is None else budget
     found: list[tuple[int, ...]] = []
     nodes = credited = 0
@@ -239,7 +226,7 @@ def saturation_search(
                 return False
         return True
 
-    finished = walk(branches, (), masks.base, instance.choose)
+    finished = walk(range(npool - instance.choose + 1), (), masks.base, instance.choose)
     return SaturationRun(tuple(found), nodes, credited, exhausted=not finished)
 
 
@@ -287,42 +274,11 @@ def _search_certificate(
     )
 
 
-def enumerate_survivors(instance: SearchInstance, threads: int = 1) -> SearchCertificate:
-    """Run the kernel over the whole instance and assemble the certificate.
-
-    Threads only split the first pick's range into contiguous blocks, one
-    thread per block; each run is stored at its block's index and the
-    survivors are concatenated in block order, so the output is independent
-    of the thread count. An exception raised in a block is re-raised here,
-    the lowest block's first, once every thread has finished.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    first = range(len(instance.pool) - instance.choose + 1)
-    bounds = [len(first) * k // threads for k in range(threads + 1)]
-    blocks = [first[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    runs: list[SaturationRun | None] = [None] * threads
-    errors: list[BaseException | None] = [None] * threads
-
-    def run_block(k: int) -> None:
-        try:
-            runs[k] = saturation_search(instance, blocks[k])
-        except BaseException as exc:  # handed to the caller's thread below
-            errors[k] = exc
-
-    workers = [threading.Thread(target=run_block, args=(k,)) for k in range(threads)]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-    survivors = tuple(
-        _survivor_record(instance, picks) for run in runs for picks in run.picks
-    )
-    return _search_certificate(instance, survivors, sum(run.credited for run in runs))
+def enumerate_survivors(instance: SearchInstance) -> SearchCertificate:
+    """Run the kernel once over the whole instance and assemble the certificate."""
+    run = saturation_search(instance)
+    survivors = tuple(_survivor_record(instance, picks) for picks in run.picks)
+    return _search_certificate(instance, survivors, run.credited)
 
 
 def verify_search_conclusions(cert: SearchCertificate) -> bool:

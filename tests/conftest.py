@@ -39,7 +39,7 @@ def search_instance():
 
 @pytest.fixture(scope="session")
 def search_certificate(search_instance):
-    return enumerate_survivors(search_instance, threads=1)
+    return enumerate_survivors(search_instance)
 
 
 @pytest.fixture(scope="session")

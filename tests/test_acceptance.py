@@ -53,7 +53,7 @@ def test_criterion_1_tope_counts():
 
 def test_criterion_2_search_counts(search_instance):
     start = time.perf_counter()
-    cert = enumerate_survivors(search_instance, threads=1)
+    cert = enumerate_survivors(search_instance)
     elapsed = time.perf_counter() - start
     ok = (
         cert.combinations_checked == 184_756
@@ -187,8 +187,17 @@ def test_criterion_6_property_suites(alt64, swap6, search_certificate):
     )
 
 
-def test_criterion_7_thread_determinism(search_instance, search_certificate):
-    single = serialize_certificate(search_certificate)
-    multi = serialize_certificate(enumerate_survivors(search_instance, threads=3))
-    ok = single == multi
-    _report(7, ok, f"1-thread and 3-thread certificates are byte-identical ({len(single)} bytes)")
+def test_criterion_7_thread_determinism(tmp_path, capsys):
+    codes, outputs = [], []
+    for threads in ("1", "3"):
+        path = tmp_path / f"all-{threads}.json"
+        codes.append(main(["all", "--threads", threads, "--output", str(path)]))
+        outputs.append(path.read_bytes())
+    capsys.readouterr()
+    ok = codes == [0, 0] and outputs[0] == outputs[1]
+    _report(
+        7,
+        ok,
+        f"all --threads 1 and --threads 3 exit {codes} with byte-identical certificates"
+        f" ({len(outputs[0])} bytes)",
+    )

@@ -15,6 +15,7 @@ from omcert.certificate import (
     validate_contradiction_document,
     validate_search_document,
 )
+from omcert.cli import main
 from omcert.matroid import circuit_on_support
 from omcert.search import CIRCUIT_SUPPORTS, VerificationError
 
@@ -125,12 +126,17 @@ class TestSerialization:
             assert entry["source_restriction_is_alternating"] is True
             assert entry["target_restriction_matches"] is True
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_certificate_bytes_pinned(self, threads):
-        search = enumerate_survivors(build_search_instance(), threads=threads)
+    def test_certificate_bytes_pinned(self):
+        search = enumerate_survivors(build_search_instance())
         full = build_contradiction_certificate(search_cert=search)
         assert hashlib.sha256(serialize_certificate(search)).hexdigest() == SEARCH_SHA256
         assert hashlib.sha256(serialize_certificate(full)).hexdigest() == FULL_SHA256
+
+    def test_thread_count_changes_nothing(self, tmp_path, capsys):
+        # --threads is accepted and ignored; a huge value starts no threads
+        path = tmp_path / "search.json"
+        assert main(["lemma6", "--threads", "1000000", "--output", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SEARCH_SHA256
 
     def test_round_trip(self, search_certificate, search_doc):
         rebuilt = search_certificate_from_document(search_doc)
@@ -229,9 +235,9 @@ class TestValidation:
         def refuse(*args, **kwargs):
             raise AssertionError("validation re-ran the enumeration")
 
+        monkeypatch.setattr(omcert.search, "enumerate_survivors", refuse)
         for module in (omcert.search, omcert.contradiction):
             monkeypatch.setattr(module, "saturation_search", refuse)
-            monkeypatch.setattr(module, "enumerate_survivors", refuse)
         assert validate_search_document(search_doc) == []
         assert validate_contradiction_document(contradiction_doc) == []
 

@@ -174,6 +174,12 @@ class TestUsageErrors:
             main(["topes", "--family", "m2", "--n", "5"])
         assert exc.value.code == 2
 
+    def test_odd_n_for_strongmap(self, capsys):
+        # strongmap's target is always the pair-swap instance (family m2)
+        with pytest.raises(SystemExit) as exc:
+            main(["strongmap", "--n", "7"])
+        assert exc.value.code == 2
+
     def test_rank_override_for_m2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["topes", "--family", "m2", "--n", "6", "--rank", "3"])

@@ -2,14 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import threading
 from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import omcert.search
 from omcert.matroid import (
     TopeSet,
     alternating_topes_direct,
@@ -25,7 +23,6 @@ from omcert.search import (
     FORCED_CIRCUITS,
     SearchCertificate,
     VerificationError,
-    enumerate_survivors,
     pattern_masks,
     saturated,
     saturation_search,
@@ -57,13 +54,6 @@ class TestKernel:
 
     def test_node_total_pinned(self, search_instance):
         assert saturation_search(search_instance).nodes == 12727
-
-    def test_branch_blocks_partition_the_run(self, search_instance):
-        whole = saturation_search(search_instance)
-        blocks = [saturation_search(search_instance, range(lo, hi)) for lo, hi in ((0, 4), (4, 11))]
-        assert sum((b.picks for b in blocks), ()) == whole.picks
-        assert sum(b.nodes for b in blocks) == whole.nodes
-        assert sum(b.credited for b in blocks) == whole.credited
 
     def test_budget_stops_the_run(self, search_instance):
         run = saturation_search(search_instance, budget=100)
@@ -130,35 +120,6 @@ class TestEnumeration:
             for i in picks:
                 m |= masks.pool[i]
             assert saturated(m, masks.low) != report.passed
-
-    def test_thread_split_gives_same_survivors(self, search_instance, search_certificate):
-        for threads in (2, 3):
-            cert = enumerate_survivors(search_instance, threads=threads)
-            assert [s.tope_strings() for s in cert.survivors] == [
-                s.tope_strings() for s in search_certificate.survivors
-            ]
-            assert cert.combinations_checked == 184756
-
-    def test_block_exception_reraised(self, search_instance, monkeypatch):
-        kernel = omcert.search.saturation_search
-        calls = []
-
-        def fail_second_block(instance, branches=None, budget=None):
-            calls.append(branches)
-            if branches.start > 0:
-                raise RuntimeError("second block failed")
-            return kernel(instance, branches, budget)
-
-        monkeypatch.setattr(omcert.search, "saturation_search", fail_second_block)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="second block failed"):
-            enumerate_survivors(search_instance, threads=2)
-        assert sorted(b.start for b in calls) == [0, 5]
-        assert threading.active_count() == before
-
-    def test_bad_thread_count(self, search_instance):
-        with pytest.raises(ValueError):
-            enumerate_survivors(search_instance, threads=0)
 
 
 # ----------------------------------------------------------------------
