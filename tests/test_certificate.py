@@ -126,11 +126,16 @@ class TestSerialization:
             assert entry["source_restriction_is_alternating"] is True
             assert entry["target_restriction_matches"] is True
 
-    def test_certificate_bytes_pinned(self):
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_certificate_bytes_pinned(self, threads, tmp_path, capsys):
         search = enumerate_survivors(build_search_instance())
         full = build_contradiction_certificate(search_cert=search)
         assert hashlib.sha256(serialize_certificate(search)).hexdigest() == SEARCH_SHA256
         assert hashlib.sha256(serialize_certificate(full)).hexdigest() == FULL_SHA256
+        # the CLI's --threads is accepted and ignored: the pipeline bytes stay pinned
+        path = tmp_path / "full.json"
+        assert main(["all", "--threads", str(threads), "--output", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FULL_SHA256
 
     def test_thread_count_changes_nothing(self, tmp_path, capsys):
         # --threads is accepted and ignored; a huge value starts no threads
