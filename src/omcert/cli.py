@@ -208,7 +208,7 @@ def _contradiction_text(doc: dict) -> list[str]:
 
 
 def _run_contradiction(cfg: RunConfig, certificate_path: str | None) -> int:
-    if not certificate_path:
+    if certificate_path is None:
         search_cert = enumerate_survivors(build_search_instance())
     else:
         try:
@@ -300,6 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="reuse a previously emitted search certificate instead of re-running the search",
     )
     sub.add_parser("all", parents=[common, threaded], help="full pipeline certificate")
+    for command_parser in sub.choices.values():  # usage errors print the subcommand usage
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
@@ -336,7 +338,7 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(parser, args)
+    cfg = _config_from_args(args.command_parser, args)
     try:
         return run(cfg, certificate_path=getattr(args, "certificate", None))
     except (ValueError, VerificationError) as exc:

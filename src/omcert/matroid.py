@@ -166,18 +166,24 @@ class Chirotope:
 
     def cocircuits(self) -> frozenset[SignedVector]:
         """Canonical cocircuits, one per (r-1)-subset: sign at e is the chirotope
-        value on the subset with e appended. Uniform chirotopes only."""
+        value on the subset with e appended. Uniform chirotopes only.
+
+        ``z`` is sorted, so that value is the stored sign of ``z`` with ``e``
+        inserted in order, negated when an odd number of elements of ``z``
+        lie above ``e``.
+        """
         if not self.is_uniform():
             raise ValueError("cocircuit extraction supports uniform chirotopes only")
         out = set()
         elements = range(1, self.n + 1)
         for z in combinations(elements, self.r - 1):
-            zset = set(z)
             pos = neg = 0
+            below = 0  # elements of z below e
             for e in elements:
-                if e in zset:
+                if below < len(z) and z[below] == e:
+                    below += 1
                     continue
-                s = self.value(z + (e,))
+                s = self.value_sorted(z[:below] + (e,) + z[below:]) * (-1) ** (len(z) - below)
                 if s > 0:
                     pos |= 1 << (e - 1)
                 elif s < 0:

@@ -15,9 +15,11 @@ depth-first search over pool indices in lexicographic order, on bitmasks
 with one byte per 4-subset holding which of its 8 canonical restriction
 patterns a tope produces (numbered by ``matroid.pattern_index``, as in every
 tope set's ``hit_patterns`` table). A candidate fails exactly when some
-4-subset's byte saturates (all 8 patterns hit). Bytes only accumulate as
-topes are added, so a saturated prefix is pruned and the combinations below
-it are credited without being visited; all 184,756 are still counted.
+4-subset's byte saturates (all 8 patterns hit); every node tests all bytes
+at once with the four-operation zero-byte test on the mask's complement.
+Bytes only accumulate as topes are added, so a saturated prefix is pruned
+and the combinations below it are credited without being visited, read from
+a table of binomials built once per run; all 184,756 are still counted.
 Survivors are re-verified through the ordinary axiom checker, which also
 yields the witnesses.
 """
@@ -171,16 +173,6 @@ def pattern_masks(instance: SearchInstance) -> PatternMasks:
     )
 
 
-def saturated(mask: int, low: int) -> bool:
-    """True iff some byte of ``mask`` is 0xFF, tested for all bytes at once:
-    after the three shift-ANDs, bit 8q survives exactly when bits 8q..8q+7
-    were all set (Warren, Hacker's Delight, ch. 6)."""
-    x = mask & mask >> 1
-    x &= x >> 2
-    x &= x >> 4
-    return x & low != 0
-
-
 @dataclass(frozen=True)
 class SaturationRun:
     """What one kernel run found and counted."""
@@ -199,12 +191,22 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
     lexicographic order. A node is one child tried: OR in its pattern mask,
     then test every byte at once. Pattern bytes only accumulate along a
     branch, so a saturated prefix is pruned exactly, and its whole subtree of
-    comb(npool - i - 1, rem - 1) selections is credited. ``budget`` caps the
-    nodes tried, and a run that hits it stops with ``exhausted`` set.
+    comb(npool - i - 1, rem - 1) selections is credited, read from the table
+    ``below[rem][i]`` built once per run. ``budget`` caps the nodes tried, and
+    a run that hits it stops with ``exhausted`` set.
+
+    The byte test: a byte of m is 0xFF exactly when that byte of
+    x = full ^ m is zero, and Mycroft's test (x - low) & ~x & high is nonzero
+    exactly when some byte of x is zero (Warren, Hacker's Delight, ch. 6);
+    within the mask's width ~x is m. A borrow can also flag a byte above a
+    zero byte, but with no zero byte there is no borrow and no flag, so the
+    boolean is exact.
     """
     masks = pattern_masks(instance)
     pool_masks, low = masks.pool, masks.low
-    npool = len(pool_masks)
+    npool, choose = len(pool_masks), instance.choose
+    full, high = (1 << 8 * len(instance.supports)) - 1, low << 7
+    below = [[]] + [[math.comb(npool - i - 1, k) for i in range(npool)] for k in range(choose)]
     limit = math.inf if budget is None else budget
     found: list[tuple[int, ...]] = []
     nodes = credited = 0
@@ -212,13 +214,14 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
     def walk(children: range, prefix: tuple[int, ...], mask: int, rem: int) -> bool:
         """Try each child after ``prefix``; False once the budget runs out."""
         nonlocal nodes, credited
+        credit = below[rem]
         for i in children:
             if nodes == limit:
                 return False
             nodes += 1
             m = mask | pool_masks[i]
-            if saturated(m, low):
-                credited += math.comb(npool - i - 1, rem - 1)
+            if ((m ^ full) - low) & m & high:
+                credited += credit[i]
             elif rem == 1:
                 found.append((*prefix, i))
                 credited += 1
@@ -226,7 +229,7 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
                 return False
         return True
 
-    finished = walk(range(npool - instance.choose + 1), (), masks.base, instance.choose)
+    finished = walk(range(npool - choose + 1), (), masks.base, choose)
     return SaturationRun(tuple(found), nodes, credited, exhausted=not finished)
 
 

@@ -162,6 +162,12 @@ class TestVerifyPipeline:
         assert code == 1
         assert "cannot load" in err
 
+    def test_empty_certificate_path_is_not_a_rerun(self, capsys):
+        code, out, err = run_cli(capsys, "verify-n8", "--certificate", "")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot load : ")
+
     def test_all_pipeline(self, capsys):
         code, out, _ = run_cli(capsys, "all", "--format", "text")
         assert code == 0
@@ -179,6 +185,7 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["strongmap", "--n", "7"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: omcert strongmap ")
 
     def test_rank_override_for_m2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -189,6 +196,7 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["lemma6", "--threads", "0"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: omcert lemma6 ")
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from itertools import combinations, product
 
@@ -22,9 +23,10 @@ from omcert.search import (
     EXCLUDED_TOPES,
     FORCED_CIRCUITS,
     SearchCertificate,
+    SearchInstance,
     VerificationError,
+    build_search_instance,
     pattern_masks,
-    saturated,
     saturation_search,
     verify_search_conclusions,
 )
@@ -34,23 +36,53 @@ from omcert.strong_map import is_strong_map_topes
 sv = SignedVector.parse
 
 
+def flat_scan(instance: SearchInstance) -> list[tuple[int, ...]]:
+    """Reference: visit every combination in lexicographic order and test
+    each pattern byte on its own, with no pruning."""
+    masks = pattern_masks(instance)
+    offsets = range(0, 8 * len(instance.supports), 8)
+    expected = []
+    for combo in combinations(range(len(instance.pool)), instance.choose):
+        m = masks.base
+        for i in combo:
+            m |= masks.pool[i]
+        if all((m >> off) & 0xFF != 0xFF for off in offsets):
+            expected.append(combo)
+    return expected
+
+
 class TestKernel:
     def test_matches_flat_scan_reference(self, search_instance):
-        # reference: visit every combination in lexicographic order and test
-        # each pattern byte on its own, with no pruning
-        masks = pattern_masks(search_instance)
-        offsets = range(0, 15 * 8, 8)
-        expected = []
-        for combo in combinations(range(20), 10):
-            m = masks.base
-            for i in combo:
-                m |= masks.pool[i]
-            if all((m >> off) & 0xFF != 0xFF for off in offsets):
-                expected.append(combo)
         run = saturation_search(search_instance)
-        assert list(run.picks) == expected
+        assert list(run.picks) == flat_scan(search_instance)
         assert run.credited == 184756
         assert not run.exhausted
+
+    # the two examples saturate only the lowest and only the highest byte
+    @settings(max_examples=60, deadline=None)
+    @example(order=[1, 9, 22, 19, 18, 21, 12, 5, 20, 16, 7], base_size=8, pool_size=3, choose=2)
+    @example(order=[17, 23, 1, 10, 19, 25, 6, 5, 9, 13, 18, 0], base_size=6, pool_size=6, choose=2)
+    @given(
+        order=st.permutations(range(26)),
+        base_size=st.integers(0, 8),
+        pool_size=st.integers(1, 10),
+        choose=st.integers(1, 4),
+    )
+    def test_random_instances_match_flat_scan(self, order, base_size, pool_size, choose):
+        base = tuple(SOURCE6[i] for i in order[:base_size])
+        pool = tuple(SOURCE6[i] for i in order[base_size : base_size + pool_size])
+        instance = SearchInstance(n=6, rank=3, choose=choose, base=base, pool=pool)
+        run = saturation_search(instance)
+        assert list(run.picks) == flat_scan(instance)
+        assert run.credited == math.comb(len(pool), choose)
+        assert not run.exhausted
+
+    def test_n8_prefix_pinned(self):
+        run = saturation_search(build_search_instance(8), budget=200_000)
+        assert run.nodes == 200_000
+        assert run.credited == 35_610_622_176_170
+        assert run.picks == ()
+        assert run.exhausted
 
     def test_node_total_pinned(self, search_instance):
         assert saturation_search(search_instance).nodes == 12727
@@ -108,18 +140,23 @@ class TestEnumeration:
             assert len(members) == 16
             assert base <= members
 
-    def test_mask_scan_agrees_with_axiom_checker_on_samples(self, search_instance):
+    def test_mask_scan_agrees_with_axiom_checker_on_samples(
+        self, search_instance, search_certificate
+    ):
+        # one candidate per sample: the kernel keeps it exactly when it passes;
+        # random picks almost always fail, so the survivors' picks join them
         rng = random.Random(20260810)
-        masks = pattern_masks(search_instance)
-        base = frozenset(search_instance.base)
-        for _ in range(200):
-            picks = tuple(sorted(rng.sample(range(20), 10)))
-            members = base | {search_instance.pool[i] for i in picks}
-            report = check_uniform_tope_axioms(TopeSet(6, 3, members))
-            m = masks.base
-            for i in picks:
-                m |= masks.pool[i]
-            assert saturated(m, masks.low) != report.passed
+        base = search_instance.base
+        samples = [tuple(sorted(rng.sample(range(20), 10))) for _ in range(200)]
+        for survivor in search_certificate.survivors:
+            members = set(survivor.topes)
+            samples.append(tuple(i for i, t in enumerate(search_instance.pool) if t in members))
+        for picks in samples:
+            pool = tuple(search_instance.pool[i] for i in picks)
+            report = check_uniform_tope_axioms(TopeSet(6, 3, frozenset(base + pool)))
+            single = SearchInstance(n=6, rank=3, choose=10, base=base, pool=pool)
+            kept = saturation_search(single).picks == (tuple(range(10)),)
+            assert kept == report.passed
 
 
 # ----------------------------------------------------------------------
