@@ -13,22 +13,29 @@ kept set, and a uniform oriented matroid carries exactly one circuit pair
 per (rank+1)-subset. Both come with desk-scale empirical checks over the
 search survivors, which read the circuit table each survivor record carries,
 and a failed check fails the verdict; the reduction of an arbitrary
-intermediate to a uniform one is recorded as a trusted citation.
+intermediate to a uniform one is recorded as a trusted citation. The
+deletion check never builds a deletion's tope set as objects: it gathers the
+survivor's negative masks onto each kept set through a table built once per
+call and compares the OR of their packed pattern fields
+(``matroid.pattern_bytes``) with the restricted parent circuits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from .matroid import (
     alternating_chirotope,
-    circuit_on_support,
     pair_swap_chirotope,
-    restriction_tope_set,
+    pattern_bytes,
+    pattern_index,
 )
 from .search import (
     SEARCH_N,
+    SEARCH_RANK,
     SOURCE_RANK,
     SearchCertificate,
     SurvivorRecord,
@@ -145,28 +152,71 @@ def circuits_conflict(a: SignedVector, b: SignedVector) -> bool:
 
 def _check_circuit_uniqueness(survivors: tuple[SurvivorRecord, ...]) -> bool:
     """Every survivor carries exactly one circuit pair per 4-subset, i.e. its
-    circuit table has no None entry (circuit_on_support raises on zero or
-    multiple)."""
+    circuit table has no None entry (``circuit_table`` writes None where
+    zero or several patterns are avoided)."""
     return all(c is not None for s in survivors for c in s.circuit_table)
+
+
+def _deletion_gathers(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """One gather table per one-element deletion of 1..n, kept sets in
+    lexicographic order: ``table[neg]`` is the negative mask on ``kept``
+    (relabeled 1..n-1) of the full-support vector with negative mask ``neg``,
+    negated when needed to make it canonical ('+' at its first element)."""
+    full = (1 << (n - 1)) - 1
+    gathers = []
+    for dropped in range(n, 0, -1):  # kept sets in lexicographic order
+        kept = tuple(e for e in range(1, n + 1) if e != dropped)
+        low = (1 << (dropped - 1)) - 1  # the elements below the dropped one keep their bits
+        table = []
+        for neg in range(1 << n):
+            x = neg & low | neg >> dropped << (dropped - 1)
+            table.append(x ^ full if x & 1 else x)
+        gathers.append((kept, tuple(table)))
+    return tuple(gathers)
+
+
+def _deletion_pattern_bytes(negs: Iterable[int], gather: tuple[int, ...], n: int, r: int) -> int:
+    """The OR of ``pattern_bytes`` over a deletion's tope set, on ground set
+    1..n at rank r: the parent topes' negative masks gathered through one
+    deletion's table, so canonicalized, and deduplicated as ints."""
+    packed = 0
+    for neg in {gather[neg] for neg in negs}:
+        packed |= pattern_bytes(neg, n, r)
+    return packed
 
 
 def _check_deletion_circuits(survivors: tuple[SurvivorRecord, ...]) -> bool:
     """Circuits of survivor deletions agree with the parent circuits, read
     from each survivor's circuit table, supported in the kept set, across
-    every 5-element deletion and every 4-subset of it."""
+    every 5-element deletion and every 4-subset of it.
+
+    Each deletion is checked on packed pattern fields: its topes are the
+    survivor's topes gathered onto the kept set, canonicalized and
+    deduplicated as negative masks, and the OR of their ``pattern_bytes``
+    must leave exactly one pattern avoided in every field, the pattern of the
+    parent circuit on that 4-subset. A table entry that is None or not
+    supported on its 4-subset, or any other mismatch, gives False.
+    """
+    n, r = SEARCH_N, SEARCH_RANK
+    supports = tuple(combinations(range(1, n + 1), r + 1))
+    width = 1 << r
+    full = (1 << width * math.comb(n - 1, r + 1)) - 1
+    gathers = _deletion_gathers(n)
     for survivor in survivors:
-        parent = survivor.tope_set()
-        ground = range(1, parent.n + 1)
-        circuits = dict(zip(combinations(ground, parent.r + 1), survivor.circuit_table))
-        if None in circuits.values():
+        if len(survivor.circuit_table) != len(supports):
             return False
-        for kept in combinations(ground, 5):
-            deletion = restriction_tope_set(parent, kept)
-            for q in combinations(kept, parent.r + 1):
-                relabeled = tuple(kept.index(e) + 1 for e in q)
-                restricted = circuits[q].restrict(kept)
-                if circuit_on_support(deletion, relabeled) != restricted.canonical():
-                    return False
+        pids = {}
+        for q, circuit in zip(supports, survivor.circuit_table):
+            if circuit is None or circuit.support_mask != sum(1 << (e - 1) for e in q):
+                return False
+            pids[q] = pattern_index(circuit.neg, q)
+        negs = [t.neg for t in survivor.topes]
+        for kept, gather in gathers:
+            circuits = 0
+            for i, q in enumerate(combinations(kept, r + 1)):
+                circuits |= 1 << (width * i + pids[q])
+            if _deletion_pattern_bytes(negs, gather, n - 1, r) != full ^ circuits:
+                return False
     return True
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -46,16 +46,10 @@ def canonical_tope_count(n: int, r: int) -> int:
     return phi(r - 1, n - 1)
 
 
-def _subset_rank(tup: tuple[int, ...], n: int) -> int:
-    """Lexicographic rank of a sorted k-subset of 1..n among all sorted k-subsets."""
-    rank = 0
-    prev = 0
-    k = len(tup)
-    for i, t in enumerate(tup):
-        for x in range(prev + 1, t):
-            rank += math.comb(n - x, k - i - 1)
-        prev = t
-    return rank
+@cache
+def _subset_ranks(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """Lexicographic rank of every sorted k-subset of 1..n, one table per (n, k)."""
+    return {q: i for i, q in enumerate(combinations(range(1, n + 1), k))}
 
 
 def _sort_with_parity(seq: Iterable[int]) -> tuple[int, tuple[int, ...]]:
@@ -116,7 +110,7 @@ class Chirotope:
 
     def value_sorted(self, tup: tuple[int, ...]) -> int:
         """Stored sign of a strictly increasing r-tuple."""
-        return self.values[_subset_rank(tup, self.n)]
+        return self.values[_subset_ranks(self.n, self.r)[tup]]
 
     def value(self, tup: Iterable[int]) -> int:
         """Sign of an arbitrary r-tuple, via alternation; 0 on repeated entries."""
@@ -175,6 +169,7 @@ class Chirotope:
         if not self.is_uniform():
             raise ValueError("cocircuit extraction supports uniform chirotopes only")
         out = set()
+        values, rank = self.values, _subset_ranks(self.n, self.r)
         elements = range(1, self.n + 1)
         for z in combinations(elements, self.r - 1):
             pos = neg = 0
@@ -183,7 +178,7 @@ class Chirotope:
                 if below < len(z) and z[below] == e:
                     below += 1
                     continue
-                s = self.value_sorted(z[:below] + (e,) + z[below:]) * (-1) ** (len(z) - below)
+                s = values[rank[z[:below] + (e,) + z[below:]]] * (-1) ** (len(z) - below)
                 if s > 0:
                     pos |= 1 << (e - 1)
                 elif s < 0:
@@ -237,6 +232,23 @@ def pattern_index(neg: int, subset: tuple[int, ...]) -> int:
     return pid
 
 
+@cache
+def pattern_bytes(neg: int, n: int, r: int) -> int:
+    """Packed pattern fields of a full-support vector on 1..n, from its
+    negative mask: one field of 2**r bits per (r+1)-subset Q in
+    lexicographic order, holding the single bit ``1 << pattern_index(neg, Q)``.
+
+    ORing the fields of several vectors gives, field by field, the set of
+    canonical patterns their restrictions produce. At r = 3 a field is one
+    byte. Cached per (neg, n, r): a tope's fields are built once per process.
+    """
+    width = 1 << r
+    packed = 0
+    for i, q in enumerate(combinations(range(1, n + 1), r + 1)):
+        packed |= 1 << (width * i + pattern_index(neg, q))
+    return packed
+
+
 @dataclass(frozen=True)
 class TopeSet:
     """Canonical full-support covectors of an oriented matroid, with (n, r) metadata.
@@ -244,8 +256,9 @@ class TopeSet:
     ``hit_patterns`` is derived from the topes and cached on first use: for
     every (r+1)-subset Q in lexicographic order, a bitmask of the canonical
     patterns (numbered by ``pattern_index``) that the topes' restrictions to
-    Q produce. Every axiom and circuit check reads it. It is not a field, so
-    neither equality nor the certificate bytes read it.
+    Q produce. It is the OR of the topes' ``pattern_bytes``, split back into
+    one entry per Q. Every axiom and circuit check reads it. It is not a
+    field, so neither equality nor the certificate bytes read it.
     """
 
     n: int
@@ -270,25 +283,28 @@ class TopeSet:
         return v in self.topes
 
     def ordered(self) -> tuple[SignedVector, ...]:
-        return tuple(sorted(self.topes, key=SignedVector.order_key))
+        return self._ordered
 
     def strings(self) -> tuple[str, ...]:
         return self._strings
 
     @cached_property
+    def _ordered(self) -> tuple[SignedVector, ...]:
+        return tuple(sorted(self.topes, key=SignedVector.order_key))
+
+    @cached_property
     def _strings(self) -> tuple[str, ...]:
-        return tuple(str(t) for t in self.ordered())
+        return tuple(str(t) for t in self._ordered)
 
     @cached_property
     def hit_patterns(self) -> tuple[int, ...]:
-        negs = [t.neg for t in self.topes]
-        table = []
-        for q in combinations(range(1, self.n + 1), self.r + 1):
-            hit = 0
-            for neg in negs:
-                hit |= 1 << pattern_index(neg, q)
-            table.append(hit)
-        return tuple(table)
+        packed = 0
+        for t in self.topes:
+            packed |= pattern_bytes(t.neg, self.n, self.r)
+        width = 1 << self.r
+        ones = (1 << width) - 1
+        count = math.comb(self.n, self.r + 1)
+        return tuple(packed >> (width * i) & ones for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -610,6 +626,22 @@ def check_uniform_tope_axioms(topes: TopeSet) -> UniformTopeReport:
     )
 
 
+def circuit_table(topes: TopeSet) -> tuple[SignedVector | None, ...]:
+    """The circuit on every (r+1)-subset in lexicographic order, read off
+    ``hit_patterns``: the one canonical pattern every tope avoids there, or
+    None where zero or several patterns are avoided."""
+    every = (1 << (1 << topes.r)) - 1
+    table: list[SignedVector | None] = []
+    subsets = combinations(range(1, topes.n + 1), topes.r + 1)
+    for q, hit in zip(subsets, topes.hit_patterns):
+        avoided = every & ~hit
+        if avoided and not avoided & (avoided - 1):
+            table.append(_pattern_vector(topes.n, q, avoided.bit_length() - 1))
+        else:
+            table.append(None)
+    return tuple(table)
+
+
 def circuit_on_support(topes: TopeSet, subset: tuple[int, ...] | list[int]) -> SignedVector:
     """The unique canonical pattern supported exactly on an (r+1)-subset that
     every tope is perpendicular to; this is the circuit carried by that support.
@@ -625,7 +657,7 @@ def circuit_on_support(topes: TopeSet, subset: tuple[int, ...] | list[int]) -> S
         prev = e
     if len(q) != topes.r + 1:
         raise ValueError(f"support size must be rank+1 = {topes.r + 1}, got {len(q)}")
-    hit = topes.hit_patterns[_subset_rank(q, topes.n)]
+    hit = topes.hit_patterns[_subset_ranks(topes.n, len(q))[q]]
     avoided = ((1 << (1 << topes.r)) - 1) & ~hit
     if not avoided:
         raise ValueError(f"no pattern on {q} avoids every tope; not a uniform tope set")

@@ -13,13 +13,14 @@ survivor is forced to share.
 One kernel decides every candidate, here and in the n=8 oracle: a pruned
 depth-first search over pool indices in lexicographic order, on bitmasks
 with one byte per 4-subset holding which of its 8 canonical restriction
-patterns a tope produces (numbered by ``matroid.pattern_index``, as in every
-tope set's ``hit_patterns`` table). A candidate fails exactly when some
-4-subset's byte saturates (all 8 patterns hit); every node tests all bytes
-at once with the four-operation zero-byte test on the mask's complement.
-Bytes only accumulate as topes are added, so a saturated prefix is pruned
-and the combinations below it are credited without being visited, read from
-a table of binomials built once per run; all 184,756 are still counted.
+patterns a tope produces (the tope's ``matroid.pattern_bytes``, the fields
+every tope set's ``hit_patterns`` table is split from). A candidate fails
+exactly when some 4-subset's byte saturates (all 8 patterns hit); every node
+tests all bytes at once with the four-operation zero-byte test on the mask's
+complement. Bytes only accumulate as topes are added, so a saturated prefix
+is pruned and the combinations below it are credited without being visited,
+read from a table of binomials built once per run; all 184,756 are still
+counted.
 Survivors are re-verified through the ordinary axiom checker, which also
 yields the witnesses.
 """
@@ -36,9 +37,9 @@ from .matroid import (
     alternating_chirotope,
     canonical_tope_count,
     check_uniform_tope_axioms,
-    circuit_on_support,
+    circuit_table,
     pair_swap_chirotope,
-    pattern_index,
+    pattern_bytes,
     topes_of,
 )
 from .signed_vector import SignedVector
@@ -155,21 +156,19 @@ class PatternMasks(NamedTuple):
 
 
 def pattern_masks(instance: SearchInstance) -> PatternMasks:
-    """One byte per 4-subset, in lexicographic order, holding the bit of the
-    canonical pattern a tope's restriction produces there. ORing tope masks
-    accumulates the hit patterns; a byte reaching 0xFF means all 8 are hit."""
-    quads = instance.supports
-
-    def tope_mask(vec: SignedVector) -> int:
-        return sum(1 << (8 * qi + pattern_index(vec.neg, q)) for qi, q in enumerate(quads))
-
+    """Each tope's ``matroid.pattern_bytes`` at the instance's rank 3: one
+    byte per 4-subset, in lexicographic order, holding the bit of the
+    canonical pattern the tope's restriction produces there, the same fields
+    a tope set's ``hit_patterns`` splits apart. ORing tope masks accumulates
+    the hit patterns; a byte reaching 0xFF means all 8 are hit."""
+    n, r = instance.n, instance.rank
     base = 0
     for t in instance.base:
-        base |= tope_mask(t)
+        base |= pattern_bytes(t.neg, n, r)
     return PatternMasks(
         base=base,
-        pool=tuple(tope_mask(t) for t in instance.pool),
-        low=int.from_bytes(b"\x01" * len(quads), "little"),
+        pool=tuple(pattern_bytes(t.neg, n, r) for t in instance.pool),
+        low=int.from_bytes(b"\x01" * len(instance.supports), "little"),
     )
 
 
@@ -235,7 +234,8 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
 
 def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> SurvivorRecord:
     """The record of the base plus the picked pool topes, with its circuit on
-    every support; raises if they fail the uniform tope-set axioms or carry no
+    every support, read off the same ``hit_patterns`` entries as the axiom
+    report; raises if they fail the uniform tope-set axioms or carry no
     unique circuit on a forced support."""
     members = frozenset(instance.base) | {instance.pool[i] for i in picks}
     tope_set = TopeSet(instance.n, instance.rank, members)
@@ -243,12 +243,7 @@ def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> Surviv
     if not report.passed:
         raise VerificationError(f"picks {picks} fail the uniform tope-set axioms")
     supports = instance.supports
-    table: list[SignedVector | None] = []
-    for q in supports:
-        try:
-            table.append(circuit_on_support(tope_set, q))
-        except ValueError:  # zero or several patterns avoided on q
-            table.append(None)
+    table = circuit_table(tope_set)
     circuits = tuple((q, table[supports.index(q)]) for q in CIRCUIT_SUPPORTS)
     for q, circuit in circuits:
         if circuit is None:
@@ -259,7 +254,7 @@ def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> Surviv
         vc_witnesses=report.witnesses,
         excluded_absent=tuple((t, t not in strings) for t in EXCLUDED_TOPES),
         circuits=circuits,
-        circuit_table=tuple(table),
+        circuit_table=table,
     )
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,7 @@ from omcert.certificate import (
     validate_search_document,
 )
 from omcert.cli import main
-from omcert.matroid import circuit_on_support
+from omcert.matroid import circuit_table
 from omcert.search import CIRCUIT_SUPPORTS, VerificationError
 
 # sha256 of the emitted certificates; any change to their bytes must be deliberate
@@ -225,12 +226,14 @@ class TestValidation:
         assert any(p.startswith(where) for p in validate(bad))
 
     def test_survivor_rebuild_failure_named(self, monkeypatch, search_doc):
-        def several_on_forced_support(tope_set, q):
-            if q == CIRCUIT_SUPPORTS[1]:
-                raise ValueError("several patterns avoided")
-            return circuit_on_support(tope_set, q)
+        forced = list(combinations(range(1, 7), 4)).index(CIRCUIT_SUPPORTS[1])
 
-        monkeypatch.setattr(omcert.search, "circuit_on_support", several_on_forced_support)
+        def several_on_forced_support(tope_set):
+            table = list(circuit_table(tope_set))
+            table[forced] = None  # as if several patterns were avoided there
+            return tuple(table)
+
+        monkeypatch.setattr(omcert.search, "circuit_table", several_on_forced_support)
         problems = validate_search_document(search_doc)
         assert len(problems) == 20
         assert problems[0].startswith("document.survivors[0].topes: picks (")

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+from itertools import combinations
 
 import pytest
 
 import omcert.contradiction
+import omcert.matroid
 from omcert.certificate import serialize_certificate, validate_contradiction_document
 from omcert.contradiction import (
     CONFLICT_SUPPORT,
@@ -17,6 +20,7 @@ from omcert.contradiction import (
     lift_through_restriction,
     verify_premise,
 )
+from omcert.matroid import restriction_tope_set
 from omcert.signed_vector import SignedVector
 
 sv = SignedVector.parse
@@ -116,6 +120,56 @@ class TestCertificate:
         monkeypatch.undo()
         problems = validate_contradiction_document(doc)
         assert any(p.startswith("document.conclusion.verdict is") for p in problems)
+
+
+def with_table_entry(survivor, index, entry):
+    table = list(survivor.circuit_table)
+    table[index] = entry
+    return dataclasses.replace(survivor, circuit_table=tuple(table))
+
+
+class TestDeletionCheck:
+    @pytest.mark.parametrize("index", [0, 7, 14])
+    def test_swapped_circuit_rejected(self, search_certificate, index):
+        # another canonical pattern on the same support: flip its last element
+        survivors = search_certificate.survivors
+        circuit = survivors[3].circuit_table[index]
+        last = 1 << (circuit.support_mask.bit_length() - 1)
+        swapped = SignedVector(circuit.n, circuit.pos ^ last, circuit.neg ^ last)
+        assert swapped.support_mask == circuit.support_mask and swapped.is_canonical()
+        bad = survivors[:3] + (with_table_entry(survivors[3], index, swapped),) + survivors[4:]
+        assert omcert.contradiction._check_deletion_circuits(bad) is False
+
+    def test_missing_circuit_rejected(self, search_certificate):
+        survivors = search_certificate.survivors
+        bad = (with_table_entry(survivors[0], 5, None),) + survivors[1:]
+        assert omcert.contradiction._check_deletion_circuits(bad) is False
+
+    def test_mask_fields_match_restricted_tope_sets(self, search_certificate):
+        # the object path (restrict every tope, canonicalize, build a TopeSet)
+        # is the oracle for the gathered negative masks and their fields
+        gathers = omcert.contradiction._deletion_gathers(6)
+        assert [kept for kept, _ in gathers] == list(combinations(range(1, 7), 5))
+        for survivor in search_certificate.survivors:
+            parent = survivor.tope_set()
+            negs = [t.neg for t in survivor.topes]
+            for kept, gather in gathers:
+                deletion = restriction_tope_set(parent, kept)
+                assert {gather[neg] for neg in negs} == {t.neg for t in deletion.topes}
+                packed = omcert.contradiction._deletion_pattern_bytes(negs, gather, 5, 3)
+                assert [packed >> 8 * i & 0xFF for i in range(5)] == list(deletion.hit_patterns)
+                assert packed >> 40 == 0
+
+    def test_no_object_path_in_the_pipeline(self, monkeypatch, search_certificate):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the per-deletion object path ran")
+
+        monkeypatch.setattr(omcert.matroid, "restriction_tope_set", refuse)
+        monkeypatch.setattr(SignedVector, "restrict", refuse)
+        cert = build_contradiction_certificate(search_cert=search_certificate)
+        assert cert.verdict == "nonfactorizable"
+        doc = json.loads(serialize_certificate(cert))
+        assert validate_contradiction_document(doc) == []
 
 
 class TestDirectSearch:

@@ -16,6 +16,8 @@ from omcert.matroid import (
     circuit_on_support,
     covectors_from_topes,
     pair_swap_chirotope,
+    pattern_bytes,
+    pattern_index,
     phi,
     restriction_tope_set,
     topes_from_cocircuits,
@@ -376,6 +378,33 @@ class TestUniformTopeAxioms:
         report = check_uniform_tope_axioms(mislabeled)
         assert not report.count_ok
         assert report.expected_count == 16 and report.actual_count == 26
+
+
+class TestPatternBytes:
+    @pytest.mark.parametrize("n, r", [(4, 2), (6, 2), (5, 3), (6, 3), (5, 4), (7, 4)])
+    def test_fields_agree_with_pattern_index(self, n, r):
+        width = 1 << r
+        subsets = list(combinations(range(1, n + 1), r + 1))
+        for neg in range(1 << n):
+            packed = pattern_bytes(neg, n, r)
+            assert packed >> width * len(subsets) == 0
+            for i, q in enumerate(subsets):
+                assert packed >> width * i & (1 << width) - 1 == 1 << pattern_index(neg, q)
+
+    def test_rank_four_fields_are_sixteen_bits(self):
+        # element 5 negative puts pattern 8 on {1,...,5}: bit 8 of the first
+        # field, which a byte-wide packing would lose into the next field
+        neg = 0b010000
+        assert pattern_index(neg, (1, 2, 3, 4, 5)) == 8
+        fields = [8, 0, 4, 4, 4, 4]
+        assert pattern_bytes(neg, 6, 4) == sum(1 << 16 * i + pid for i, pid in enumerate(fields))
+
+    def test_hit_patterns_agree_with_pattern_index(self, alt64, swap6, alt84):
+        for topes in (alt64, swap6, alt84):
+            subsets = list(combinations(range(1, topes.n + 1), topes.r + 1))
+            assert len(topes.hit_patterns) == len(subsets)
+            for q, hit in zip(subsets, topes.hit_patterns):
+                assert hit == sum({1 << pattern_index(t.neg, q) for t in topes.topes})
 
 
 class TestCircuitOnSupport:
