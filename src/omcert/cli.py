@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .certificate import (
     certificate_document,
@@ -34,8 +34,7 @@ from .strong_map import is_strong_map_covectors, is_strong_map_topes
 _COVECTOR_CHECK_LIMIT = 6  # covector-containment cross-check only at desk scale
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     n: int = 6
     rank: int = 4

@@ -23,9 +23,8 @@ call and compares the OR of their packed pattern fields
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .matroid import (
     alternating_chirotope,
@@ -58,8 +57,7 @@ CONFLICT_SUPPORT = (1, 2, 5, 6)
 CONFLICT_MASK = sum(1 << (e - 1) for e in CONFLICT_SUPPORT)
 
 
-@dataclass(frozen=True)
-class RestrictionCheck:
+class RestrictionCheck(NamedTuple):
     """Verification that one 6-element restriction reduces to the searched pair,
     plus the search circuit lifted back to eight elements through it."""
 
@@ -73,8 +71,7 @@ class RestrictionCheck:
         return self.source_restriction_is_alternating and self.target_restriction_matches
 
 
-@dataclass(frozen=True)
-class AssumptionRecord:
+class AssumptionRecord(NamedTuple):
     """A trusted inference step named in the certificate. ``verified`` is None
     for a pure citation, otherwise the outcome of its empirical check."""
 
@@ -84,8 +81,7 @@ class AssumptionRecord:
     note: str
 
 
-@dataclass(frozen=True)
-class ContradictionCertificate:
+class ContradictionCertificate(NamedTuple):
     premise: StrongMapVerdict
     source_tope_count: int
     target_tope_count: int
@@ -303,8 +299,7 @@ def build_contradiction_certificate(search_cert: SearchCertificate) -> Contradic
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirectSearchOutcome:
+class DirectSearchOutcome(NamedTuple):
     """Result of the budgeted backtracking search for an n=8 intermediate.
 
     status is "none-found" when the whole space was exhausted,

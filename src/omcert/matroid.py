@@ -15,17 +15,21 @@ rank-2 chirotope induced by the permutation swapping adjacent pairs
 Only uniform chirotopes are supported by the cocircuit reader; everything
 downstream enumerates explicitly, so ground sets are expected to stay small
 (n <= 8 for the shipped instances, hard guards well above that).
+
+``Chirotope``, ``TopeSet`` and ``CovectorSet`` are immutable value types on
+``signed_vector.Immutable``: a hand-written ``__init__`` runs the
+construction checks, and equality and hashing read the fields (up to global
+sign for a chirotope). The axiom reports are ``NamedTuple`` records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .signed_vector import SignedVector
+from .signed_vector import Immutable, SignedVector
 
 # largest ground set for which covectors are enumerated (3**n candidates)
 _COVECTOR_ENUM_LIMIT = 10
@@ -65,8 +69,7 @@ def _sort_with_parity(seq: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(items)
 
 
-@dataclass(frozen=True, eq=False)
-class Chirotope:
+class Chirotope(Immutable):
     """Rank-r alternating sign map, stored on sorted r-subsets in lex order.
 
     ``values[i]`` is the sign of the i-th sorted r-subset of 1..n. Values on
@@ -75,20 +78,25 @@ class Chirotope:
     identify the two.
     """
 
-    n: int
-    r: int
-    values: tuple[int, ...]
+    __slots__ = ("n", "r", "values")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.r <= self.n:
-            raise ValueError(f"rank must be within 1..{self.n}, got {self.r}")
-        expected = math.comb(self.n, self.r)
-        if len(self.values) != expected:
-            raise ValueError(f"expected {expected} stored values, got {len(self.values)}")
-        if any(v not in (-1, 0, 1) for v in self.values):
+    def __init__(self, n: int, r: int, values: tuple[int, ...]) -> None:
+        if not 1 <= r <= n:
+            raise ValueError(f"rank must be within 1..{n}, got {r}")
+        expected = math.comb(n, r)
+        if len(values) != expected:
+            raise ValueError(f"expected {expected} stored values, got {len(values)}")
+        if any(v not in (-1, 0, 1) for v in values):
             raise ValueError("chirotope values must lie in {-1, 0, 1}")
-        if not any(self.values):
+        if not any(values):
             raise ValueError("chirotope must not be identically zero")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "values", values)
+
+    def __repr__(self) -> str:
+        return f"Chirotope(n={self.n!r}, r={self.r!r}, values={self.values!r})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Chirotope):
@@ -249,32 +257,46 @@ def pattern_bytes(neg: int, n: int, r: int) -> int:
     return packed
 
 
-@dataclass(frozen=True)
-class TopeSet:
+class TopeSet(Immutable):
     """Canonical full-support covectors of an oriented matroid, with (n, r) metadata.
 
-    ``hit_patterns`` is derived from the topes and cached on first use: for
-    every (r+1)-subset Q in lexicographic order, a bitmask of the canonical
-    patterns (numbered by ``pattern_index``) that the topes' restrictions to
-    Q produce. It is the OR of the topes' ``pattern_bytes``, split back into
-    one entry per Q. Every axiom and circuit check reads it. It is not a
-    field, so neither equality nor the certificate bytes read it.
+    Equality and the hash read (n, r, topes). ``hit_patterns`` is derived
+    from the topes and cached on first use: for every (r+1)-subset Q in
+    lexicographic order, a bitmask of the canonical patterns (numbered by
+    ``pattern_index``) that the topes' restrictions to Q produce. It is the
+    OR of the topes' ``pattern_bytes``, split back into one entry per Q.
+    Every axiom and circuit check reads it. It is not a field, so neither
+    equality nor the certificate bytes read it. The sorted topes and their
+    strings are cached the same way; the caches live in the instance
+    ``__dict__``, which ``cached_property`` writes directly.
     """
 
-    n: int
-    r: int
-    topes: frozenset[SignedVector]
+    _fields = ("n", "r", "topes")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.r <= self.n:
-            raise ValueError(f"rank must be within 1..{self.n}, got {self.r}")
-        for t in self.topes:
-            if t.n != self.n:
-                raise ValueError(f"tope {t} lives on {t.n} elements, expected {self.n}")
+    def __init__(self, n: int, r: int, topes: frozenset[SignedVector]) -> None:
+        if not 1 <= r <= n:
+            raise ValueError(f"rank must be within 1..{n}, got {r}")
+        for t in topes:
+            if t.n != n:
+                raise ValueError(f"tope {t} lives on {t.n} elements, expected {n}")
             if not t.has_full_support():
                 raise ValueError(f"tope {t} lacks full support")
             if not t.is_canonical():
                 raise ValueError(f"tope {t} is not canonical")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "topes", topes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.r, self.topes) == (other.n, other.r, other.topes)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.r, self.topes))
+
+    def __repr__(self) -> str:
+        return f"TopeSet(n={self.n!r}, r={self.r!r}, topes={self.topes!r})"
 
     def __len__(self) -> int:
         return len(self.topes)
@@ -307,18 +329,31 @@ class TopeSet:
         return tuple(packed >> (width * i) & ones for i in range(count))
 
 
-@dataclass(frozen=True)
-class CovectorSet:
-    """All covectors of an oriented matroid: both signs stored, zero included."""
+class CovectorSet(Immutable):
+    """All covectors of an oriented matroid: both signs stored, zero included.
+    Equality and the hash read (n, r, covectors)."""
 
-    n: int
-    r: int
-    covectors: frozenset[SignedVector]
+    __slots__ = ("n", "r", "covectors")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        for v in self.covectors:
-            if v.n != self.n:
-                raise ValueError(f"covector {v} lives on {v.n} elements, expected {self.n}")
+    def __init__(self, n: int, r: int, covectors: frozenset[SignedVector]) -> None:
+        for v in covectors:
+            if v.n != n:
+                raise ValueError(f"covector {v} lives on {v.n} elements, expected {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "covectors", covectors)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.r, self.covectors) == (other.n, other.r, other.covectors)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.r, self.covectors))
+
+    def __repr__(self) -> str:
+        return f"CovectorSet(n={self.n!r}, r={self.r!r}, covectors={self.covectors!r})"
 
     def __len__(self) -> int:
         return len(self.covectors)
@@ -450,8 +485,7 @@ def covectors_from_topes(topes: TopeSet) -> CovectorSet:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CovectorAxiomReport:
+class CovectorAxiomReport(NamedTuple):
     """Outcome of checking the four covector axioms on a set of sign vectors."""
 
     vector_count: int
@@ -553,8 +587,7 @@ def _elimination_exists(pairs: set[tuple[int, int]], base_p: int, base_n: int, f
     return False
 
 
-@dataclass(frozen=True)
-class UniformTopeReport:
+class UniformTopeReport(NamedTuple):
     """Outcome of checking the uniform tope-set axioms (count plus, for every
     (r+1)-subset Q, a full pattern on Q avoided by every tope restriction)."""
 
@@ -581,8 +614,12 @@ class UniformTopeReport:
         return dict(self.witnesses)
 
 
+@cache
 def _pattern_vector(n: int, subset: tuple[int, ...], pid: int) -> SignedVector:
-    """The pid-th canonical full pattern supported exactly on ``subset``."""
+    """The pid-th canonical full pattern supported exactly on ``subset``.
+
+    Cached: a survivor's axiom witness and its circuit on a 4-subset are the
+    same pattern, so the record builds each vector once."""
     pos = 1 << (subset[0] - 1)
     neg = 0
     for j in range(1, len(subset)):

@@ -23,12 +23,15 @@ read from a table of binomials built once per run; all 184,756 are still
 counted.
 Survivors are re-verified through the ordinary axiom checker, which also
 yields the witnesses.
+
+The instance, the certificate and a kernel run are ``NamedTuple`` records.
+``SurvivorRecord`` is an immutable class on ``signed_vector.Immutable``
+instead, because its circuit table stays out of equality and hashing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -42,7 +45,7 @@ from .matroid import (
     pattern_bytes,
     topes_of,
 )
-from .signed_vector import SignedVector
+from .signed_vector import Immutable, SignedVector
 
 
 class VerificationError(Exception):
@@ -58,8 +61,7 @@ FORCED_CIRCUITS = ("+-+-00", "+-00-+")
 EXCLUDED_TOPES = ("+-+---", "+----+")
 
 
-@dataclass(frozen=True)
-class SearchInstance:
+class SearchInstance(NamedTuple):
     """Frozen input of the search: base topes that every candidate must keep
     and the ordered pool the free picks come from."""
 
@@ -79,21 +81,50 @@ class SearchInstance:
         return tuple(combinations(range(1, self.n + 1), self.rank + 1))
 
 
-@dataclass(frozen=True)
-class SurvivorRecord:
+class SurvivorRecord(Immutable):
     """One candidate that passed the uniform tope-set axioms.
 
     ``circuit_table`` holds the circuit on every (rank+1)-subset in
     lexicographic order, None where zero or several patterns are avoided;
     ``circuits`` is its entries on the two forced supports. The table is
-    derived from the topes, so it is neither compared nor serialized.
+    derived from the topes, so it is neither compared, hashed, shown in the
+    repr nor serialized. To change one field, build a new record from the
+    old one's fields.
     """
 
-    topes: tuple[SignedVector, ...]
-    vc_witnesses: tuple[tuple[tuple[int, ...], SignedVector], ...]
-    excluded_absent: tuple[tuple[str, bool], ...]
-    circuits: tuple[tuple[tuple[int, ...], SignedVector], ...]
-    circuit_table: tuple[SignedVector | None, ...] = field(compare=False, repr=False)
+    __slots__ = ("topes", "vc_witnesses", "excluded_absent", "circuits", "circuit_table")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        topes: tuple[SignedVector, ...],
+        vc_witnesses: tuple[tuple[tuple[int, ...], SignedVector], ...],
+        excluded_absent: tuple[tuple[str, bool], ...],
+        circuits: tuple[tuple[tuple[int, ...], SignedVector], ...],
+        circuit_table: tuple[SignedVector | None, ...],
+    ) -> None:
+        object.__setattr__(self, "topes", topes)
+        object.__setattr__(self, "vc_witnesses", vc_witnesses)
+        object.__setattr__(self, "excluded_absent", excluded_absent)
+        object.__setattr__(self, "circuits", circuits)
+        object.__setattr__(self, "circuit_table", circuit_table)
+
+    def _compared(self) -> tuple:
+        return self.topes, self.vc_witnesses, self.excluded_absent, self.circuits
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return (
+            f"SurvivorRecord(topes={self.topes!r}, vc_witnesses={self.vc_witnesses!r},"
+            f" excluded_absent={self.excluded_absent!r}, circuits={self.circuits!r})"
+        )
 
     def circuit_map(self) -> dict[tuple[int, ...], SignedVector]:
         return dict(self.circuits)
@@ -105,8 +136,7 @@ class SurvivorRecord:
         return TopeSet(self.topes[0].n, SEARCH_RANK, frozenset(self.topes))
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
+class SearchCertificate(NamedTuple):
     """Full record of one exhaustive run: every combination counted, every
     survivor listed in enumeration order, and the circuit pair they share."""
 
@@ -172,8 +202,7 @@ def pattern_masks(instance: SearchInstance) -> PatternMasks:
     )
 
 
-@dataclass(frozen=True)
-class SaturationRun:
+class SaturationRun(NamedTuple):
     """What one kernel run found and counted."""
 
     picks: tuple[tuple[int, ...], ...]  # unsaturated selections, lexicographic

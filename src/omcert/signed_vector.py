@@ -3,7 +3,10 @@
 Elements are labeled 1..n with n <= 32. A vector keeps one bit per element
 in each of two masks (positive / negative), so all set algebra is constant
 time. Values are immutable and hashable; every operation returns a fresh
-value.
+value. ``SignedVector`` and the other validated value types subclass
+``Immutable``: plain classes with a hand-written ``__init__``, because a
+command-line run is mostly interpreter start-up and generating classes at
+import time would add to it. Assigning to a field raises AttributeError.
 
 The string form over ``{+,-,0}`` (character i is the sign of element i) is
 the only interchange format. Whenever a deterministic listing of vectors is
@@ -11,8 +14,6 @@ needed, strings are ordered under the fixed alphabet ``'+' < '-' < '0'``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 MAX_ELEMENTS = 32
 
@@ -32,25 +33,56 @@ def _check_n(n: int) -> None:
         raise ValueError(f"ground set size must be an integer in 1..{MAX_ELEMENTS}, got {n!r}")
 
 
-@dataclass(frozen=True)
-class SignedVector:
+class Immutable:
+    """Base of the validated value types: a subclass sets its fields once, in
+    ``__init__``, through ``object.__setattr__``; assigning or deleting an
+    attribute afterwards raises AttributeError. Copies and pickles are
+    rebuilt through ``__init__`` from the fields named in ``_fields``, so they
+    pass the same checks."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class SignedVector(Immutable):
     """A mapping from elements 1..n to {+1, 0, -1}.
 
     ``pos`` and ``neg`` are disjoint bitmasks; bit e-1 is set in ``pos``
-    (resp. ``neg``) iff element e carries +1 (resp. -1).
+    (resp. ``neg``) iff element e carries +1 (resp. -1). Equality reads (n, pos, neg) and
+    the hash is ``hash((n, pos, neg))``, which fixes the iteration order of
+    sets of vectors.
     """
 
-    n: int
-    pos: int
-    neg: int
+    __slots__ = ("n", "pos", "neg", "_string")
+    _fields = ("n", "pos", "neg")
 
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-        full = (1 << self.n) - 1
-        if self.pos & self.neg:
+    def __init__(self, n: int, pos: int, neg: int) -> None:
+        _check_n(n)
+        full = (1 << n) - 1
+        if pos & neg:
             raise ValueError("positive and negative supports overlap")
-        if (self.pos | self.neg) & ~full:
+        if (pos | neg) & ~full:
             raise ValueError("support exceeds the ground set")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.pos == other.pos and self.neg == other.neg
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.pos, self.neg))
 
     # ------------------------------------------------------------------
     # construction
@@ -116,11 +148,17 @@ class SignedVector:
         return self.support_mask == (1 << self.n) - 1
 
     def to_string(self) -> str:
-        out = []
-        for i in range(self.n):
-            bit = 1 << i
-            out.append("+" if self.pos & bit else "-" if self.neg & bit else "0")
-        return "".join(out)
+        """The sign string, built once per vector and kept in the ``_string``
+        slot: sorting by ``order_key`` and serializing ask for it repeatedly."""
+        try:
+            return self._string
+        except AttributeError:
+            pos, neg = self.pos, self.neg
+            text = "".join(
+                ["+" if pos >> i & 1 else "-" if neg >> i & 1 else "0" for i in range(self.n)]
+            )
+            object.__setattr__(self, "_string", text)
+            return text
 
     def order_key(self) -> str:
         return sign_string_key(self.to_string())

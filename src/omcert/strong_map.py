@@ -8,7 +8,7 @@ the covector-containment method is kept as the independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matroid import CovectorSet, TopeSet
 from .signed_vector import SignedVector
@@ -17,8 +17,7 @@ TOPE_INCLUSION = "tope-inclusion"
 COVECTOR_CONTAINMENT = "covector-containment"
 
 
-@dataclass(frozen=True)
-class StrongMapVerdict:
+class StrongMapVerdict(NamedTuple):
     """Outcome of a strong-map test; the witness is the first target covector
     (or tope) missing from the source when the map fails."""
 

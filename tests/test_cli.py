@@ -1,11 +1,38 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from omcert.certificate import serialize_certificate
 from omcert.cli import main
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # a command-line run is mostly start-up: dataclasses pulls in inspect, ast,
+    # dis and tokenize. Only modules the import adds count, so a site hook
+    # that already imported them cannot fail this test.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import omcert.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "omcert.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def run_cli(capsys, *argv):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 from itertools import combinations
 
@@ -21,6 +20,7 @@ from omcert.contradiction import (
     verify_premise,
 )
 from omcert.matroid import restriction_tope_set
+from omcert.search import SurvivorRecord
 from omcert.signed_vector import SignedVector
 
 sv = SignedVector.parse
@@ -125,7 +125,13 @@ class TestCertificate:
 def with_table_entry(survivor, index, entry):
     table = list(survivor.circuit_table)
     table[index] = entry
-    return dataclasses.replace(survivor, circuit_table=tuple(table))
+    return SurvivorRecord(
+        topes=survivor.topes,
+        vc_witnesses=survivor.vc_witnesses,
+        excluded_absent=survivor.excluded_absent,
+        circuits=survivor.circuits,
+        circuit_table=tuple(table),
+    )
 
 
 class TestDeletionCheck:

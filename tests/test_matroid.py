@@ -145,6 +145,7 @@ class TestChirotopeConstruction:
         flipped = Chirotope(4, 2, tuple(-v for v in chi.values))
         assert chi == flipped
         assert hash(chi) == hash(flipped)
+        assert len({chi, flipped}) == 1
         assert chi != pair_swap_chirotope(6)
 
     def test_rejects_bad_values(self):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from itertools import combinations, product
@@ -24,6 +23,7 @@ from omcert.search import (
     FORCED_CIRCUITS,
     SearchCertificate,
     SearchInstance,
+    SurvivorRecord,
     VerificationError,
     build_search_instance,
     pattern_masks,
@@ -239,10 +239,21 @@ class TestConclusions:
             assert str(circuits[(1, 2, 5, 6)]) == "+-00-+"
         assert tuple(str(c) for c in search_certificate.conclusion_circuits) == FORCED_CIRCUITS
 
+    def test_witness_and_circuit_built_once(self, search_certificate):
+        # a survivor avoids one pattern per 4-subset: its witness is its circuit
+        for survivor in search_certificate.survivors:
+            assert len(survivor.vc_witnesses) == len(survivor.circuit_table) == 15
+            for (_, witness), circuit in zip(survivor.vc_witnesses, survivor.circuit_table):
+                assert witness is circuit
+
     def test_verify_rejects_tampered_certificate(self, search_certificate):
         first = search_certificate.survivors[0]
-        bad_survivor = dataclasses.replace(
-            first, excluded_absent=((EXCLUDED_TOPES[0], False), (EXCLUDED_TOPES[1], True))
+        bad_survivor = SurvivorRecord(
+            topes=first.topes,
+            vc_witnesses=first.vc_witnesses,
+            excluded_absent=((EXCLUDED_TOPES[0], False), (EXCLUDED_TOPES[1], True)),
+            circuits=first.circuits,
+            circuit_table=first.circuit_table,
         )
         tampered = SearchCertificate(
             instance=search_certificate.instance,
