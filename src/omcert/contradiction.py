@@ -316,9 +316,10 @@ def direct_search_n8(budget: int) -> DirectSearchOutcome:
     source topes with the saturation kernel, at most ``budget`` nodes.
 
     A node is one candidate tope tried on top of a prefix. The whole space
-    is 177,833,728 nodes, which the kernel exhausts in about 108 s on one
-    core, about 1.65 million nodes per second (``pytest -m slow``: 109.5 s,
-    Python 3.11.7, 2-core machine).
+    is 177,833,728 nodes, which the kernel exhausts in about 78 s on one
+    core, about 2.3 million nodes per second, with one AND per node against
+    the prefix's critical bits (``pytest -m slow``: 79.5 s, Python 3.11.7,
+    2-core machine).
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")

@@ -56,26 +56,12 @@ def _subset_ranks(n: int, k: int) -> dict[tuple[int, ...], int]:
     return {q: i for i, q in enumerate(combinations(range(1, n + 1), k))}
 
 
-def _sort_with_parity(seq: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    """Sort a short tuple, returning (permutation sign, sorted tuple)."""
-    items = list(seq)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(items)
-
-
 class Chirotope(Immutable):
     """Rank-r alternating sign map, stored on sorted r-subsets in lex order.
 
-    ``values[i]`` is the sign of the i-th sorted r-subset of 1..n. Values on
-    arbitrary tuples are derived by alternation. A chirotope and its global
-    negation denote the same oriented matroid, so equality and hashing
-    identify the two.
+    ``values[i]`` is the sign of the i-th sorted r-subset of 1..n, read by
+    ``value_sorted``. A chirotope and its global negation denote the same
+    oriented matroid, so equality and hashing identify the two.
     """
 
     __slots__ = ("n", "r", "values")
@@ -119,19 +105,6 @@ class Chirotope(Immutable):
     def value_sorted(self, tup: tuple[int, ...]) -> int:
         """Stored sign of a strictly increasing r-tuple."""
         return self.values[_subset_ranks(self.n, self.r)[tup]]
-
-    def value(self, tup: Iterable[int]) -> int:
-        """Sign of an arbitrary r-tuple, via alternation; 0 on repeated entries."""
-        tup = tuple(tup)
-        if len(tup) != self.r:
-            raise ValueError(f"expected an {self.r}-tuple, got {tup}")
-        for t in tup:
-            if not 1 <= t <= self.n:
-                raise ValueError(f"element {t} outside 1..{self.n}")
-        if len(set(tup)) != self.r:
-            return 0
-        sign, stup = _sort_with_parity(tup)
-        return sign * self.value_sorted(stup)
 
     def is_uniform(self) -> bool:
         return all(v != 0 for v in self.values)
@@ -241,6 +214,21 @@ def pattern_index(neg: int, subset: tuple[int, ...]) -> int:
 
 
 @cache
+def _pattern_slots(n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Bit-sliced subset table for ``pattern_bytes``: ``slots[k][e - 1]``
+    has the lowest bit of the field of every (r+1)-subset whose k-th element
+    is e, and ``low`` has the lowest bit of every field."""
+    width = 1 << r
+    slots = [[0] * n for _ in range(r + 1)]
+    low = 0
+    for i, q in enumerate(combinations(range(1, n + 1), r + 1)):
+        low |= 1 << width * i
+        for k, e in enumerate(q):
+            slots[k][e - 1] |= 1 << width * i
+    return tuple(map(tuple, slots)), low
+
+
+@cache
 def pattern_bytes(neg: int, n: int, r: int) -> int:
     """Packed pattern fields of a full-support vector on 1..n, from its
     negative mask: one field of 2**r bits per (r+1)-subset Q in
@@ -249,11 +237,25 @@ def pattern_bytes(neg: int, n: int, r: int) -> int:
     ORing the fields of several vectors gives, field by field, the set of
     canonical patterns their restrictions produce. At r = 3 a field is one
     byte. Cached per (neg, n, r): a tope's fields are built once per process.
+
+    All fields are built at once, bit-sliced: ``v[k]`` has the lowest bit of
+    each field whose subset's k-th element is negative, so ``v[k] ^ v[0]``
+    marks the fields where bit k-1 of the pattern index is set. Starting from
+    bit 0 in every field, each such k moves the field's one bit up by
+    2**(k-1), which stays inside the field because the index so far is below
+    2**(k-1).
     """
-    width = 1 << r
-    packed = 0
-    for i, q in enumerate(combinations(range(1, n + 1), r + 1)):
-        packed |= 1 << (width * i + pattern_index(neg, q))
+    slots, low = _pattern_slots(n, r)
+    negative = [e for e in range(n) if neg >> e & 1]
+    v = [0] * (r + 1)
+    for k, slot in enumerate(slots):
+        for e in negative:
+            v[k] |= slot[e]
+    fill = (1 << (1 << r)) - 1
+    packed = low
+    for k in range(1, r + 1):
+        moved = (v[k] ^ v[0]) * fill
+        packed ^= (packed ^ packed << (1 << k - 1)) & moved
     return packed
 
 

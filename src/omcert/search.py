@@ -15,12 +15,13 @@ depth-first search over pool indices in lexicographic order, on bitmasks
 with one byte per 4-subset holding which of its 8 canonical restriction
 patterns a tope produces (the tope's ``matroid.pattern_bytes``, the fields
 every tope set's ``hit_patterns`` table is split from). A candidate fails
-exactly when some 4-subset's byte saturates (all 8 patterns hit); every node
-tests all bytes at once with the four-operation zero-byte test on the mask's
-complement. Bytes only accumulate as topes are added, so a saturated prefix
-is pruned and the combinations below it are credited without being visited,
-read from a table of binomials built once per run; all 184,756 are still
-counted.
+exactly when some 4-subset's byte saturates (all 8 patterns hit). A tope
+sets one bit per byte, so a child saturates a byte only by adding the one bit
+a 7-bit byte of the prefix lacks: each internal node computes those critical
+bits once, and each child is tested against them with one AND. Bytes only
+accumulate as topes are added, so a saturated prefix is pruned and the
+combinations below it are credited without being visited, read from a table
+of binomials built once per run; all 184,756 are still counted.
 Survivors are re-verified through the ordinary axiom checker, which also
 yields the witnesses.
 
@@ -216,49 +217,84 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
     combined pattern mask, with the base's, saturates no byte.
 
     Pool indices are picked in increasing order, so selections are found in
-    lexicographic order. A node is one child tried: OR in its pattern mask,
-    then test every byte at once. Pattern bytes only accumulate along a
-    branch, so a saturated prefix is pruned exactly, and its whole subtree of
+    lexicographic order. A node is one child tried on top of an unsaturated
+    prefix. A child that saturates a byte is pruned exactly, because pattern
+    bytes only accumulate along a branch, and its whole subtree of
     comb(npool - i - 1, rem - 1) selections is credited, read from the table
-    ``below[rem][i]`` built once per run. ``budget`` caps the nodes tried, and
-    a run that hits it stops with ``exhausted`` set.
+    ``below[rem][i]`` built once per run. ``budget`` caps the nodes tried
+    (``ValueError`` if negative), and a run that hits it stops with
+    ``exhausted`` set. The search is one loop: each level's pick, prefix mask
+    and critical mask are kept in preallocated lists, and ``rem``, the credit
+    row and the end of the child range move with the depth.
 
-    The byte test: a byte of m is 0xFF exactly when that byte of
-    x = full ^ m is zero, and Mycroft's test (x - low) & ~x & high is nonzero
-    exactly when some byte of x is zero (Warren, Hacker's Delight, ch. 6);
-    within the mask's width ~x is m. A borrow can also flag a byte above a
-    zero byte, but with no zero byte there is no borrow and no flag, so the
-    boolean is exact.
+    The critical-bit test: every tope's ``pattern_bytes`` holds exactly one
+    bit per byte, so a child saturates a byte exactly when that byte of the
+    prefix has 7 bits set and the child holds the missing one. Once per
+    internal node, x = full ^ mask holds each byte's missing bits; no byte of
+    x is zero, as the prefix is unsaturated, so no borrow crosses a byte and
+    y = x & (x - low) clears exactly the lowest bit of each byte. The bytes
+    of y that are zero, those with one missing bit, are found exactly by
+    ~(((y & 0x7F..) + 0x7F..) | y) & high (Warren, Hacker's Delight, ch. 6;
+    the sum carries out of no byte), and shifting that right by 7 and
+    multiplying by 255 spreads it to a byte mask. ``crit`` is x under that
+    mask: the bit that would complete each nearly full byte. A child then
+    saturates a byte iff its mask ANDed with ``crit`` is nonzero. If the base
+    alone already saturates a byte, every root child saturates it too: the
+    root's ``crit`` is ``full`` and every root child is tried, pruned and
+    credited.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     masks = pattern_masks(instance)
     pool_masks, low = masks.pool, masks.low
     npool, choose = len(pool_masks), instance.choose
     full, high = (1 << 8 * len(instance.supports)) - 1, low << 7
+    seven = high - low  # 0x7F in every byte
     below = [[]] + [[math.comb(npool - i - 1, k) for i in range(npool)] for k in range(choose)]
-    limit = math.inf if budget is None else budget
+    limit = -1 if budget is None else budget  # nodes never reaches -1
     found: list[tuple[int, ...]] = []
     nodes = credited = 0
-
-    def walk(children: range, prefix: tuple[int, ...], mask: int, rem: int) -> bool:
-        """Try each child after ``prefix``; False once the budget runs out."""
-        nonlocal nodes, credited
-        credit = below[rem]
-        for i in children:
+    picks, saved_mask, saved_crit = [0] * choose, [0] * choose, [0] * choose
+    mask = masks.base
+    x = full ^ mask
+    if (x - low) & ~x & high:  # the base saturates a byte (Mycroft's zero-byte test)
+        crit = full
+    else:
+        y = x & (x - low)
+        crit = x & ((~(((y & seven) + seven) | y) & high) >> 7) * 255
+    rem, depth, i = choose, 0, 0
+    credit, end = below[rem], npool - rem + 1
+    while True:
+        if i < end:
             if nodes == limit:
-                return False
+                break
             nodes += 1
-            m = mask | pool_masks[i]
-            if ((m ^ full) - low) & m & high:
+            if pool_masks[i] & crit:
                 credited += credit[i]
+                i += 1
             elif rem == 1:
-                found.append((*prefix, i))
+                found.append((*picks[:depth], i))
                 credited += 1
-            elif not walk(range(i + 1, npool - rem + 2), (*prefix, i), m, rem - 1):
-                return False
-        return True
-
-    finished = walk(range(npool - choose + 1), (), masks.base, choose)
-    return SaturationRun(tuple(found), nodes, credited, exhausted=not finished)
+                i += 1
+            else:
+                picks[depth], saved_mask[depth], saved_crit[depth] = i, mask, crit
+                depth += 1
+                mask |= pool_masks[i]
+                x = full ^ mask
+                y = x & (x - low)
+                crit = x & ((~(((y & seven) + seven) | y) & high) >> 7) * 255
+                rem -= 1
+                credit, end = below[rem], end + 1
+                i += 1
+        elif depth:
+            depth -= 1
+            rem += 1
+            credit, end = below[rem], end - 1
+            i, mask, crit = picks[depth] + 1, saved_mask[depth], saved_crit[depth]
+        else:
+            break
+    # the loop leaves a child range unfinished only when the budget runs out
+    return SaturationRun(tuple(found), nodes, credited, exhausted=i < end)
 
 
 def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> SurvivorRecord:

@@ -110,7 +110,7 @@ class TestChirotopeConstruction:
         assert chi.values == (1, -1, -1, -1, -1, 1)
 
     def test_pair_swap_forced_value(self):
-        assert pair_swap_chirotope(6).value((1, 2)) == 1
+        assert pair_swap_chirotope(6).value_sorted((1, 2)) == 1
 
     def test_pair_swap_uniform(self):
         for n in (2, 4, 6, 8):
@@ -132,13 +132,6 @@ class TestChirotopeConstruction:
                 ),
             )
             assert chi == oracle
-
-    def test_alternation_and_repeats(self):
-        chi = pair_swap_chirotope(6)
-        assert chi.value((2, 1)) == -chi.value((1, 2))
-        assert chi.value((3, 3)) == 0
-        alt = alternating_chirotope(5, 3)
-        assert alt.value((3, 1, 2)) == vandermonde_sign((3, 1, 2))
 
     def test_global_sign_identified(self):
         chi = pair_swap_chirotope(4)
@@ -173,7 +166,7 @@ class TestMinors:
         restricted = pair_swap_chirotope(8).restrict((1, 2, 5, 6, 7, 8))
         expected = pair_swap_chirotope(6)
         for pair in combinations(range(1, 7), 2):
-            assert restricted.value(pair) == expected.value(pair)
+            assert restricted.value_sorted(pair) == expected.value_sorted(pair)
 
     def test_restriction_rank_drop(self):
         loopy = Chirotope(4, 2, (1, 0, 0, 0, 0, 0))  # 3 and 4 are loops
@@ -382,7 +375,7 @@ class TestUniformTopeAxioms:
 
 
 class TestPatternBytes:
-    @pytest.mark.parametrize("n, r", [(4, 2), (6, 2), (5, 3), (6, 3), (5, 4), (7, 4)])
+    @pytest.mark.parametrize("n, r", [(4, 2), (6, 2), (5, 3), (6, 3), (8, 3), (5, 4), (7, 4)])
     def test_fields_agree_with_pattern_index(self, n, r):
         width = 1 << r
         subsets = list(combinations(range(1, n + 1), r + 1))

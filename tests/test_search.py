@@ -15,12 +15,14 @@ from omcert.matroid import (
     check_uniform_tope_axioms,
     circuit_on_support,
     covectors_from_topes,
+    pattern_bytes,
     restriction_tope_set,
 )
 from omcert.search import (
     CIRCUIT_SUPPORTS,
     EXCLUDED_TOPES,
     FORCED_CIRCUITS,
+    SaturationRun,
     SearchCertificate,
     SearchInstance,
     SurvivorRecord,
@@ -34,6 +36,38 @@ from omcert.signed_vector import SignedVector
 from omcert.strong_map import is_strong_map_topes
 
 sv = SignedVector.parse
+
+
+def pruned_dfs(instance: SearchInstance, budget: int | None = None) -> SaturationRun:
+    """Reference kernel: the recursive pruned search, testing every byte of
+    each child's mask with Mycroft's zero-byte test on its complement."""
+    masks = pattern_masks(instance)
+    pool_masks, low = masks.pool, masks.low
+    npool, choose = len(pool_masks), instance.choose
+    full, high = (1 << 8 * len(instance.supports)) - 1, low << 7
+    limit = math.inf if budget is None else budget
+    found: list[tuple[int, ...]] = []
+    nodes = credited = 0
+
+    def walk(children: range, prefix: tuple[int, ...], mask: int, rem: int) -> bool:
+        """Try each child after ``prefix``; False once the budget runs out."""
+        nonlocal nodes, credited
+        for i in children:
+            if nodes == limit:
+                return False
+            nodes += 1
+            m = mask | pool_masks[i]
+            if ((m ^ full) - low) & m & high:
+                credited += math.comb(npool - i - 1, rem - 1)
+            elif rem == 1:
+                found.append((*prefix, i))
+                credited += 1
+            elif not walk(range(i + 1, npool - rem + 2), (*prefix, i), m, rem - 1):
+                return False
+        return True
+
+    finished = walk(range(npool - choose + 1), (), masks.base, choose)
+    return SaturationRun(tuple(found), nodes, credited, exhausted=not finished)
 
 
 def flat_scan(instance: SearchInstance) -> list[tuple[int, ...]]:
@@ -58,10 +92,12 @@ class TestKernel:
         assert run.credited == 184756
         assert not run.exhausted
 
-    # the two examples saturate only the lowest and only the highest byte
+    # the first two examples saturate only the lowest and only the highest
+    # byte; in the third the base alone saturates byte 1
     @settings(max_examples=60, deadline=None)
     @example(order=[1, 9, 22, 19, 18, 21, 12, 5, 20, 16, 7], base_size=8, pool_size=3, choose=2)
     @example(order=[17, 23, 1, 10, 19, 25, 6, 5, 9, 13, 18, 0], base_size=6, pool_size=6, choose=2)
+    @example(order=[7, 22, 0, 17, 15, 12, 10, 21, 4, 20, 25, 23, 19, 24], base_size=8, pool_size=6, choose=3)
     @given(
         order=st.permutations(range(26)),
         base_size=st.integers(0, 8),
@@ -76,6 +112,33 @@ class TestKernel:
         assert list(run.picks) == flat_scan(instance)
         assert run.credited == math.comb(len(pool), choose)
         assert not run.exhausted
+        assert run == pruned_dfs(instance)
+
+    def test_matches_pruned_dfs_at_every_budget_scale(self, search_instance):
+        assert saturation_search(search_instance) == pruned_dfs(search_instance)
+        for budget in (*range(1, 12728, 397), 12726, 12727, 12728):
+            run = saturation_search(search_instance, budget=budget)
+            assert run == pruned_dfs(search_instance, budget=budget), budget
+        n8 = build_search_instance(8)
+        for budget in (1, 4_321, 65_537, 200_000):
+            assert saturation_search(n8, budget=budget) == pruned_dfs(n8, budget=budget), budget
+
+    def test_one_bit_per_byte(self, search_instance):
+        # the critical-bit test relies on it: one child fills at most the one
+        # missing bit of a byte
+        for instance in (search_instance, build_search_instance(8)):
+            masks = pattern_masks(instance)
+            nbytes = len(instance.supports)
+            for mask in (*masks.pool, *(pattern_bytes(t.neg, instance.n, 3) for t in instance.base)):
+                fields = mask.to_bytes(nbytes, "little")
+                assert all(field and field & field - 1 == 0 for field in fields)
+                assert mask >> 8 * nbytes == 0
+
+    def test_negative_budget_rejected(self, search_instance):
+        for budget in (-1, -3):
+            with pytest.raises(ValueError, match="non-negative"):
+                saturation_search(search_instance, budget=budget)
+        assert saturation_search(search_instance, budget=0) == SaturationRun((), 0, 0, True)
 
     def test_n8_prefix_pinned(self):
         run = saturation_search(build_search_instance(8), budget=200_000)
