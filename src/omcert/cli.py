@@ -7,10 +7,10 @@ is a derived human-readable summary.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from typing import NamedTuple
+from typing import Any, NamedTuple, NoReturn
 
 from .certificate import (
     certificate_document,
@@ -248,98 +248,119 @@ def run(cfg: RunConfig, certificate_path: str | None = None) -> int:
     return 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="omcert",
-        description=(
-            "Oriented-matroid certificates: tope enumeration, axiom checks, "
-            "strong-map verdicts, the exhaustive intermediate search on six "
-            "elements, and the eight-element nonfactorizability pipeline."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--output", dest="output_path", default=None, metavar="PATH")
-
-    instance = argparse.ArgumentParser(add_help=False)
-    instance.add_argument("--family", choices=("alternating", "m2"), default="alternating")
-    instance.add_argument("--n", type=int, default=6)
-    instance.add_argument("--rank", type=int, default=None)
-
-    threaded = argparse.ArgumentParser(add_help=False)
-    threaded.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="accepted for compatibility; the search runs in one thread and N has no effect",
-    )
-
-    sub.add_parser("topes", parents=[common, instance], help="list canonical topes of one instance")
-    sub.add_parser("axioms", parents=[common, instance], help="axiom reports for one instance")
-    strongmap = sub.add_parser(
-        "strongmap", parents=[common], help="strong-map verdict alternating -> m2"
-    )
-    strongmap.add_argument("--n", type=int, default=6)
-    strongmap.add_argument("--rank", type=int, default=4)
-    sub.add_parser(
-        "lemma6", parents=[common, threaded], help="exhaustive intermediate search on 6 elements"
-    )
-    verify = sub.add_parser(
-        "verify-n8",
-        parents=[common, threaded],
-        help="premise, restriction and conflict checks at n=8",
-    )
-    verify.add_argument(
-        "--certificate",
-        default=None,
-        metavar="PATH",
-        help="reuse a previously emitted search certificate instead of re-running the search",
-    )
-    sub.add_parser("all", parents=[common, threaded], help="full pipeline certificate")
-    for command_parser in sub.choices.values():  # usage errors print the subcommand usage
-        command_parser.set_defaults(command_parser=command_parser)
-    return parser
+_DESCRIPTION = """\
+Oriented-matroid certificates: tope enumeration, axiom checks, strong-map
+verdicts, the exhaustive intermediate search on six elements, and the eight-
+element nonfactorizability pipeline."""
+# option -> (metavar, value type: int, str or a tuple of the allowed values, help)
+_OPTIONS = {
+    "--format": ("{json,text}", ("json", "text"), ""),
+    "--output": ("PATH", str, ""),
+    "--family": ("{alternating,m2}", ("alternating", "m2"), ""),
+    "--n": ("N", int, ""),
+    "--rank": ("RANK", int, ""),
+    "--threads": ("N", int, "accepted for compatibility; the search runs in one thread, N has no effect"),
+    "--certificate": ("PATH", str, "reuse an emitted search certificate instead of re-running the search"),
+}
+_EMIT = ("--format", "--output")
+# command -> (help, options); an option not given takes its RunConfig default
+_COMMANDS = {
+    "topes": ("list canonical topes of one instance", (*_EMIT, "--family", "--n", "--rank")),
+    "axioms": ("axiom reports for one instance", (*_EMIT, "--family", "--n", "--rank")),
+    "strongmap": ("strong-map verdict alternating -> m2", (*_EMIT, "--n", "--rank")),
+    "lemma6": ("exhaustive intermediate search on 6 elements", (*_EMIT, "--threads")),
+    "verify-n8": ("premise, restriction and conflict checks at n=8", (*_EMIT, "--threads", "--certificate")),
+    "all": ("full pipeline certificate", (*_EMIT, "--threads")),
+}
+# a token that cannot be an option's value: a dash word that is not a negative number
+_OPTION_LIKE = re.compile(r"-(?!\d+$|\d*\.\d+$)[^ ]+")
 
 
-def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    family = getattr(args, "family", "alternating")
-    n = getattr(args, "n", 6)
-    rank = getattr(args, "rank", None)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: omcert [-h] {" + ",".join(_COMMANDS) + "} ..."
+    options = " ".join(f"[{o} {_OPTIONS[o][0]}]" for o in _COMMANDS[command][1])
+    return f"usage: omcert {command} [-h] {options}"
+
+
+def _print_help(command: str | None) -> NoReturn:
+    if command is None:
+        head, rows = f"{_DESCRIPTION}\n\ncommands:", [(c, h) for c, (h, _) in _COMMANDS.items()]
+    else:
+        head = f"{_COMMANDS[command][0]}\n\noptions:"
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(f"{o} {_OPTIONS[o][0]}", _OPTIONS[o][2]) for o in _COMMANDS[command][1]]
+    print(_usage(command), "", head, *(f"  {a:<24}{b}".rstrip() for a, b in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def _usage_error(command: str | None, message: str) -> NoReturn:
+    prog = "omcert" if command is None else f"omcert {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _config_from_args(command: str, args: dict[str, Any]) -> RunConfig:
+    family, n, rank = args.get("family", "alternating"), args.get("n", 6), args.get("rank")
     # strongmap's target is always the pair-swap instance, family m2
-    if n % 2 and (family == "m2" or args.command == "strongmap"):
-        parser.error(f"family m2 needs an even ground set, got n={n}")
+    if n % 2 and (family == "m2" or command == "strongmap"):
+        _usage_error(command, f"family m2 needs an even ground set, got n={n}")
     if family == "m2":
         if rank is None:
             rank = 2
         elif rank != 2:
-            parser.error("family m2 has rank 2")
+            _usage_error(command, "family m2 has rank 2")
     elif rank is None:
         rank = 4
     if not 1 <= n <= 32:
-        parser.error(f"n must be within 1..32, got {n}")
+        _usage_error(command, f"n must be within 1..32, got {n}")
     if not 1 <= rank <= n:
-        parser.error(f"rank must be within 1..n, got rank={rank}, n={n}")
-    if getattr(args, "threads", 1) < 1:
-        parser.error(f"threads must be >= 1, got {args.threads}")
-    return RunConfig(
-        command=args.command,
-        n=n,
-        rank=rank,
-        family=family,
-        output_path=args.output_path,
-        format=args.format,
-    )
+        _usage_error(command, f"rank must be within 1..n, got rank={rank}, n={n}")
+    if args.get("threads", 1) < 1:
+        _usage_error(command, f"threads must be >= 1, got {args['threads']}")
+    return RunConfig(command, n, rank, family, args.get("output"), args.get("format", "json"))
+
+
+def parse_args(argv: list[str] | None = None) -> tuple[RunConfig, str | None]:
+    """The run configuration and certificate path of ``--opt value`` or
+    ``--opt=value`` options; the last of a repeated option wins."""
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in _COMMANDS:
+        if argv and argv[0] in ("-h", "--help"):
+            _print_help(None)
+        _usage_error(None, f"invalid command {argv[0]!r}" if argv else "a command is required")
+    command, tokens = argv[0], iter(argv[1:])
+    args: dict[str, Any] = {}
+    unknown = []
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _print_help(command)
+        name, has_value, value = token.partition("=")
+        if name not in _COMMANDS[command][1]:
+            unknown.append(token)
+            continue
+        if not has_value:
+            value = next(tokens, None)
+            if value is None or _OPTION_LIKE.fullmatch(value):
+                _usage_error(command, f"argument {name}: expected one argument")
+        kind = _OPTIONS[name][1]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(command, f"argument {name}: invalid int value: {value!r}")
+        elif kind is not str and value not in kind:
+            _usage_error(command, f"argument {name}: invalid choice: {value!r}")
+        args[name[2:]] = value
+    if unknown:
+        _usage_error(command, "unrecognized arguments: " + " ".join(unknown))
+    return _config_from_args(command, args), args.get("certificate")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args.command_parser, args)
+    cfg, certificate_path = parse_args(argv)
     try:
-        return run(cfg, certificate_path=getattr(args, "certificate", None))
+        return run(cfg, certificate_path=certificate_path)
     except (ValueError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import omcert.certificate
 import omcert.contradiction
 import omcert.search
 from omcert import build_contradiction_certificate, build_search_instance, enumerate_survivors
@@ -248,6 +249,18 @@ class TestValidation:
             monkeypatch.setattr(module, "saturation_search", refuse)
         assert validate_search_document(search_doc) == []
         assert validate_contradiction_document(contradiction_doc) == []
+
+    def test_validation_builds_each_survivor_entry_once(self, monkeypatch, contradiction_doc):
+        built = []
+
+        def counted(record):
+            built.append(record)
+            return survivor_entry(record)
+
+        survivor_entry = omcert.certificate._survivor_entry
+        monkeypatch.setattr(omcert.certificate, "_survivor_entry", counted)
+        assert validate_contradiction_document(contradiction_doc) == []
+        assert len(built) == len(contradiction_doc["survivors"]) == 20
 
     @pytest.mark.parametrize("field", SEARCH_INSTANCE_FIELDS)
     def test_search_instance_metadata_checked(self, search_doc, field):

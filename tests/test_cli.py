@@ -9,20 +9,25 @@ from pathlib import Path
 import pytest
 
 from omcert.certificate import serialize_certificate
-from omcert.cli import main
+from omcert.cli import main, parse_args
+from reference import parse as reference_parse
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_import_leaves_out_dataclasses_and_inspect():
+def test_import_leaves_out_dataclasses_and_inspect(tmp_path):
     # a command-line run is mostly start-up: dataclasses pulls in inspect, ast,
-    # dis and tokenize. Only modules the import adds count, so a site hook
-    # that already imported them cannot fail this test.
+    # dis and tokenize, and argparse pulls in gettext, which imports locale
+    # when it parses. Only modules the run adds count, so a site hook that
+    # already imported them cannot fail this test.
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import omcert.cli\n"
+        "imported = set(sys.modules) - before\n"
+        f"assert omcert.cli.main(['all', '--output', {str(tmp_path / 'all.json')!r}]) == 0\n"
+        "print(' '.join(sorted(imported)))\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -30,9 +35,10 @@ def test_import_leaves_out_dataclasses_and_inspect():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
-    assert "omcert.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    imported, ran = (set(line.split()) for line in proc.stdout.splitlines())
+    assert "omcert.cli" in imported
+    assert not imported & {"dataclasses", "inspect"}
+    assert not ran & {"argparse", "gettext", "locale", "dataclasses", "inspect"}
 
 
 def run_cli(capsys, *argv):
@@ -234,3 +240,122 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["topes", "--family", "alternating", "--n", "4", "--rank", "9"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["all", "--bogus"],
+            ["all", "--output"],
+            ["all", "--output", "--threads", "2"],
+            ["all", "--out", "x.json"],  # no prefix abbreviations
+            ["all", "stray"],
+            ["topes", "--n", "six"],
+            ["topes", "--rank=4.0"],
+            ["lemma6", "--threads", "two"],
+            ["all", "--format", "xml"],
+            ["axioms", "--family=m3"],
+            ["strongmap", "--family", "m2"],
+            ["verify-n8", "--certificate"],
+        ],
+        ids=" ".join,
+    )
+    def test_usage_names_the_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: omcert {argv[0]} ")
+        assert f"omcert {argv[0]}: error: " in err
+
+
+# Command lines that the argparse parser in tests/reference.py and cli.parse_args
+# must read alike: every command and option, both value forms, repeats, values
+# that start with a dash, and the usage errors above.
+PARSER_CORPUS = [
+    ["topes"],
+    ["topes", "--family", "m2", "--n", "8", "--format", "text", "--output", "t.txt"],
+    ["topes", "--family=alternating", "--n=7", "--rank=3", "--format=json", "--output=t.json"],
+    ["axioms", "--family", "m2", "--n", "4"],
+    ["axioms", "--n", "5", "--rank", "2", "--n", "6"],
+    ["strongmap"],
+    ["strongmap", "--n", "8", "--rank", "4", "--format", "text"],
+    ["strongmap", "--rank=2", "--n=4", "--output", "-"],
+    ["lemma6", "--threads", "3", "--threads=1"],
+    ["lemma6", "--output=", "--format", "text"],
+    ["verify-n8", "--certificate", "search.json", "--threads", "2"],
+    ["verify-n8", "--certificate", ""],
+    ["verify-n8", "--certificate=a=b", "--certificate", "c.json"],
+    ["all"],
+    ["all", "--threads", "+2", "--format=text", "--output", "all.json"],
+    ["all", "--threads", "-1"],
+    ["all", "--threads", " 3 "],
+    ["topes", "--n", "-4"],
+    ["topes", "--family", "m2", "--n", "5"],
+    ["strongmap", "--n", "7"],
+    ["topes", "--family", "m2", "--n", "6", "--rank", "3"],
+    ["lemma6", "--threads", "0"],
+    ["frobnicate"],
+    [],
+    ["--format", "json", "all"],
+    ["topes", "--family", "alternating", "--n", "4", "--rank", "9"],
+    ["topes", "--n", "33"],
+    ["all", "--bogus", "--threads", "2"],
+    ["all", "--output"],
+    ["all", "--output", "--threads"],
+    ["all", "--output", "-o"],
+    ["all", "--threads", "x"],
+    ["all", "--threads="],
+    ["all", "--format", "xml"],
+    ["topes", "--family", "m3"],
+    ["topes", "--certificate", "c.json"],
+    ["lemma6", "--n", "6"],
+    ["all", "stray"],
+    ["all", "-"],
+    ["all", "--help=1"],
+]
+
+
+def parsed(parse, argv):
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        return f"exit {exc.code}"
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "empty")
+def test_parser_matches_argparse_reference(capsys, argv):
+    expected = parsed(reference_parse, argv)
+    assert parsed(parse_args, argv) == expected
+    assert expected == "exit 2" or type(expected) is tuple
+
+
+HELP_OPTIONS = {
+    "topes": ["--format", "--output", "--family", "--n", "--rank"],
+    "axioms": ["--format", "--output", "--family", "--n", "--rank"],
+    "strongmap": ["--format", "--output", "--n", "--rank"],
+    "lemma6": ["--format", "--output", "--threads"],
+    "verify-n8": ["--format", "--output", "--threads", "--certificate"],
+    "all": ["--format", "--output", "--threads"],
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_command(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: omcert ")
+    listed = [line.split()[0] for line in out.split("commands:\n")[1].splitlines()]
+    assert listed == list(HELP_OPTIONS)
+
+
+@pytest.mark.parametrize("command", HELP_OPTIONS)
+def test_help_lists_every_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: omcert {command} [-h] ")
+    listed = [line.split()[0] for line in out.split("options:\n")[1].splitlines()]
+    assert listed == ["-h,", *HELP_OPTIONS[command]]
