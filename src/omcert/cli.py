@@ -263,7 +263,7 @@ _OPTIONS = {
     "--certificate": ("PATH", str, "reuse an emitted search certificate instead of re-running the search"),
 }
 _EMIT = ("--format", "--output")
-# command -> (help, options); an option not given takes its RunConfig default
+# command -> (help, options); an option not given keeps the default _config_from_args gives it
 _COMMANDS = {
     "topes": ("list canonical topes of one instance", (*_EMIT, "--family", "--n", "--rank")),
     "axioms": ("axiom reports for one instance", (*_EMIT, "--family", "--n", "--rank")),
