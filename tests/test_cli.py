@@ -207,6 +207,23 @@ class TestVerifyPipeline:
         assert "verdict: nonfactorizable" in out
 
 
+# Malformed option lists: unknown or missing options and values, bad types and choices
+COMMAND_ERRORS = [
+    ["all", "--bogus"],
+    ["all", "--output"],
+    ["all", "--output", "--threads", "2"],
+    ["all", "stray"],
+    ["topes", "--n", "six"],
+    ["topes", "--rank=4.0"],
+    ["lemma6", "--threads", "two"],
+    ["all", "--format", "xml"],
+    ["axioms", "--family=m3"],
+    ["strongmap", "--family", "m2"],
+    ["verify-n8", "--certificate"],
+]
+ABBREVIATED = ["all", "--out", "x.json"]  # argparse read this as --output; omcert does not
+
+
 class TestUsageErrors:
     def test_odd_n_for_m2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -241,24 +258,7 @@ class TestUsageErrors:
             main(["topes", "--family", "alternating", "--n", "4", "--rank", "9"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["all", "--bogus"],
-            ["all", "--output"],
-            ["all", "--output", "--threads", "2"],
-            ["all", "--out", "x.json"],  # no prefix abbreviations
-            ["all", "stray"],
-            ["topes", "--n", "six"],
-            ["topes", "--rank=4.0"],
-            ["lemma6", "--threads", "two"],
-            ["all", "--format", "xml"],
-            ["axioms", "--family=m3"],
-            ["strongmap", "--family", "m2"],
-            ["verify-n8", "--certificate"],
-        ],
-        ids=" ".join,
-    )
+    @pytest.mark.parametrize("argv", [ABBREVIATED, *COMMAND_ERRORS], ids=" ".join)
     def test_usage_names_the_command(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -270,7 +270,7 @@ class TestUsageErrors:
 
 # Command lines that the argparse parser in tests/reference.py and cli.parse_args
 # must read alike: every command and option, both value forms, repeats, values
-# that start with a dash, and the usage errors above.
+# that start with a dash, and every usage error in TestUsageErrors but ABBREVIATED.
 PARSER_CORPUS = [
     ["topes"],
     ["topes", "--family", "m2", "--n", "8", "--format", "text", "--output", "t.txt"],
@@ -300,18 +300,16 @@ PARSER_CORPUS = [
     ["topes", "--family", "alternating", "--n", "4", "--rank", "9"],
     ["topes", "--n", "33"],
     ["all", "--bogus", "--threads", "2"],
-    ["all", "--output"],
     ["all", "--output", "--threads"],
     ["all", "--output", "-o"],
     ["all", "--threads", "x"],
     ["all", "--threads="],
-    ["all", "--format", "xml"],
     ["topes", "--family", "m3"],
     ["topes", "--certificate", "c.json"],
     ["lemma6", "--n", "6"],
-    ["all", "stray"],
     ["all", "-"],
     ["all", "--help=1"],
+    *COMMAND_ERRORS,
 ]
 
 
