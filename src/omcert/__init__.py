@@ -35,7 +35,6 @@ from .matroid import (
     TopeSet,
     UniformTopeReport,
     alternating_chirotope,
-    alternating_topes_direct,
     canonical_tope_count,
     check_covector_axioms,
     check_uniform_tope_axioms,
@@ -59,7 +58,6 @@ from .search import (
 from .signed_vector import SignedVector, sign_string_key
 from .strong_map import (
     StrongMapVerdict,
-    is_covector_by_extension,
     is_strong_map_covectors,
     is_strong_map_topes,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "UniformTopeReport",
     "VerificationError",
     "alternating_chirotope",
-    "alternating_topes_direct",
     "build_contradiction_certificate",
     "build_search_instance",
     "canonical_tope_count",
@@ -96,7 +93,6 @@ __all__ = [
     "covectors_from_topes",
     "direct_search_n8",
     "enumerate_survivors",
-    "is_covector_by_extension",
     "is_strong_map_covectors",
     "is_strong_map_topes",
     "lift_through_restriction",

@@ -8,6 +8,7 @@ is a derived human-readable summary.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from typing import Any, NamedTuple, NoReturn
@@ -19,6 +20,7 @@ from .certificate import (
 )
 from .contradiction import build_contradiction_certificate
 from .matroid import (
+    COVER_BOUND,
     Chirotope,
     alternating_chirotope,
     canonical_tope_count,
@@ -316,6 +318,11 @@ def _config_from_args(command: str, args: dict[str, Any]) -> RunConfig:
         _usage_error(command, f"n must be within 1..32, got {n}")
     if not 1 <= rank <= n:
         _usage_error(command, f"rank must be within 1..n, got rank={rank}, n={n}")
+    # refuse up front what the tope cover would refuse after building everything
+    completions = math.comb(n, rank - 1) << (rank - 1)
+    if completions > COVER_BOUND:
+        why = f"its tope cover visits {completions} completions, more than {COVER_BOUND}"
+        _usage_error(command, f"n={n}, rank={rank} is too large: {why}")
     if args.get("threads", 1) < 1:
         _usage_error(command, f"threads must be >= 1, got {args['threads']}")
     return RunConfig(command, n, rank, family, args.get("output"), args.get("format", "json"))

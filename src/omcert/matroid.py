@@ -14,7 +14,9 @@ rank-2 chirotope induced by the permutation swapping adjacent pairs
 
 Only uniform chirotopes are supported by the cocircuit reader; everything
 downstream enumerates explicitly, so ground sets are expected to stay small
-(n <= 8 for the shipped instances, hard guards well above that).
+(n <= 8 for the shipped instances). The guards sit well above that: the tope
+cover stops after ``COVER_BOUND`` completions, covectors are enumerated up to
+n = 10, and the command line refuses a larger cover before building anything.
 
 ``Chirotope``, ``TopeSet`` and ``CovectorSet`` are immutable value types on
 ``signed_vector.Immutable``: a hand-written ``__init__`` runs the
@@ -29,10 +31,13 @@ from functools import cache, cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .signed_vector import Immutable, SignedVector
+from .signed_vector import Immutable, SignedVector, increasing_subset
 
 # largest ground set for which covectors are enumerated (3**n candidates)
 _COVECTOR_ENUM_LIMIT = 10
+
+# most completions the tope cover visits; rank r on n elements needs C(n, r-1) * 2**(r-1)
+COVER_BOUND = 200_000
 
 # cap on stored axiom violations; counts past the cap are not recorded
 _VIOLATION_CAP = 32
@@ -119,12 +124,7 @@ class Chirotope(Immutable):
         The rank must survive: some r-subset of ``keep`` must carry a nonzero
         sign, otherwise the restriction is rejected.
         """
-        keep = tuple(keep)
-        prev = 0
-        for e in keep:
-            if not prev < e <= self.n:
-                raise ValueError(f"keep must be strictly increasing within 1..{self.n}, got {keep}")
-            prev = e
+        keep = increasing_subset(keep, self.n, "keep")
         if len(keep) < self.r:
             raise ValueError(f"cannot keep {len(keep)} elements at rank {self.r}")
         vals = tuple(
@@ -364,11 +364,7 @@ class CovectorSet(Immutable):
         return v in self.covectors
 
 
-def topes_from_cocircuits(
-    cocircuits: Iterable[SignedVector],
-    n: int,
-    safety_bound: int = 200_000,
-) -> TopeSet:
+def topes_from_cocircuits(cocircuits: Iterable[SignedVector], n: int) -> TopeSet:
     """Topes as the full-support vectors covered by their conformal cocircuits.
 
     Every covector of an oriented matroid is the composition of the
@@ -379,7 +375,7 @@ def topes_from_cocircuits(
     signed cocircuit ORs its support into the cover of every canonical
     completion of its zero set; the topes are the completions covered
     everywhere. The rank is read off the (uniform) cocircuit support size.
-    ``safety_bound`` caps the completions visited, guarding against
+    ``COVER_BOUND`` caps the completions visited, guarding against
     malformed input with large zero sets.
     """
     signed: list[tuple[int, int]] = []
@@ -400,7 +396,7 @@ def topes_from_cocircuits(
 
     full = (1 << n) - 1
     cover: dict[int, int] = {}  # positive mask of a canonical completion -> covered elements
-    visited = 0
+    visited, bound = 0, COVER_BOUND
     for cp, cn in signed:
         if cn & 1:
             continue  # every completion is negative at element 1, so not canonical
@@ -413,8 +409,8 @@ def topes_from_cocircuits(
             pos = base | (free & ~neg)
             cover[pos] = cover.get(pos, 0) | support
             visited += 1
-            if visited > safety_bound:
-                raise ValueError(f"conformal cover exceeded {safety_bound} completions; malformed input?")
+            if visited > bound:
+                raise ValueError(f"conformal cover exceeded {bound} completions; malformed input?")
             if not neg:
                 break
             neg = (neg - 1) & free
@@ -428,22 +424,6 @@ def topes_from_cocircuits(
 def topes_of(chi: Chirotope) -> TopeSet:
     """Tope set of a uniform chirotope via the conformal cover of its cocircuits."""
     return topes_from_cocircuits(chi.cocircuits(), chi.n)
-
-
-def alternating_topes_direct(n: int, r: int) -> TopeSet:
-    """Topes of the alternating instance straight from the sign-change rule:
-    canonical full-support vectors with at most r-1 sign changes."""
-    if not 1 <= r <= n:
-        raise ValueError(f"rank must be within 1..{n}, got {r}")
-    topes = set()
-    for bits in range(1 << (n - 1)):
-        signs = ["+"]
-        for i in range(n - 1):
-            signs.append("-" if bits >> i & 1 else "+")
-        changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-        if changes <= r - 1:
-            topes.add(SignedVector.parse("".join(signs)))
-    return TopeSet(n, r, frozenset(topes))
 
 
 def covectors_from_topes(topes: TopeSet) -> CovectorSet:
@@ -612,9 +592,6 @@ class UniformTopeReport(NamedTuple):
     def passed(self) -> bool:
         return self.count_ok and self.vc_ok
 
-    def witness_map(self) -> dict[tuple[int, ...], SignedVector]:
-        return dict(self.witnesses)
-
 
 @cache
 def _pattern_vector(n: int, subset: tuple[int, ...], pid: int) -> SignedVector:
@@ -688,12 +665,7 @@ def circuit_on_support(topes: TopeSet, subset: tuple[int, ...] | list[int]) -> S
     Raises if no pattern or more than one pattern qualifies (either means the
     input is not the tope set of a uniform oriented matroid at this rank).
     """
-    q = tuple(subset)
-    prev = 0
-    for e in q:
-        if not prev < e <= topes.n:
-            raise ValueError(f"support must be strictly increasing within 1..{topes.n}, got {q}")
-        prev = e
+    q = increasing_subset(subset, topes.n, "support")
     if len(q) != topes.r + 1:
         raise ValueError(f"support size must be rank+1 = {topes.r + 1}, got {len(q)}")
     hit = topes.hit_patterns[_subset_ranks(topes.n, len(q))[q]]

@@ -178,29 +178,17 @@ def build_search_instance(n: int = SEARCH_N) -> SearchInstance:
 # ----------------------------------------------------------------------
 
 
-class PatternMasks(NamedTuple):
-    """The kernel's bit tables for one instance."""
-
-    base: int  # OR of the base topes' pattern masks
-    pool: tuple[int, ...]  # one pattern mask per pool tope
-    low: int  # the lowest bit of every byte
-
-
-def pattern_masks(instance: SearchInstance) -> PatternMasks:
-    """Each tope's ``matroid.pattern_bytes`` at the instance's rank 3: one
-    byte per 4-subset, in lexicographic order, holding the bit of the
-    canonical pattern the tope's restriction produces there, the same fields
-    a tope set's ``hit_patterns`` splits apart. ORing tope masks accumulates
-    the hit patterns; a byte reaching 0xFF means all 8 are hit."""
+def pattern_masks(instance: SearchInstance) -> tuple[int, tuple[int, ...]]:
+    """The base topes' OR and each pool tope's ``matroid.pattern_bytes`` at
+    the instance's rank 3: one byte per 4-subset, in lexicographic order,
+    holding the bit of the canonical pattern the tope's restriction produces
+    there, the fields a tope set's ``hit_patterns`` splits apart. ORing tope
+    masks accumulates the hit patterns; a byte reaching 0xFF means all 8 are hit."""
     n, r = instance.n, instance.rank
     base = 0
     for t in instance.base:
         base |= pattern_bytes(t.neg, n, r)
-    return PatternMasks(
-        base=base,
-        pool=tuple(pattern_bytes(t.neg, n, r) for t in instance.pool),
-        low=int.from_bytes(b"\x01" * len(instance.supports), "little"),
-    )
+    return base, tuple(pattern_bytes(t.neg, n, r) for t in instance.pool)
 
 
 class SaturationRun(NamedTuple):
@@ -245,17 +233,16 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    masks = pattern_masks(instance)
-    pool_masks, low = masks.pool, masks.low
-    npool, choose = len(pool_masks), instance.choose
-    full, high = (1 << 8 * len(instance.supports)) - 1, low << 7
+    mask, pool_masks = pattern_masks(instance)
+    npool, choose, nbytes = len(pool_masks), instance.choose, len(instance.supports)
+    low = int.from_bytes(b"\x01" * nbytes, "little")  # the lowest bit of every byte
+    full, high = (1 << 8 * nbytes) - 1, low << 7
     seven = high - low  # 0x7F in every byte
     below = [[]] + [[math.comb(npool - i - 1, k) for i in range(npool)] for k in range(choose)]
     limit = -1 if budget is None else budget  # nodes never reaches -1
     found: list[tuple[int, ...]] = []
     nodes = credited = 0
     picks, saved_mask, saved_crit = [0] * choose, [0] * choose, [0] * choose
-    mask = masks.base
     x = full ^ mask
     if (x - low) & ~x & high:  # the base saturates a byte (Mycroft's zero-byte test)
         crit = full

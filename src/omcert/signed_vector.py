@@ -17,9 +17,6 @@ from __future__ import annotations
 
 MAX_ELEMENTS = 32
 
-# refuse enumerating more than 2**20 full-support completions
-_EXTENSION_GUARD = 20
-
 _SIGN_ORDER = str.maketrans("+-0", "ABC")
 
 
@@ -31,6 +28,18 @@ def sign_string_key(text: str) -> str:
 def _check_n(n: int) -> None:
     if not isinstance(n, int) or not 1 <= n <= MAX_ELEMENTS:
         raise ValueError(f"ground set size must be an integer in 1..{MAX_ELEMENTS}, got {n!r}")
+
+
+def increasing_subset(items: tuple[int, ...] | list[int], n: int, what: str) -> tuple[int, ...]:
+    """``items`` as a tuple; raises, naming it ``what``, unless it is strictly
+    increasing within 1..n."""
+    items = tuple(items)
+    prev = 0
+    for e in items:
+        if not prev < e <= n:
+            raise ValueError(f"{what} must be strictly increasing within 1..{n}, got {items}")
+        prev = e
+    return items
 
 
 class Immutable:
@@ -106,15 +115,6 @@ class SignedVector(Immutable):
                 raise ValueError(f"illegal character {ch!r} at position {i + 1}")
         return SignedVector(n, pos, neg)
 
-    @staticmethod
-    def zero(n: int) -> SignedVector:
-        return SignedVector(n, 0, 0)
-
-    @staticmethod
-    def all_plus(n: int) -> SignedVector:
-        _check_n(n)
-        return SignedVector(n, (1 << n) - 1, 0)
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
@@ -134,15 +134,8 @@ class SignedVector(Immutable):
     def support_mask(self) -> int:
         return self.pos | self.neg
 
-    def support(self) -> frozenset[int]:
-        m = self.support_mask
-        return frozenset(e for e in range(1, self.n + 1) if m >> (e - 1) & 1)
-
     def support_size(self) -> int:
         return self.support_mask.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.support_mask == 0
 
     def has_full_support(self) -> bool:
         return self.support_mask == (1 << self.n) - 1
@@ -176,9 +169,6 @@ class SignedVector(Immutable):
     def opposite(self) -> SignedVector:
         return SignedVector(self.n, self.neg, self.pos)
 
-    def __neg__(self) -> SignedVector:
-        return self.opposite()
-
     def is_canonical(self) -> bool:
         """True iff the lowest-index nonzero sign is positive (or all zero)."""
         supp = self.support_mask
@@ -188,36 +178,8 @@ class SignedVector(Immutable):
         """The member of {X, -X} whose first nonzero sign is positive."""
         return self if self.is_canonical() else self.opposite()
 
-    def _require_same_ground(self, other: SignedVector) -> None:
-        if self.n != other.n:
-            raise ValueError(f"ground-set mismatch: {self.n} vs {other.n}")
-
-    def compose(self, other: SignedVector) -> SignedVector:
-        """Componentwise: this vector's sign where nonzero, the other's elsewhere."""
-        self._require_same_ground(other)
-        free = ~self.support_mask
-        return SignedVector(self.n, self.pos | (other.pos & free), self.neg | (other.neg & free))
-
-    def separation_set(self, other: SignedVector) -> frozenset[int]:
-        """Elements where the two vectors carry opposite nonzero signs."""
-        self._require_same_ground(other)
-        m = (self.pos & other.neg) | (self.neg & other.pos)
-        return frozenset(e for e in range(1, self.n + 1) if m >> (e - 1) & 1)
-
-    def conforms(self, other: SignedVector) -> bool:
-        """Conformal order: both supports of this vector sit inside the other's."""
-        self._require_same_ground(other)
-        return not (self.pos & ~other.pos) and not (self.neg & ~other.neg)
-
-    def perpendicular(self, other: SignedVector) -> bool:
-        """True iff the componentwise product has its +1 and -1 sets both empty or both nonempty."""
-        self._require_same_ground(other)
-        agree = (self.pos & other.pos) | (self.neg & other.neg)
-        clash = (self.pos & other.neg) | (self.neg & other.pos)
-        return (agree == 0) == (clash == 0)
-
     # ------------------------------------------------------------------
-    # restriction and extension
+    # restriction
     # ------------------------------------------------------------------
 
     def restrict(self, keep: tuple[int, ...] | list[int]) -> SignedVector:
@@ -225,14 +187,9 @@ class SignedVector(Immutable):
 
         ``keep`` must be nonempty and strictly increasing within 1..n.
         """
-        keep = tuple(keep)
+        keep = increasing_subset(keep, self.n, "keep")
         if not keep:
             raise ValueError("keep must be nonempty")
-        prev = 0
-        for e in keep:
-            if not prev < e <= self.n:
-                raise ValueError(f"keep must be strictly increasing within 1..{self.n}, got {keep}")
-            prev = e
         pos = neg = 0
         for j, e in enumerate(keep):
             bit = 1 << (e - 1)
@@ -241,20 +198,3 @@ class SignedVector(Immutable):
             elif self.neg & bit:
                 neg |= 1 << j
         return SignedVector(len(keep), pos, neg)
-
-    def full_support_extensions(self) -> frozenset[SignedVector]:
-        """All sign vectors agreeing with this one on its support, with full support."""
-        free = [i for i in range(self.n) if not self.support_mask >> i & 1]
-        z = len(free)
-        if z > _EXTENSION_GUARD:
-            raise ValueError(f"{z} free positions exceed the 2**{_EXTENSION_GUARD} enumeration guard")
-        out = []
-        for assign in range(1 << z):
-            pos, neg = self.pos, self.neg
-            for j, i in enumerate(free):
-                if assign >> j & 1:
-                    neg |= 1 << i
-                else:
-                    pos |= 1 << i
-            out.append(SignedVector(self.n, pos, neg))
-        return frozenset(out)

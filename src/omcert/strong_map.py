@@ -8,7 +8,7 @@ the covector-containment method is kept as the independent cross-check.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .matroid import CovectorSet, TopeSet
 from .signed_vector import SignedVector
@@ -29,44 +29,22 @@ class StrongMapVerdict(NamedTuple):
 
 def is_strong_map_topes(source: TopeSet, target: TopeSet) -> StrongMapVerdict:
     """Tope-inclusion criterion: valid when the target is uniform (caller asserts)."""
-    if source.n != target.n:
-        raise ValueError(f"ground-set mismatch: {source.n} vs {target.n}")
-    missing = sorted(
-        (t for t in target.topes if t not in source.topes), key=SignedVector.order_key
-    )
-    return StrongMapVerdict(
-        holds=not missing,
-        method=TOPE_INCLUSION,
-        corank=source.r - target.r,
-        witness=missing[0] if missing else None,
-    )
+    return _verdict(TOPE_INCLUSION, source, target, source.topes, target.topes)
 
 
 def is_strong_map_covectors(source: CovectorSet, target: CovectorSet) -> StrongMapVerdict:
     """Covector containment: every target covector must be a source covector."""
+    return _verdict(COVECTOR_CONTAINMENT, source, target, source.covectors, target.covectors)
+
+
+def _verdict(method: str, source: Any, target: Any, have: frozenset, want: frozenset) -> StrongMapVerdict:
+    """Whether ``want`` (the target's vectors) lies inside ``have`` (the source's)."""
     if source.n != target.n:
         raise ValueError(f"ground-set mismatch: {source.n} vs {target.n}")
-    missing = sorted(
-        (v for v in target.covectors if v not in source.covectors),
-        key=SignedVector.order_key,
-    )
+    missing = sorted((v for v in want if v not in have), key=SignedVector.order_key)
     return StrongMapVerdict(
         holds=not missing,
-        method=COVECTOR_CONTAINMENT,
+        method=method,
         corank=source.r - target.r,
         witness=missing[0] if missing else None,
     )
-
-
-def is_covector_by_extension(x: SignedVector, topes: TopeSet) -> bool:
-    """Covector membership via full-support completion.
-
-    In a uniform oriented matroid, x is a covector iff every full-support
-    vector conforming to x is a tope: each completion collapses back to x by
-    repeated single-index elimination. The pipeline does not call this; it is
-    kept as the independent oracle the tests compare ``covectors_from_topes``
-    against.
-    """
-    if x.n != topes.n:
-        raise ValueError(f"ground-set mismatch: {x.n} vs {topes.n}")
-    return all(ext.canonical() in topes.topes for ext in x.full_support_extensions())

@@ -1,5 +1,13 @@
 """Independent reference implementations that tests use as oracles.
 
+The sign-vector relations (``compose``, ``conforms``, ``perpendicular``,
+``full_support_extensions``) follow their textbook definitions. On top of
+them, ``is_covector_by_extension`` decides covector membership by full-support
+completion, and ``alternating_topes_direct`` lists the alternating instance's
+topes by the sign-change rule; the tests compare the library's cocircuit,
+tope, covector and circuit computations against them. The library itself
+calls none of these.
+
 ``parse`` is the argparse command line that ``omcert.cli`` had before its
 table-driven parser; the two must agree on every run configuration and
 certificate path, and on which command lines are usage errors.
@@ -10,6 +18,85 @@ from __future__ import annotations
 import argparse
 
 from omcert.cli import RunConfig
+from omcert.matroid import TopeSet
+from omcert.signed_vector import SignedVector
+
+# refuse enumerating more than 2**20 full-support completions
+_EXTENSION_GUARD = 20
+
+
+def _require_same_ground(x: SignedVector, y: SignedVector) -> None:
+    if x.n != y.n:
+        raise ValueError(f"ground-set mismatch: {x.n} vs {y.n}")
+
+
+def compose(x: SignedVector, y: SignedVector) -> SignedVector:
+    """Componentwise: the sign of ``x`` where nonzero, the sign of ``y`` elsewhere."""
+    _require_same_ground(x, y)
+    free = ~x.support_mask
+    return SignedVector(x.n, x.pos | (y.pos & free), x.neg | (y.neg & free))
+
+
+def conforms(x: SignedVector, y: SignedVector) -> bool:
+    """Conformal order: both supports of ``x`` sit inside the same-signed ones of ``y``."""
+    _require_same_ground(x, y)
+    return not (x.pos & ~y.pos) and not (x.neg & ~y.neg)
+
+
+def perpendicular(x: SignedVector, y: SignedVector) -> bool:
+    """The componentwise product has its +1 and -1 sets both empty or both nonempty."""
+    _require_same_ground(x, y)
+    agree = (x.pos & y.pos) | (x.neg & y.neg)
+    clash = (x.pos & y.neg) | (x.neg & y.pos)
+    return (agree == 0) == (clash == 0)
+
+
+def full_support_extensions(x: SignedVector) -> frozenset[SignedVector]:
+    """Every sign vector that agrees with ``x`` on its support and has full support."""
+    free = [i for i in range(x.n) if not x.support_mask >> i & 1]
+    if len(free) > _EXTENSION_GUARD:
+        raise ValueError(
+            f"{len(free)} free positions exceed the 2**{_EXTENSION_GUARD} enumeration guard"
+        )
+    out = []
+    for assign in range(1 << len(free)):
+        pos, neg = x.pos, x.neg
+        for j, i in enumerate(free):
+            if assign >> j & 1:
+                neg |= 1 << i
+            else:
+                pos |= 1 << i
+        out.append(SignedVector(x.n, pos, neg))
+    return frozenset(out)
+
+
+def is_covector_by_extension(x: SignedVector, topes: TopeSet) -> bool:
+    """Covector membership via full-support completion.
+
+    In a uniform oriented matroid, x is a covector iff every full-support
+    vector conforming to x is a tope: each completion collapses back to x by
+    repeated single-index elimination. The zero vector is the exception: it
+    is always a covector, but this criterion accepts it only at full rank.
+    """
+    if x.n != topes.n:
+        raise ValueError(f"ground-set mismatch: {x.n} vs {topes.n}")
+    return all(ext.canonical() in topes.topes for ext in full_support_extensions(x))
+
+
+def alternating_topes_direct(n: int, r: int) -> TopeSet:
+    """Topes of the alternating instance straight from the sign-change rule:
+    canonical full-support vectors with at most r-1 sign changes."""
+    if not 1 <= r <= n:
+        raise ValueError(f"rank must be within 1..{n}, got {r}")
+    topes = set()
+    for bits in range(1 << (n - 1)):
+        signs = ["+"]
+        for i in range(n - 1):
+            signs.append("-" if bits >> i & 1 else "+")
+        changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        if changes <= r - 1:
+            topes.add(SignedVector.parse("".join(signs)))
+    return TopeSet(n, r, frozenset(topes))
 
 
 def build_parser() -> argparse.ArgumentParser:

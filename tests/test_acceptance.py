@@ -13,7 +13,6 @@ from itertools import combinations
 
 from omcert import (
     alternating_chirotope,
-    alternating_topes_direct,
     check_covector_axioms,
     check_uniform_tope_axioms,
     circuit_on_support,
@@ -28,6 +27,7 @@ from omcert.certificate import validate_contradiction_document
 from omcert.cli import main
 from omcert.signed_vector import SignedVector
 from omcert.strong_map import is_strong_map_covectors, is_strong_map_topes
+from reference import alternating_topes_direct, conforms, perpendicular
 
 sv = SignedVector.parse
 
@@ -158,8 +158,8 @@ def test_criterion_6_property_suites(alt64, swap6, search_certificate):
     for ts, cov in covector_sets:
         for q in combinations(range(1, ts.n + 1), ts.r + 1):
             circuit = circuit_on_support(ts, q)
-            ok = ok and all(circuit.perpendicular(t) for t in ts.topes)
-            ok = ok and all(circuit.perpendicular(v) for v in cov.covectors)
+            ok = ok and all(perpendicular(circuit, t) for t in ts.topes)
+            ok = ok and all(perpendicular(circuit, v) for v in cov.covectors)
 
     # cocircuits equal the minimal nonzero covectors
     for chi, ts, cov in (
@@ -167,9 +167,9 @@ def test_criterion_6_property_suites(alt64, swap6, search_certificate):
         (alternating_chirotope(6, 4), alt64, covector_sets[1][1]),
         (pair_swap_chirotope(6), swap6, covector_sets[2][1]),
     ):
-        nonzero = [v for v in cov.covectors if not v.is_zero()]
+        nonzero = [v for v in cov.covectors if v.support_mask]
         minimal = {
-            v.canonical() for v in nonzero if not any(w != v and w.conforms(v) for w in nonzero)
+            v.canonical() for v in nonzero if not any(w != v and conforms(w, v) for w in nonzero)
         }
         ok = ok and minimal == chi.cocircuits()
 

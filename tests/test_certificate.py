@@ -145,6 +145,26 @@ class TestSerialization:
         assert main(["lemma6", "--threads", "1000000", "--output", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SEARCH_SHA256
 
+    def test_verify_n8_output_bytes_pinned(self, tmp_path, capsys):
+        # the output is rebuilt, not copied from the input: reordering every
+        # object's keys in the search certificate leaves its bytes unchanged
+        def keys_reversed(value):
+            if type(value) is dict:
+                return {key: keys_reversed(value[key]) for key in reversed(value)}
+            if type(value) is list:
+                return [keys_reversed(item) for item in value]
+            return value
+
+        search = tmp_path / "search.json"
+        assert main(["lemma6", "--output", str(search)]) == 0
+        reversed_search = tmp_path / "reversed.json"
+        reversed_search.write_text(json.dumps(keys_reversed(json.loads(search.read_bytes()))))
+        for certificate in (search, reversed_search):
+            out = tmp_path / f"full-from-{certificate.stem}.json"
+            argv = ["verify-n8", "--certificate", str(certificate), "--output", str(out)]
+            assert main(argv) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == FULL_SHA256
+
     def test_round_trip(self, search_certificate, search_doc):
         rebuilt = search_certificate_from_document(search_doc)
         assert serialize_certificate(rebuilt) == serialize_certificate(search_certificate)

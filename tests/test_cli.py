@@ -268,6 +268,39 @@ class TestUsageErrors:
         assert f"omcert {argv[0]}: error: " in err
 
 
+# Instances whose tope cover passes matroid.COVER_BOUND: C(n, rank-1) * 2**(rank-1)
+# completions. They are usage errors, found before anything is built, and stay out
+# of COMMAND_ERRORS and PARSER_CORPUS: the argparse reference knows no instance size.
+OVERSIZED = [
+    ["topes", "--n", "32", "--rank", "16"],
+    ["axioms", "--n", "24", "--rank", "12"],
+    ["strongmap", "--n", "32", "--rank", "8"],
+]
+
+
+class TestOversizedInstances:
+    @pytest.mark.parametrize("argv", OVERSIZED, ids=" ".join)
+    def test_refused_before_building(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: omcert {argv[0]} ")
+        assert "is too large: its tope cover visits" in err
+
+    def test_largest_ground_set_at_small_rank_parses(self):
+        cfg, _ = parse_args(["topes", "--n", "32", "--rank", "3"])
+        assert (cfg.command, cfg.n, cfg.rank) == ("topes", 32, 3)
+
+    def test_boundary_follows_the_cover_size(self, capsys):
+        # C(24, 4) * 2**4 = 170,016 completions are within the bound; C(25, 4) * 2**4 = 202,400 are not
+        assert parse_args(["topes", "--n", "24", "--rank", "5"])[0].n == 24
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["topes", "--n", "25", "--rank", "5"])
+        assert exc.value.code == 2
+        assert "visits 202400 completions, more than 200000" in capsys.readouterr().err
+
+
 # Command lines that the argparse parser in tests/reference.py and cli.parse_args
 # must read alike: every command and option, both value forms, repeats, values
 # that start with a dash, and every usage error in TestUsageErrors but ABBREVIATED.

@@ -1,15 +1,15 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import omcert.matroid
 from omcert.matroid import (
     Chirotope,
     TopeSet,
     alternating_chirotope,
-    alternating_topes_direct,
     canonical_tope_count,
     check_covector_axioms,
     check_uniform_tope_axioms,
@@ -24,6 +24,7 @@ from omcert.matroid import (
     topes_of,
 )
 from omcert.signed_vector import SignedVector
+from reference import alternating_topes_direct, compose, conforms, perpendicular
 
 sv = SignedVector.parse
 
@@ -269,10 +270,24 @@ class TestTopeGeneration:
         strings = set(alternating_topes_direct(6, 4).strings())
         assert "+-+---" in strings and "+----+" in strings
 
-    def test_safety_bound(self):
+    def test_safety_bound(self, monkeypatch):
         cocircuits = alternating_chirotope(6, 4).cocircuits()
-        with pytest.raises(ValueError):
-            topes_from_cocircuits(cocircuits, 6, safety_bound=10)
+        monkeypatch.setattr(omcert.matroid, "COVER_BOUND", 10)
+        with pytest.raises(ValueError, match="exceeded 10 completions"):
+            topes_from_cocircuits(cocircuits, 6)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cover_visits_the_closed_form(self, monkeypatch, n):
+        # the command line refuses an instance by this count before building it
+        for chi in [alternating_chirotope(n, r) for r in range(1, n + 1)] + (
+            [] if n % 2 else [pair_swap_chirotope(n)]
+        ):
+            completions = math.comb(n, chi.r - 1) << (chi.r - 1)
+            monkeypatch.setattr(omcert.matroid, "COVER_BOUND", completions)
+            assert len(topes_of(chi)) == canonical_tope_count(n, chi.r)
+            monkeypatch.setattr(omcert.matroid, "COVER_BOUND", completions - 1)
+            with pytest.raises(ValueError, match="conformal cover exceeded"):
+                topes_of(chi)
 
     def test_bad_cocircuit_input(self):
         with pytest.raises(ValueError):
@@ -303,16 +318,28 @@ class TestCovectors:
 
     def test_contains_zero_topes_opposites(self, swap6):
         cov = covectors_from_topes(swap6)
-        assert SignedVector.zero(6) in cov
+        assert SignedVector(6, 0, 0) in cov
         for t in swap6.topes:
-            assert t in cov and -t in cov
+            assert t in cov and t.opposite() in cov
+
+    def test_matches_composition_definition(self, alt64, swap6, search_certificate):
+        # X is a covector iff X composed with every tope (either sign) is a tope
+        for ts in (alt64, swap6, search_certificate.survivors[0].tope_set()):
+            signed = [*ts.topes, *(t.opposite() for t in ts.topes)]
+            expected = {
+                x
+                for signs in product("+-0", repeat=ts.n)
+                for x in [sv("".join(signs))]
+                if all(compose(x, t).canonical() in ts.topes for t in signed)
+            }
+            assert covectors_from_topes(ts).covectors == expected
 
     def test_not_a_covector(self, alt64):
         # its completion +-+--- has four sign changes, so it cannot extend to topes only
         assert sv("+-+-00") not in covectors_from_topes(alt64)
 
     def test_enum_guard(self):
-        big = TopeSet(11, 1, frozenset({SignedVector.all_plus(11)}))
+        big = TopeSet(11, 1, frozenset({SignedVector(11, (1 << 11) - 1, 0)}))
         with pytest.raises(ValueError):
             covectors_from_topes(big)
 
@@ -323,11 +350,11 @@ class TestCovectors:
             (alternating_chirotope(4, 2), topes_of(alternating_chirotope(4, 2))),
         ):
             cov = covectors_from_topes(ts).covectors
-            nonzero = [v for v in cov if not v.is_zero()]
+            nonzero = [v for v in cov if v.support_mask]
             minimal = {
                 v.canonical()
                 for v in nonzero
-                if not any(w != v and w.conforms(v) for w in nonzero)
+                if not any(w != v and conforms(w, v) for w in nonzero)
             }
             assert minimal == chi.cocircuits()
 
@@ -339,7 +366,7 @@ class TestCovectorAxioms:
             assert report.passed, report
 
     def test_missing_opposite_reported(self):
-        report = check_covector_axioms([SignedVector.zero(2), sv("+-")])
+        report = check_covector_axioms([SignedVector(2, 0, 0), sv("+-")])
         assert not report.passed
         assert sv("+-") in report.opposite_violations
 
@@ -348,14 +375,14 @@ class TestCovectorAxioms:
         assert not report.has_zero
 
     def test_elimination_violation_reported(self):
-        vectors = [SignedVector.zero(2), sv("++"), sv("--"), sv("+-"), sv("-+")]
+        vectors = [SignedVector(2, 0, 0), sv("++"), sv("--"), sv("+-"), sv("-+")]
         report = check_covector_axioms(vectors)
         assert report.has_zero and not report.opposite_violations
         assert not report.composition_violations
         assert report.elimination_violations
 
     def test_composition_violation_reported(self):
-        vectors = [SignedVector.zero(2), sv("+0"), sv("-0"), sv("0+"), sv("0-")]
+        vectors = [SignedVector(2, 0, 0), sv("+0"), sv("-0"), sv("0+"), sv("0-")]
         report = check_covector_axioms(vectors)
         assert report.composition_violations
 
@@ -365,7 +392,7 @@ class TestUniformTopeAxioms:
         report = check_uniform_tope_axioms(alt64)
         assert report.passed
         assert report.expected_count == report.actual_count == 26
-        assert report.witness_map()[(1, 2, 3, 4, 5)] is not None
+        assert dict(report.witnesses)[(1, 2, 3, 4, 5)] is not None
 
     def test_wrong_rank_fails_count(self, alt64):
         mislabeled = TopeSet(6, 3, alt64.topes)
@@ -417,7 +444,7 @@ class TestCircuitOnSupport:
             cov = covectors_from_topes(ts)
             for q in combinations(range(1, ts.n + 1), ts.r + 1):
                 circuit = circuit_on_support(ts, q)
-                assert all(circuit.perpendicular(v) for v in cov.covectors)
+                assert all(perpendicular(circuit, v) for v in cov.covectors)
 
     def test_no_admissible_pattern(self):
         # all 8 canonical full-support vectors on 4 elements hit every pattern

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from omcert.matroid import (
     TopeSet,
-    alternating_topes_direct,
     check_covector_axioms,
     check_uniform_tope_axioms,
     circuit_on_support,
@@ -34,6 +33,7 @@ from omcert.search import (
 )
 from omcert.signed_vector import SignedVector
 from omcert.strong_map import is_strong_map_topes
+from reference import alternating_topes_direct, perpendicular
 
 sv = SignedVector.parse
 
@@ -41,9 +41,9 @@ sv = SignedVector.parse
 def pruned_dfs(instance: SearchInstance, budget: int | None = None) -> SaturationRun:
     """Reference kernel: the recursive pruned search, testing every byte of
     each child's mask with Mycroft's zero-byte test on its complement."""
-    masks = pattern_masks(instance)
-    pool_masks, low = masks.pool, masks.low
+    base, pool_masks = pattern_masks(instance)
     npool, choose = len(pool_masks), instance.choose
+    low = int.from_bytes(b"\x01" * len(instance.supports), "little")
     full, high = (1 << 8 * len(instance.supports)) - 1, low << 7
     limit = math.inf if budget is None else budget
     found: list[tuple[int, ...]] = []
@@ -66,20 +66,20 @@ def pruned_dfs(instance: SearchInstance, budget: int | None = None) -> Saturatio
                 return False
         return True
 
-    finished = walk(range(npool - choose + 1), (), masks.base, choose)
+    finished = walk(range(npool - choose + 1), (), base, choose)
     return SaturationRun(tuple(found), nodes, credited, exhausted=not finished)
 
 
 def flat_scan(instance: SearchInstance) -> list[tuple[int, ...]]:
     """Reference: visit every combination in lexicographic order and test
     each pattern byte on its own, with no pruning."""
-    masks = pattern_masks(instance)
+    base, pool_masks = pattern_masks(instance)
     offsets = range(0, 8 * len(instance.supports), 8)
     expected = []
     for combo in combinations(range(len(instance.pool)), instance.choose):
-        m = masks.base
+        m = base
         for i in combo:
-            m |= masks.pool[i]
+            m |= pool_masks[i]
         if all((m >> off) & 0xFF != 0xFF for off in offsets):
             expected.append(combo)
     return expected
@@ -127,9 +127,9 @@ class TestKernel:
         # the critical-bit test relies on it: one child fills at most the one
         # missing bit of a byte
         for instance in (search_instance, build_search_instance(8)):
-            masks = pattern_masks(instance)
+            pool_masks = pattern_masks(instance)[1]
             nbytes = len(instance.supports)
-            for mask in (*masks.pool, *(pattern_bytes(t.neg, instance.n, 3) for t in instance.base)):
+            for mask in (*pool_masks, *(pattern_bytes(t.neg, instance.n, 3) for t in instance.base)):
                 fields = mask.to_bytes(nbytes, "little")
                 assert all(field and field & field - 1 == 0 for field in fields)
                 assert mask >> 8 * nbytes == 0
@@ -236,14 +236,14 @@ def perpendicular_patterns(topes: TopeSet, q: tuple[int, ...]) -> list[SignedVec
         for e, c in zip(q, ("+", *signs)):
             text[e - 1] = c
         pattern = sv("".join(text))
-        if all(pattern.perpendicular(t) for t in topes.topes):
+        if all(perpendicular(pattern, t) for t in topes.topes):
             found.append(pattern)
     return sorted(found, key=lambda p: p.order_key()[::-1])
 
 
 def assert_pattern_table_agrees(topes: TopeSet) -> None:
     report = check_uniform_tope_axioms(topes)
-    witnesses = report.witness_map()
+    witnesses = dict(report.witnesses)
     for q in combinations(range(1, topes.n + 1), topes.r + 1):
         perp = perpendicular_patterns(topes, q)
         if not perp:
@@ -277,10 +277,10 @@ class TestPatternTable:
         assert_pattern_table_agrees(TopeSet(6, 3, frozenset(SOURCE6[i] for i in picks)))
 
     def test_kernel_bytes_match_table(self, search_instance):
-        masks = pattern_masks(search_instance)
+        base_mask, pool_masks = pattern_masks(search_instance)
         base = TopeSet(6, 3, frozenset(search_instance.base))
-        assert masks.base == sum(hit << 8 * qi for qi, hit in enumerate(base.hit_patterns))
-        for tope, mask in zip(search_instance.pool, masks.pool):
+        assert base_mask == sum(hit << 8 * qi for qi, hit in enumerate(base.hit_patterns))
+        for tope, mask in zip(search_instance.pool, pool_masks):
             table = TopeSet(6, 3, frozenset({tope})).hit_patterns
             assert [mask >> 8 * qi & 0xFF for qi in range(15)] == list(table)
 
@@ -338,14 +338,14 @@ class TestConclusions:
             hits = [
                 str(t)
                 for t in alt64.ordered()
-                if t.restrict(support) in (target, -target)
+                if t.restrict(support) in (target, target.opposite())
             ]
             assert hits == [unique]
 
     def test_conclusion_circuits_perpendicular_to_survivors(self, search_certificate):
         for survivor in search_certificate.survivors:
             for circuit in search_certificate.conclusion_circuits:
-                assert all(circuit.perpendicular(t) for t in survivor.topes)
+                assert all(perpendicular(circuit, t) for t in survivor.topes)
 
 
 class TestSurvivorsAreOrientedMatroids:

@@ -1,0 +1,142 @@
+"""Reachability of the library: every function in ``src/omcert`` is entered
+by the command line or by the benchmark's probe, or is allowlisted here with
+its reason. A helper that only its own unit test calls belongs in
+``tests/reference.py`` (when a test uses it as an oracle) or nowhere.
+
+The walk runs in-process under ``sys.setprofile`` and records the code object
+of every Python frame entered. The library's functions are collected from
+the modules: module-level functions, the functions behind ``functools.cache``
+wrappers (whose caches are cleared first, so a cached call enters the
+function again), and every method, property and cached property of a class
+defined there. Methods that Python generates for ``NamedTuple`` records are
+not in the source and are not counted.
+"""
+
+from __future__ import annotations
+
+import functools
+import importlib
+import importlib.util
+import pkgutil
+import sys
+from pathlib import Path
+
+import pytest
+
+import omcert
+from omcert.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ALLOWED = {
+    "signed_vector.Immutable.__reduce__": "copy and pickle protocol",
+    "signed_vector.Immutable.__setattr__": "refuses assignment; the pipeline assigns no field",
+    "signed_vector.Immutable.__delattr__": "refuses deletion; the pipeline deletes no field",
+    "signed_vector.SignedVector.__repr__": "repr protocol, for debugging",
+    "signed_vector.SignedVector.restrict": "oracle of the deletion check and of the chirotope-side oracle to come",
+    "matroid.Chirotope.__repr__": "repr protocol, for debugging",
+    "matroid.Chirotope.__hash__": "hash protocol; the pipeline only compares chirotopes",
+    "matroid.TopeSet.__eq__": "equality protocol; the pipeline compares the frozensets",
+    "matroid.TopeSet.__hash__": "hash protocol",
+    "matroid.TopeSet.__repr__": "repr protocol, for debugging",
+    "matroid.TopeSet.__contains__": "container protocol; the pipeline tests the frozenset",
+    "matroid.CovectorSet.__eq__": "equality protocol",
+    "matroid.CovectorSet.__hash__": "hash protocol",
+    "matroid.CovectorSet.__repr__": "repr protocol, for debugging",
+    "matroid.CovectorSet.__len__": "container protocol; the reports count vectors themselves",
+    "matroid.CovectorSet.__contains__": "container protocol; the pipeline tests the frozenset",
+    "matroid.restriction_tope_set": "oracle of the deletion check and of the chirotope-side oracle to come",
+    "search.SurvivorRecord._compared": "equality and hashing of records; the pipeline compares none",
+    "search.SurvivorRecord.__eq__": "equality protocol; the pipeline compares no records",
+    "search.SurvivorRecord.__hash__": "hash protocol",
+    "search.SurvivorRecord.__repr__": "repr protocol, for debugging",
+}
+
+
+def _functions_of(obj, prefix: str):
+    """(qualified name, function) pairs for a module attribute or class member."""
+    if isinstance(obj, (staticmethod, classmethod)):
+        obj = obj.__func__
+    if isinstance(obj, property):
+        obj = obj.fget
+    if isinstance(obj, functools.cached_property):
+        obj = obj.func
+    if hasattr(obj, "cache_clear"):  # a functools.cache wrapper
+        obj.cache_clear()
+        obj = obj.__wrapped__
+    if hasattr(obj, "__code__"):
+        yield prefix, obj
+
+
+def library_functions() -> dict[object, str]:
+    """Code object -> ``module.qualname`` for every function written in ``src/omcert``."""
+    src = Path(omcert.__file__).resolve().parent
+    found = {}
+    for info in pkgutil.iter_modules(omcert.__path__):
+        module = importlib.import_module(f"omcert.{info.name}")
+        for name, value in vars(module).items():
+            pairs = list(_functions_of(value, f"{info.name}.{name}"))
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                for attr, member in vars(value).items():
+                    pairs += _functions_of(member, f"{info.name}.{name}.{attr}")
+            for qualname, function in pairs:
+                code = function.__code__
+                if Path(code.co_filename).resolve().parent == src:
+                    found.setdefault(code, qualname)
+    return found
+
+
+def load_probe():
+    spec = importlib.util.spec_from_file_location("bench_probe", ROOT / "bench" / "probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return probe
+
+
+def walk(tmp_path: Path) -> None:
+    """Every command, a usage error and help, then every probe mode."""
+    search, full = str(tmp_path / "search.json"), str(tmp_path / "all.json")
+    text = ["--format", "text"]
+    for argv in (
+        ["topes", *text],
+        ["topes", "--family", "m2"],
+        ["axioms", *text],
+        ["strongmap", *text],
+        ["lemma6", "--output", search],
+        ["lemma6", *text],
+        ["verify-n8", "--certificate", search, *text],
+        ["all", "--output", full],
+    ):
+        assert main(argv) == 0, argv
+    for argv, code in ((["all", "--bogus"], 2), (["-h"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    probe = load_probe()
+    for argv in (
+        ["validate", full],
+        ["oracle", "500"],
+        ["trace-all", str(tmp_path / "traced.json")],
+        ["trace-layers", search, full],
+        ["trace-oracle", "500"],
+    ):
+        assert probe.main(argv) == 0, argv
+
+
+def test_every_library_function_is_reached(tmp_path, capsys):
+    functions = library_functions()
+    assert set(ALLOWED) <= set(functions.values()), "stale allowlist entries"
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        walk(tmp_path)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    unreached = sorted(name for code, name in functions.items() if code not in entered)
+    assert [name for name in unreached if name not in ALLOWED] == []

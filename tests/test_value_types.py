@@ -62,7 +62,7 @@ class TestSignedVector:
         vectors = [sv("".join(s)) for n in range(1, 7) for s in product("+-0", repeat=n)]
         vectors += [
             SignedVector(32, 0, 0),
-            SignedVector.all_plus(32),
+            SignedVector(32, (1 << 32) - 1, 0),
             SignedVector(32, 0, (1 << 32) - 1),
             SignedVector(32, 0x12345678, 0x80000000),
             SignedVector(32, 0x55555555, 0xAAAAAAAA),
