@@ -20,6 +20,7 @@ from .certificate import (
 )
 from .contradiction import build_contradiction_certificate
 from .matroid import (
+    COVECTOR_LIMIT,
     COVER_BOUND,
     Chirotope,
     alternating_chirotope,
@@ -76,7 +77,7 @@ def _cmd_topes(cfg: RunConfig) -> int:
     topes = topes_of(_family_chirotope(cfg))
     expected = canonical_tope_count(topes.n, topes.r)
     if cfg.format == "text":
-        status = _emit_text(cfg, list(topes.strings()))
+        status = _emit_text(cfg, list(topes.strings))
     else:
         status = _emit_json(
             cfg,
@@ -86,7 +87,7 @@ def _cmd_topes(cfg: RunConfig) -> int:
                 "rank": topes.r,
                 "expected_count": expected,
                 "count": len(topes),
-                "topes": list(topes.strings()),
+                "topes": list(topes.strings),
             },
         )
     if status:
@@ -318,11 +319,13 @@ def _config_from_args(command: str, args: dict[str, Any]) -> RunConfig:
         _usage_error(command, f"n must be within 1..32, got {n}")
     if not 1 <= rank <= n:
         _usage_error(command, f"rank must be within 1..n, got rank={rank}, n={n}")
-    # refuse up front what the tope cover would refuse after building everything
+    # refuse up front what the tope cover or covector enumeration would refuse later
     completions = math.comb(n, rank - 1) << (rank - 1)
     if completions > COVER_BOUND:
         why = f"its tope cover visits {completions} completions, more than {COVER_BOUND}"
         _usage_error(command, f"n={n}, rank={rank} is too large: {why}")
+    if command == "axioms" and n > COVECTOR_LIMIT:
+        _usage_error(command, f"n={n} is too large: covectors are enumerated up to n={COVECTOR_LIMIT}")
     if args.get("threads", 1) < 1:
         _usage_error(command, f"threads must be >= 1, got {args['threads']}")
     return RunConfig(command, n, rank, family, args.get("output"), args.get("format", "json"))

@@ -19,9 +19,9 @@ cover stops after ``COVER_BOUND`` completions, covectors are enumerated up to
 n = 10, and the command line refuses a larger cover before building anything.
 
 ``Chirotope``, ``TopeSet`` and ``CovectorSet`` are immutable value types on
-``signed_vector.Immutable``: a hand-written ``__init__`` runs the
-construction checks, and equality and hashing read the fields (up to global
-sign for a chirotope). The axiom reports are ``NamedTuple`` records.
+``signed_vector.Immutable``: a hand-written ``__init__`` runs the checks, and
+equality, hashing and repr come from ``Immutable``'s key, the fields (taken up
+to global sign for a chirotope). The axiom reports are ``NamedTuple`` records.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple
 from .signed_vector import Immutable, SignedVector, increasing_subset
 
 # largest ground set for which covectors are enumerated (3**n candidates)
-_COVECTOR_ENUM_LIMIT = 10
+COVECTOR_LIMIT = 10
 
 # most completions the tope cover visits; rank r on n elements needs C(n, r-1) * 2**(r-1)
 COVER_BOUND = 200_000
@@ -56,7 +56,7 @@ def canonical_tope_count(n: int, r: int) -> int:
 
 
 @cache
-def _subset_ranks(n: int, k: int) -> dict[tuple[int, ...], int]:
+def subset_ranks(n: int, k: int) -> dict[tuple[int, ...], int]:
     """Lexicographic rank of every sorted k-subset of 1..n, one table per (n, k)."""
     return {q: i for i, q in enumerate(combinations(range(1, n + 1), k))}
 
@@ -66,7 +66,8 @@ class Chirotope(Immutable):
 
     ``values[i]`` is the sign of the i-th sorted r-subset of 1..n, read by
     ``value_sorted``. A chirotope and its global negation denote the same
-    oriented matroid, so equality and hashing identify the two.
+    oriented matroid, so the key that ``Immutable``'s equality and hash read
+    negates the values when the first nonzero one is negative.
     """
 
     __slots__ = ("n", "r", "values")
@@ -82,34 +83,17 @@ class Chirotope(Immutable):
             raise ValueError("chirotope values must lie in {-1, 0, 1}")
         if not any(values):
             raise ValueError("chirotope must not be identically zero")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "values", values)
+        self._set_fields(n, r, values)
 
-    def __repr__(self) -> str:
-        return f"Chirotope(n={self.n!r}, r={self.r!r}, values={self.values!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Chirotope):
-            return NotImplemented
-        if (self.n, self.r) != (other.n, other.r):
-            return False
-        if self.values == other.values:
-            return True
-        return self.values == tuple(-v for v in other.values)
-
-    def __hash__(self) -> int:
-        vals = self.values
-        for v in vals:
-            if v:
-                if v < 0:
-                    vals = tuple(-x for x in vals)
-                break
-        return hash((self.n, self.r, vals))
+    def _key(self) -> tuple:
+        values = self.values
+        if next(v for v in values if v) < 0:
+            values = tuple(-v for v in values)
+        return self.n, self.r, values
 
     def value_sorted(self, tup: tuple[int, ...]) -> int:
         """Stored sign of a strictly increasing r-tuple."""
-        return self.values[_subset_ranks(self.n, self.r)[tup]]
+        return self.values[subset_ranks(self.n, self.r)[tup]]
 
     def is_uniform(self) -> bool:
         return all(v != 0 for v in self.values)
@@ -150,7 +134,7 @@ class Chirotope(Immutable):
         if not self.is_uniform():
             raise ValueError("cocircuit extraction supports uniform chirotopes only")
         out = set()
-        values, rank = self.values, _subset_ranks(self.n, self.r)
+        values, rank = self.values, subset_ranks(self.n, self.r)
         elements = range(1, self.n + 1)
         for z in combinations(elements, self.r - 1):
             pos = neg = 0
@@ -262,14 +246,14 @@ def pattern_bytes(neg: int, n: int, r: int) -> int:
 class TopeSet(Immutable):
     """Canonical full-support covectors of an oriented matroid, with (n, r) metadata.
 
-    Equality and the hash read (n, r, topes). ``hit_patterns`` is derived
-    from the topes and cached on first use: for every (r+1)-subset Q in
-    lexicographic order, a bitmask of the canonical patterns (numbered by
-    ``pattern_index``) that the topes' restrictions to Q produce. It is the
-    OR of the topes' ``pattern_bytes``, split back into one entry per Q.
-    Every axiom and circuit check reads it. It is not a field, so neither
-    equality nor the certificate bytes read it. The sorted topes and their
-    strings are cached the same way; the caches live in the instance
+    The key is (n, r, topes). ``hit_patterns`` is derived from the topes and
+    cached on first use: for every (r+1)-subset Q in lexicographic order, a
+    bitmask of the canonical patterns (numbered by ``pattern_index``) that
+    the topes' restrictions to Q produce. It is the OR of the topes'
+    ``pattern_bytes``, split back into one entry per Q. Every axiom and
+    circuit check reads it. It is not a field, so neither equality nor the
+    certificate bytes read it. The sorted topes, ``ordered``, and their
+    ``strings`` are cached the same way; the caches live in the instance
     ``__dict__``, which ``cached_property`` writes directly.
     """
 
@@ -285,20 +269,7 @@ class TopeSet(Immutable):
                 raise ValueError(f"tope {t} lacks full support")
             if not t.is_canonical():
                 raise ValueError(f"tope {t} is not canonical")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "topes", topes)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.r, self.topes) == (other.n, other.r, other.topes)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.r, self.topes))
-
-    def __repr__(self) -> str:
-        return f"TopeSet(n={self.n!r}, r={self.r!r}, topes={self.topes!r})"
+        self._set_fields(n, r, topes)
 
     def __len__(self) -> int:
         return len(self.topes)
@@ -306,19 +277,13 @@ class TopeSet(Immutable):
     def __contains__(self, v: SignedVector) -> bool:
         return v in self.topes
 
-    def ordered(self) -> tuple[SignedVector, ...]:
-        return self._ordered
-
-    def strings(self) -> tuple[str, ...]:
-        return self._strings
-
     @cached_property
-    def _ordered(self) -> tuple[SignedVector, ...]:
+    def ordered(self) -> tuple[SignedVector, ...]:
         return tuple(sorted(self.topes, key=SignedVector.order_key))
 
     @cached_property
-    def _strings(self) -> tuple[str, ...]:
-        return tuple(str(t) for t in self._ordered)
+    def strings(self) -> tuple[str, ...]:
+        return tuple(str(t) for t in self.ordered)
 
     @cached_property
     def hit_patterns(self) -> tuple[int, ...]:
@@ -333,7 +298,7 @@ class TopeSet(Immutable):
 
 class CovectorSet(Immutable):
     """All covectors of an oriented matroid: both signs stored, zero included.
-    Equality and the hash read (n, r, covectors)."""
+    The key is (n, r, covectors)."""
 
     __slots__ = ("n", "r", "covectors")
     _fields = __slots__
@@ -342,20 +307,7 @@ class CovectorSet(Immutable):
         for v in covectors:
             if v.n != n:
                 raise ValueError(f"covector {v} lives on {v.n} elements, expected {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "covectors", covectors)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.r, self.covectors) == (other.n, other.r, other.covectors)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.r, self.covectors))
-
-    def __repr__(self) -> str:
-        return f"CovectorSet(n={self.n!r}, r={self.r!r}, covectors={self.covectors!r})"
+        self._set_fields(n, r, covectors)
 
     def __len__(self) -> int:
         return len(self.covectors)
@@ -433,8 +385,8 @@ def covectors_from_topes(topes: TopeSet) -> CovectorSet:
     responsible for passing a genuine oriented-matroid tope set.
     """
     n = topes.n
-    if n > _COVECTOR_ENUM_LIMIT:
-        raise ValueError(f"covector enumeration limited to n <= {_COVECTOR_ENUM_LIMIT}")
+    if n > COVECTOR_LIMIT:
+        raise ValueError(f"covector enumeration limited to n <= {COVECTOR_LIMIT}")
     signed = set()
     for t in topes.topes:
         signed.add((t.pos, t.neg))
@@ -668,7 +620,7 @@ def circuit_on_support(topes: TopeSet, subset: tuple[int, ...] | list[int]) -> S
     q = increasing_subset(subset, topes.n, "support")
     if len(q) != topes.r + 1:
         raise ValueError(f"support size must be rank+1 = {topes.r + 1}, got {len(q)}")
-    hit = topes.hit_patterns[_subset_ranks(topes.n, len(q))[q]]
+    hit = topes.hit_patterns[subset_ranks(topes.n, len(q))[q]]
     avoided = ((1 << (1 << topes.r)) - 1) & ~hit
     if not avoided:
         raise ValueError(f"no pattern on {q} avoids every tope; not a uniform tope set")

@@ -27,7 +27,8 @@ yields the witnesses.
 
 The instance, the certificate and a kernel run are ``NamedTuple`` records.
 ``SurvivorRecord`` is an immutable class on ``signed_vector.Immutable``
-instead, because its circuit table stays out of equality and hashing.
+instead: equality and hashing read ``Immutable``'s key, which here leaves
+out the circuit table, and its own repr hides the table.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .matroid import (
     circuit_table,
     pair_swap_chirotope,
     pattern_bytes,
+    subset_ranks,
     topes_of,
 )
 from .signed_vector import Immutable, SignedVector
@@ -88,8 +90,8 @@ class SurvivorRecord(Immutable):
     ``circuit_table`` holds the circuit on every (rank+1)-subset in
     lexicographic order, None where zero or several patterns are avoided;
     ``circuits`` is its entries on the two forced supports. The table is
-    derived from the topes, so it is neither compared, hashed, shown in the
-    repr nor serialized. To change one field, build a new record from the
+    derived from the topes, so it is neither in the key, shown in the repr
+    nor serialized. To change one field, build a new record from the
     old one's fields.
     """
 
@@ -104,22 +106,10 @@ class SurvivorRecord(Immutable):
         circuits: tuple[tuple[tuple[int, ...], SignedVector], ...],
         circuit_table: tuple[SignedVector | None, ...],
     ) -> None:
-        object.__setattr__(self, "topes", topes)
-        object.__setattr__(self, "vc_witnesses", vc_witnesses)
-        object.__setattr__(self, "excluded_absent", excluded_absent)
-        object.__setattr__(self, "circuits", circuits)
-        object.__setattr__(self, "circuit_table", circuit_table)
+        self._set_fields(topes, vc_witnesses, excluded_absent, circuits, circuit_table)
 
-    def _compared(self) -> tuple:
+    def _key(self) -> tuple:
         return self.topes, self.vc_witnesses, self.excluded_absent, self.circuits
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
 
     def __repr__(self) -> str:
         return (
@@ -294,15 +284,14 @@ def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> Surviv
     report = check_uniform_tope_axioms(tope_set)
     if not report.passed:
         raise VerificationError(f"picks {picks} fail the uniform tope-set axioms")
-    supports = instance.supports
-    table = circuit_table(tope_set)
-    circuits = tuple((q, table[supports.index(q)]) for q in CIRCUIT_SUPPORTS)
+    table, rank = circuit_table(tope_set), subset_ranks(instance.n, instance.rank + 1)
+    circuits = tuple((q, table[rank[q]]) for q in CIRCUIT_SUPPORTS)
     for q, circuit in circuits:
         if circuit is None:
             raise VerificationError(f"picks {picks} carry no unique circuit on {q}")
-    strings = tope_set.strings()
+    strings = tope_set.strings
     return SurvivorRecord(
-        topes=tope_set.ordered(),
+        topes=tope_set.ordered,
         vc_witnesses=report.witnesses,
         excluded_absent=tuple((t, t not in strings) for t in EXCLUDED_TOPES),
         circuits=circuits,

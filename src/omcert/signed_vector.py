@@ -7,6 +7,8 @@ value. ``SignedVector`` and the other validated value types subclass
 ``Immutable``: plain classes with a hand-written ``__init__``, because a
 command-line run is mostly interpreter start-up and generating classes at
 import time would add to it. Assigning to a field raises AttributeError.
+Equality, hashing and repr read ``Immutable``'s key, except on
+``SignedVector``, the type the pipeline hashes, which keeps its own for speed.
 
 The string form over ``{+,-,0}`` (character i is the sign of element i) is
 the only interchange format. Whenever a deterministic listing of vectors is
@@ -44,13 +46,34 @@ def increasing_subset(items: tuple[int, ...] | list[int], n: int, what: str) -> 
 
 class Immutable:
     """Base of the validated value types: a subclass sets its fields once, in
-    ``__init__``, through ``object.__setattr__``; assigning or deleting an
-    attribute afterwards raises AttributeError. Copies and pickles are
-    rebuilt through ``__init__`` from the fields named in ``_fields``, so they
-    pass the same checks."""
+    ``__init__``, through ``_set_fields``; assigning or deleting an attribute
+    afterwards raises AttributeError. Copies and pickles are rebuilt through
+    ``__init__`` from the fields named in ``_fields``, so they pass the same
+    checks. Two values are equal when they are of one class and their
+    ``_key()`` tuples are equal; the hash is the key's hash, and the repr
+    lists the fields."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def _set_fields(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, name) for name in self._fields)
@@ -68,7 +91,8 @@ class SignedVector(Immutable):
     ``pos`` and ``neg`` are disjoint bitmasks; bit e-1 is set in ``pos``
     (resp. ``neg``) iff element e carries +1 (resp. -1). Equality reads (n, pos, neg) and
     the hash is ``hash((n, pos, neg))``, which fixes the iteration order of
-    sets of vectors.
+    sets of vectors. Being the type the pipeline hashes, it keeps its own
+    equality, hash and repr (the sign string) in place of ``Immutable``'s.
     """
 
     __slots__ = ("n", "pos", "neg", "_string")

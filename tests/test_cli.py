@@ -301,6 +301,38 @@ class TestOversizedInstances:
         assert "visits 202400 completions, more than 200000" in capsys.readouterr().err
 
 
+class TestCovectorLimit:
+    """``axioms`` enumerates covectors, 3**n candidates, only up to
+    matroid.COVECTOR_LIMIT = 10; a larger n is a usage error before anything
+    is built. The other commands enumerate no covectors past n = 6."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["axioms", "--n", "11", "--rank", "3"], ["axioms", "--family", "m2", "--n", "12"]],
+        ids=" ".join,
+    )
+    def test_refused_before_building(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: omcert axioms ")
+        assert "covectors are enumerated up to n=10" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["axioms", "--n", "10", "--rank", "3"],
+            ["topes", "--n", "11", "--rank", "3"],
+            ["strongmap", "--n", "12"],
+        ],
+        ids=" ".join,
+    )
+    def test_within_the_limit_or_other_commands_parse(self, argv):
+        cfg, _ = parse_args(argv)
+        assert (cfg.command, cfg.n) == (argv[0], int(argv[2]))
+
+
 # Command lines that the argparse parser in tests/reference.py and cli.parse_args
 # must read alike: every command and option, both value forms, repeats, values
 # that start with a dash, and every usage error in TestUsageErrors but ABBREVIATED.

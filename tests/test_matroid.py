@@ -135,12 +135,15 @@ class TestChirotopeConstruction:
             assert chi == oracle
 
     def test_global_sign_identified(self):
-        chi = pair_swap_chirotope(4)
-        flipped = Chirotope(4, 2, tuple(-v for v in chi.values))
-        assert chi == flipped
-        assert hash(chi) == hash(flipped)
-        assert len({chi, flipped}) == 1
-        assert chi != pair_swap_chirotope(6)
+        # the second is not uniform: its first value is zero, its first nonzero one fixes the sign
+        for chi in (pair_swap_chirotope(4), Chirotope(3, 2, (0, -1, 1))):
+            flipped = Chirotope(chi.n, chi.r, tuple(-v for v in chi.values))
+            assert chi == flipped
+            assert hash(chi) == hash(flipped)
+            assert len({chi, flipped}) == 1
+            assert chi != chi._key()
+        assert pair_swap_chirotope(4) != pair_swap_chirotope(6)
+        assert Chirotope(3, 2, (0, -1, 1)) != Chirotope(3, 2, (0, 1, 1))
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -239,7 +242,7 @@ class TestTopeGeneration:
             assert len(ts) == canonical_tope_count(ts.n, ts.r)
 
     def test_swap6_exact_set(self, swap6):
-        assert swap6.strings() == SWAP6_TOPES
+        assert swap6.strings == SWAP6_TOPES
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_alternating_matches_closure(self, n):
@@ -264,10 +267,10 @@ class TestTopeGeneration:
         assert len(topes_of(alternating_chirotope(14, 4))) == 378
 
     def test_direct_rule_small_case(self):
-        assert alternating_topes_direct(4, 2).strings() == ("++++", "+++-", "++--", "+---")
+        assert alternating_topes_direct(4, 2).strings == ("++++", "+++-", "++--", "+---")
 
     def test_direct_rule_contains_named_topes(self):
-        strings = set(alternating_topes_direct(6, 4).strings())
+        strings = set(alternating_topes_direct(6, 4).strings)
         assert "+-+---" in strings and "+----+" in strings
 
     def test_safety_bound(self, monkeypatch):

@@ -259,7 +259,7 @@ def assert_pattern_table_agrees(topes: TopeSet) -> None:
                 circuit_on_support(topes, q)
 
 
-SOURCE6 = alternating_topes_direct(6, 4).ordered()
+SOURCE6 = alternating_topes_direct(6, 4).ordered
 
 
 class TestPatternTable:
@@ -337,7 +337,7 @@ class TestConclusions:
             target = sv(pattern)
             hits = [
                 str(t)
-                for t in alt64.ordered()
+                for t in alt64.ordered
                 if t.restrict(support) in (target, target.opposite())
             ]
             assert hits == [unique]

@@ -26,7 +26,7 @@ class TestTopeInclusion:
         assert not verdict.holds
         assert verdict.witness in alt64.topes and verdict.witness not in swap6.topes
         # the witness is the first missing tope in the fixed order
-        missing = [t for t in alt64.ordered() if t not in swap6.topes]
+        missing = [t for t in alt64.ordered if t not in swap6.topes]
         assert verdict.witness == missing[0]
 
     def test_ground_set_mismatch(self, alt64, swap8):

@@ -10,6 +10,11 @@ wrappers (whose caches are cleared first, so a cached call enters the
 function again), and every method, property and cached property of a class
 defined there. Methods that Python generates for ``NamedTuple`` records are
 not in the source and are not counted.
+
+A design guard sits next to the walk: every ``Immutable`` subclass takes its
+``__eq__`` and ``__hash__`` from ``Immutable``, which compares ``_key()``,
+except ``SignedVector``, the type the pipeline hashes, which keeps its own
+for speed.
 """
 
 from __future__ import annotations
@@ -25,32 +30,30 @@ import pytest
 
 import omcert
 from omcert.cli import main
+from omcert.signed_vector import Immutable, SignedVector
 
 ROOT = Path(__file__).resolve().parents[1]
 
 ALLOWED = {
+    "signed_vector.Immutable._key": "key of equality and hashing; the pipeline compares only chirotopes, with their own key",
+    "signed_vector.Immutable.__hash__": "hash protocol; the pipeline hashes only signed vectors, with their own hash",
+    "signed_vector.Immutable.__repr__": "repr protocol, for debugging",
     "signed_vector.Immutable.__reduce__": "copy and pickle protocol",
     "signed_vector.Immutable.__setattr__": "refuses assignment; the pipeline assigns no field",
     "signed_vector.Immutable.__delattr__": "refuses deletion; the pipeline deletes no field",
     "signed_vector.SignedVector.__repr__": "repr protocol, for debugging",
     "signed_vector.SignedVector.restrict": "oracle of the deletion check and of the chirotope-side oracle to come",
-    "matroid.Chirotope.__repr__": "repr protocol, for debugging",
-    "matroid.Chirotope.__hash__": "hash protocol; the pipeline only compares chirotopes",
-    "matroid.TopeSet.__eq__": "equality protocol; the pipeline compares the frozensets",
-    "matroid.TopeSet.__hash__": "hash protocol",
-    "matroid.TopeSet.__repr__": "repr protocol, for debugging",
     "matroid.TopeSet.__contains__": "container protocol; the pipeline tests the frozenset",
-    "matroid.CovectorSet.__eq__": "equality protocol",
-    "matroid.CovectorSet.__hash__": "hash protocol",
-    "matroid.CovectorSet.__repr__": "repr protocol, for debugging",
     "matroid.CovectorSet.__len__": "container protocol; the reports count vectors themselves",
     "matroid.CovectorSet.__contains__": "container protocol; the pipeline tests the frozenset",
     "matroid.restriction_tope_set": "oracle of the deletion check and of the chirotope-side oracle to come",
-    "search.SurvivorRecord._compared": "equality and hashing of records; the pipeline compares none",
-    "search.SurvivorRecord.__eq__": "equality protocol; the pipeline compares no records",
-    "search.SurvivorRecord.__hash__": "hash protocol",
-    "search.SurvivorRecord.__repr__": "repr protocol, for debugging",
+    "search.SurvivorRecord._key": "key of equality and hashing; the pipeline compares no records",
+    "search.SurvivorRecord.__repr__": "repr protocol, for debugging; hides the circuit table",
 }
+
+
+def library_modules():
+    return [importlib.import_module(f"omcert.{info.name}") for info in pkgutil.iter_modules(omcert.__path__)]
 
 
 def _functions_of(obj, prefix: str):
@@ -72,13 +75,13 @@ def library_functions() -> dict[object, str]:
     """Code object -> ``module.qualname`` for every function written in ``src/omcert``."""
     src = Path(omcert.__file__).resolve().parent
     found = {}
-    for info in pkgutil.iter_modules(omcert.__path__):
-        module = importlib.import_module(f"omcert.{info.name}")
+    for module in library_modules():
+        short = module.__name__.removeprefix("omcert.")
         for name, value in vars(module).items():
-            pairs = list(_functions_of(value, f"{info.name}.{name}"))
+            pairs = list(_functions_of(value, f"{short}.{name}"))
             if isinstance(value, type) and value.__module__ == module.__name__:
                 for attr, member in vars(value).items():
-                    pairs += _functions_of(member, f"{info.name}.{name}.{attr}")
+                    pairs += _functions_of(member, f"{short}.{name}.{attr}")
             for qualname, function in pairs:
                 code = function.__code__
                 if Path(code.co_filename).resolve().parent == src:
@@ -140,3 +143,13 @@ def test_every_library_function_is_reached(tmp_path, capsys):
     capsys.readouterr()
     unreached = sorted(name for code, name in functions.items() if code not in entered)
     assert [name for name in unreached if name not in ALLOWED] == []
+
+
+def test_value_types_take_equality_and_hash_from_immutable():
+    own = set()
+    for module in library_modules():
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, Immutable):
+                if value not in (Immutable, SignedVector):
+                    own |= {f"{value.__name__}.{a}" for a in ("__eq__", "__hash__") if a in vars(value)}
+    assert own == set()

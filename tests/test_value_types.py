@@ -98,8 +98,8 @@ class TestValidatedTypes:
 
     def test_tope_set_caches_are_not_fields(self):
         a, b = tope_set(), tope_set()
-        assert a.strings() == ("+++", "++-", "+--")
-        assert a.ordered() == tuple(sv(s) for s in a.strings())
+        assert a.strings == ("+++", "++-", "+--")
+        assert a.ordered == tuple(sv(s) for s in a.strings)
         assert a.hit_patterns == b.hit_patterns
         assert a.hit_patterns is a.hit_patterns  # computed once
         assert a == b and hash(a) == hash(b)
@@ -110,6 +110,10 @@ class TestValidatedTypes:
         assert a == CovectorSet(2, 1, vectors) and hash(a) == hash((2, 1, vectors))
         assert a != CovectorSet(2, 2, vectors)
         assert repr(a) == f"CovectorSet(n=2, r=1, covectors={vectors!r})"
+
+    def test_types_with_the_same_fields_differ(self):
+        topes = tope_set().topes
+        assert TopeSet(3, 2, topes) != CovectorSet(3, 2, topes)
 
     def test_chirotope_repr(self):
         assert repr(Chirotope(3, 2, (1, -1, 1))) == "Chirotope(n=3, r=2, values=(1, -1, 1))"
@@ -125,7 +129,7 @@ class TestValidatedTypes:
 def instances() -> list[tuple[object, str]]:
     """One value of every immutable type, with one of its fields."""
     topes = tope_set()
-    instance = SearchInstance(n=3, rank=2, choose=1, base=(), pool=tuple(topes.ordered()))
+    instance = SearchInstance(n=3, rank=2, choose=1, base=(), pool=tuple(topes.ordered))
     search = SearchCertificate(instance, 1, (survivor(),), (sv("+-"), sv("+-")))
     verdict = StrongMapVerdict(holds=True, method="tope-inclusion", corank=0, witness=None)
     restriction = RestrictionCheck((1, 2), True, True, sv("+-"))
