@@ -17,11 +17,12 @@ stated document must then equal the rebuilt one under a type-strict
 recursive diff that names the path of each difference. The 184,756-case
 enumeration is never re-run.
 
-A search document is rebuilt once: ``search_certificate_from_document``
-returns the validated rebuild, so ``omcert verify-n8 --certificate``
-validates once and continues with it. It raises ``VerificationError`` on an
-invalid document, a stricter contract than a plain parser: a library caller
-gets a certificate only from a document that validates.
+A search document is rebuilt once: ``omcert verify-n8 --certificate``
+continues with the rebuilt certificate and survivor entries.
+``search_certificate_from_document`` returns the rebuild, or raises
+``VerificationError`` on an invalid document: a library caller gets a
+certificate only from a document that validates. A path is formatted only
+for a reported problem.
 """
 
 from __future__ import annotations
@@ -187,36 +188,42 @@ def _path_key(key: str) -> str:
     return key if _PLAIN_KEY.fullmatch(key) else json.dumps(key)
 
 
-def _diff(stated: Any, expected: Any, where: str) -> list[str]:
-    """Every place where ``stated`` departs from ``expected``. JSON types must
-    match (``true`` is not 1 and ``6.0`` is not 6); missing and unexpected
-    keys and array lengths are reported; key order is ignored."""
+def _path(path: tuple) -> str:
+    """A problem path: its root, then ``.key`` for each object key and ``[i]``
+    for each array index. Only a reported problem formats its path."""
+    return path[0] + "".join(f"[{k}]" if type(k) is int else f".{_path_key(k)}" for k in path[1:])
+
+
+def _diff(stated: Any, expected: Any, path: tuple) -> list[str]:
+    """Every place where ``stated`` departs from ``expected``, below ``path``
+    (a root string then keys and indices). JSON types must match (``true``
+    is not 1 and ``6.0`` is not 6); missing and unexpected keys and array
+    lengths are reported; key order is ignored."""
     if stated is expected:  # the survivors, already diffed during the rebuild
         return []
     if type(expected) is dict:
         if type(stated) is not dict:
-            return [f"{where} is not an object"]
+            return [f"{_path(path)} is not an object"]
         problems = []
         for key, want in expected.items():
-            path = f"{where}.{_path_key(key)}"
             if key in stated:
-                problems += _diff(stated[key], want, path)
+                problems += _diff(stated[key], want, (*path, key))
             else:
-                problems.append(f"{path} is missing")
+                problems.append(f"{_path((*path, key))} is missing")
         return problems + [
-            f"{where}.{_path_key(key)} is unexpected" for key in stated if key not in expected
+            f"{_path((*path, key))} is unexpected" for key in stated if key not in expected
         ]
     if type(expected) is list:
         if type(stated) is not list:
-            return [f"{where} is not an array"]
+            return [f"{_path(path)} is not an array"]
         problems = []
         if len(stated) != len(expected):
-            problems.append(f"{where} has {len(stated)} entries, expected {len(expected)}")
+            problems.append(f"{_path(path)} has {len(stated)} entries, expected {len(expected)}")
         for i, (got, want) in enumerate(zip(stated, expected)):
-            problems += _diff(got, want, f"{where}[{i}]")
+            problems += _diff(got, want, (*path, i))
         return problems
     if type(stated) is not type(expected) or stated != expected:
-        return [f"{where} is {stated!r}, expected {expected!r}"]
+        return [f"{_path(path)} is {stated!r}, expected {expected!r}"]
     return []
 
 
@@ -240,27 +247,29 @@ def _survivor_picks(entry: Any, where: str, base: set[str], pool: dict[str, int]
     return tuple(sorted(picks))
 
 
-def _rebuilt_search(doc: Any) -> tuple[SearchCertificate | None, list[str]]:
+def _rebuilt_search(doc: Any) -> tuple[SearchCertificate | None, list[dict[str, Any]], list[str]]:
     """Rebuild the search certificate from the document's version and its
     survivors' tope lists, diffing each stated survivor entry with its own
-    rebuilt one. The certificate is None when some survivor cannot be rebuilt."""
+    rebuilt one; returns the certificate, the rebuilt entries and the
+    problems. The certificate is None when some survivor cannot be rebuilt."""
     if type(doc) is not dict:
-        return None, ["document is not a JSON object"]
+        return None, [], ["document is not a JSON object"]
     version = doc.get("version")
     if type(version) is not int or version != CERTIFICATE_VERSION:
-        return None, [f"unsupported version {version!r}"]
+        return None, [], [f"unsupported version {version!r}"]
     if "survivors" not in doc:
-        return None, ["document.survivors is missing"]
+        return None, [], ["document.survivors is missing"]
     stated = doc["survivors"]
     if type(stated) is not list:
-        return None, ["document.survivors is not an array"]
+        return None, [], ["document.survivors is not an array"]
     if not stated:
-        return None, ["document.survivors has 0 entries, expected at least 1"]
+        return None, [], ["document.survivors has 0 entries, expected at least 1"]
 
     instance = build_search_instance()
     base = {str(t) for t in instance.base}
     pool = {str(t): i for i, t in enumerate(instance.pool)}
     records: list[SurvivorRecord] = []
+    entries: list[dict[str, Any]] = []
     problems: list[str] = []
     previous: tuple[int, ...] = ()
     for i, entry in enumerate(stated):
@@ -279,41 +288,42 @@ def _rebuilt_search(doc: Any) -> tuple[SearchCertificate | None, list[str]]:
         if picks <= previous:
             problems.append(f"{where} is not after the previous survivor in enumeration order")
         previous = picks
-        problems += _diff(entry, _survivor_entry(record), where)
+        entries.append(_survivor_entry(record))
+        problems += _diff(entry, entries[-1], (where,))
         records.append(record)
     if len(records) < len(stated):
-        return None, problems
-    return _search_certificate(instance, tuple(records), instance.combination_count), problems
+        return None, entries, problems
+    return _search_certificate(instance, tuple(records), instance.combination_count), entries, problems
 
 
-def _validated_search(doc: Any) -> tuple[SearchCertificate | None, list[str]]:
+def _validated_search(doc: Any) -> tuple[SearchCertificate | None, list[dict[str, Any]], list[str]]:
     """Rebuild a search document, diff it against the rebuild and check the
-    rebuilt conclusions. The certificate is None when some survivor cannot be
-    rebuilt; it is valid only when the problem list is empty."""
-    cert, problems = _rebuilt_search(doc)
+    rebuilt conclusions; returns what ``_rebuilt_search`` does. The
+    certificate is valid only when the problem list is empty."""
+    cert, entries, problems = _rebuilt_search(doc)
     if cert is None:
-        return None, problems
+        return None, entries, problems
     # the survivors were diffed entry by entry during the rebuild: pass them as they are
     expected = search_certificate_document(cert, doc["survivors"])
-    problems += _diff(doc, expected, "document")
+    problems += _diff(doc, expected, ("document",))
     try:
         verify_search_conclusions(cert)
     except VerificationError as exc:
         problems.append(f"search conclusions do not hold: {exc}")
-    return cert, problems
+    return cert, entries, problems
 
 
 def validate_search_document(doc: dict[str, Any]) -> list[str]:
     """Re-check a search certificate document by rebuilding it; returns
     problem descriptions."""
-    return _validated_search(doc)[1]
+    return _validated_search(doc)[2]
 
 
 def search_certificate_from_document(doc: dict[str, Any]) -> SearchCertificate:
     """The search certificate rebuilt from a valid document. Raises
     VerificationError, one problem per line, if the document is invalid."""
-    cert, problems = _validated_search(doc)
-    if cert is None or problems:
+    cert, _, problems = _validated_search(doc)
+    if problems:
         raise VerificationError("\n".join(problems))
     return cert
 
@@ -321,12 +331,12 @@ def search_certificate_from_document(doc: dict[str, Any]) -> SearchCertificate:
 def validate_contradiction_document(doc: dict[str, Any]) -> list[str]:
     """Re-check a full pipeline document by rebuilding it; returns problem
     descriptions."""
-    cert, problems = _rebuilt_search(doc)
+    cert, _, problems = _rebuilt_search(doc)
     if cert is None:
         return problems
     full = build_contradiction_certificate(search_cert=cert)
     expected = contradiction_certificate_document(full, doc["survivors"])
-    problems += _diff(doc, expected, "document")
+    problems += _diff(doc, expected, ("document",))
     if full.verdict != "nonfactorizable":
         problems.append(f"rebuilt verdict is {full.verdict!r}, expected 'nonfactorizable'")
     return problems

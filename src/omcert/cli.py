@@ -14,12 +14,14 @@ import sys
 from typing import Any, NamedTuple, NoReturn
 
 from .certificate import (
+    _validated_search,
     certificate_document,
-    search_certificate_from_document,
+    contradiction_certificate_document,
     serialize_certificate,
 )
 from .contradiction import build_contradiction_certificate
 from .matroid import (
+    COVECTOR_BOUND,
     COVECTOR_LIMIT,
     COVER_BOUND,
     Chirotope,
@@ -30,11 +32,10 @@ from .matroid import (
     covectors_from_topes,
     pair_swap_chirotope,
     topes_of,
+    uniform_covector_count,
 )
 from .search import VerificationError, build_search_instance, enumerate_survivors, verify_search_conclusions
 from .strong_map import is_strong_map_covectors, is_strong_map_topes
-
-_COVECTOR_CHECK_LIMIT = 6  # covector-containment cross-check only at desk scale
 
 
 class RunConfig(NamedTuple):
@@ -132,7 +133,7 @@ def _cmd_strongmap(cfg: RunConfig) -> int:
     target = topes_of(pair_swap_chirotope(cfg.n))
     tope_verdict = is_strong_map_topes(source, target)
     covector_verdict = None
-    if cfg.n <= _COVECTOR_CHECK_LIMIT:
+    if cfg.n <= COVECTOR_LIMIT:
         covector_verdict = is_strong_map_covectors(
             covectors_from_topes(source), covectors_from_topes(target)
         )
@@ -210,6 +211,7 @@ def _contradiction_text(doc: dict) -> list[str]:
 
 
 def _run_contradiction(cfg: RunConfig, certificate_path: str | None) -> int:
+    survivors = None  # the survivor entries, when validation already built them
     if certificate_path is None:
         search_cert = enumerate_survivors(build_search_instance())
     else:
@@ -220,14 +222,13 @@ def _run_contradiction(cfg: RunConfig, certificate_path: str | None) -> int:
             # ValueError: malformed JSON or undecodable bytes; RecursionError: too deeply nested
             print(f"error: cannot load {certificate_path}: {exc}", file=sys.stderr)
             return 1
-        try:
-            search_cert = search_certificate_from_document(loaded)
-        except VerificationError as exc:
-            for problem in str(exc).splitlines():
+        search_cert, survivors, problems = _validated_search(loaded)
+        if problems:
+            for problem in problems:
                 print(f"invalid certificate: {problem}", file=sys.stderr)
             return 1
     cert = build_contradiction_certificate(search_cert=search_cert)
-    doc = certificate_document(cert)
+    doc = contradiction_certificate_document(cert, survivors)
     status = (
         _emit_text(cfg, _contradiction_text(doc))
         if cfg.format == "text"
@@ -324,8 +325,13 @@ def _config_from_args(command: str, args: dict[str, Any]) -> RunConfig:
     if completions > COVER_BOUND:
         why = f"its tope cover visits {completions} completions, more than {COVER_BOUND}"
         _usage_error(command, f"n={n}, rank={rank} is too large: {why}")
-    if command == "axioms" and n > COVECTOR_LIMIT:
-        _usage_error(command, f"n={n} is too large: covectors are enumerated up to n={COVECTOR_LIMIT}")
+    if command == "axioms":
+        if n > COVECTOR_LIMIT:
+            _usage_error(command, f"n={n} is too large: covectors are enumerated up to n={COVECTOR_LIMIT}")
+        covectors = uniform_covector_count(n, rank)
+        if covectors > COVECTOR_BOUND:
+            why = f"its {covectors} covectors are more than the {COVECTOR_BOUND} the axiom check takes"
+            _usage_error(command, f"n={n}, rank={rank} is too large: {why}")
     if args.get("threads", 1) < 1:
         _usage_error(command, f"threads must be >= 1, got {args['threads']}")
     return RunConfig(command, n, rank, family, args.get("output"), args.get("format", "json"))

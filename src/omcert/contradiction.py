@@ -14,24 +14,16 @@ per (rank+1)-subset. Both come with desk-scale empirical checks over the
 search survivors, which read the circuit table each survivor record carries,
 and a failed check fails the verdict; the reduction of an arbitrary
 intermediate to a uniform one is recorded as a trusted citation. The
-deletion check never builds a deletion's tope set as objects: it gathers the
-survivor's negative masks onto each kept set through a table built once per
-call and compares the OR of their packed pattern fields
-(``matroid.pattern_bytes``) with the restricted parent circuits.
+deletion check never builds a deletion's tope set: a deletion's pattern
+field on a 4-subset of the kept set is the parent's, so it compares each
+survivor's circuit table with the circuits its own topes carry.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .matroid import (
-    alternating_chirotope,
-    pair_swap_chirotope,
-    pattern_bytes,
-    pattern_index,
-)
+from .matroid import alternating_chirotope, circuit_table, pair_swap_chirotope
 from .search import (
     SEARCH_N,
     SEARCH_RANK,
@@ -153,65 +145,26 @@ def _check_circuit_uniqueness(survivors: tuple[SurvivorRecord, ...]) -> bool:
     return all(c is not None for s in survivors for c in s.circuit_table)
 
 
-def _deletion_gathers(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """One gather table per one-element deletion of 1..n, kept sets in
-    lexicographic order: ``table[neg]`` is the negative mask on ``kept``
-    (relabeled 1..n-1) of the full-support vector with negative mask ``neg``,
-    negated when needed to make it canonical ('+' at its first element)."""
-    full = (1 << (n - 1)) - 1
-    gathers = []
-    for dropped in range(n, 0, -1):  # kept sets in lexicographic order
-        kept = tuple(e for e in range(1, n + 1) if e != dropped)
-        low = (1 << (dropped - 1)) - 1  # the elements below the dropped one keep their bits
-        table = []
-        for neg in range(1 << n):
-            x = neg & low | neg >> dropped << (dropped - 1)
-            table.append(x ^ full if x & 1 else x)
-        gathers.append((kept, tuple(table)))
-    return tuple(gathers)
-
-
-def _deletion_pattern_bytes(negs: Iterable[int], gather: tuple[int, ...], n: int, r: int) -> int:
-    """The OR of ``pattern_bytes`` over a deletion's tope set, on ground set
-    1..n at rank r: the parent topes' negative masks gathered through one
-    deletion's table, so canonicalized, and deduplicated as ints."""
-    packed = 0
-    for neg in {gather[neg] for neg in negs}:
-        packed |= pattern_bytes(neg, n, r)
-    return packed
-
-
 def _check_deletion_circuits(survivors: tuple[SurvivorRecord, ...]) -> bool:
     """Circuits of survivor deletions agree with the parent circuits, read
     from each survivor's circuit table, supported in the kept set, across
     every 5-element deletion and every 4-subset of it.
 
-    Each deletion is checked on packed pattern fields: its topes are the
-    survivor's topes gathered onto the kept set, canonicalized and
-    deduplicated as negative masks, and the OR of their ``pattern_bytes``
-    must leave exactly one pattern avoided in every field, the pattern of the
-    parent circuit on that 4-subset. A table entry that is None or not
-    supported on its 4-subset, or any other mismatch, gives False.
+    One table comparison per survivor checks every deletion: the table must
+    have an entry for each 4-subset Q, none None, equal up to sign to the
+    circuit its topes carry on Q (``matroid.circuit_table``). That is the
+    deletion check because a deletion's pattern field on Q is the parent's:
+    restricting a tope to the kept set and then to Q restricts it to Q, and
+    neither the canonical sign nor deduplication changes the OR of the
+    fields. So every deletion has exactly one avoided pattern on each of its
+    4-subsets, the restricted parent circuit, exactly when the parent does.
     """
-    n, r = SEARCH_N, SEARCH_RANK
-    supports = tuple(combinations(range(1, n + 1), r + 1))
-    width = 1 << r
-    full = (1 << width * math.comb(n - 1, r + 1)) - 1
-    gathers = _deletion_gathers(n)
     for survivor in survivors:
-        if len(survivor.circuit_table) != len(supports):
+        carried = circuit_table(survivor.tope_set())
+        if len(survivor.circuit_table) != len(carried):
             return False
-        pids = {}
-        for q, circuit in zip(supports, survivor.circuit_table):
-            if circuit is None or circuit.support_mask != sum(1 << (e - 1) for e in q):
-                return False
-            pids[q] = pattern_index(circuit.neg, q)
-        negs = [t.neg for t in survivor.topes]
-        for kept, gather in gathers:
-            circuits = 0
-            for i, q in enumerate(combinations(kept, r + 1)):
-                circuits |= 1 << (width * i + pids[q])
-            if _deletion_pattern_bytes(negs, gather, n - 1, r) != full ^ circuits:
+        for circuit, want in zip(survivor.circuit_table, carried):
+            if circuit is None or want is None or circuit not in (want, want.opposite()):
                 return False
     return True
 

@@ -16,7 +16,8 @@ Only uniform chirotopes are supported by the cocircuit reader; everything
 downstream enumerates explicitly, so ground sets are expected to stay small
 (n <= 8 for the shipped instances). The guards sit well above that: the tope
 cover stops after ``COVER_BOUND`` completions, covectors are enumerated up to
-n = 10, and the command line refuses a larger cover before building anything.
+n = 10, and the command line refuses a larger cover, or a covector axiom
+check on more than ``COVECTOR_BOUND`` covectors, before building anything.
 
 ``Chirotope``, ``TopeSet`` and ``CovectorSet`` are immutable value types on
 ``signed_vector.Immutable``: a hand-written ``__init__`` runs the checks, and
@@ -39,6 +40,10 @@ COVECTOR_LIMIT = 10
 # most completions the tope cover visits; rank r on n elements needs C(n, r-1) * 2**(r-1)
 COVER_BOUND = 200_000
 
+# most covectors the command line's axiom check takes on: it visits every pair, so
+# 929 covectors (alternating n=8, rank 4) take 1.3-2.4 s and 2,467 about 12 s (2 cores)
+COVECTOR_BOUND = 1_000
+
 # cap on stored axiom violations; counts past the cap are not recorded
 _VIOLATION_CAP = 32
 
@@ -53,6 +58,13 @@ def phi(r: int, n: int) -> int:
 def canonical_tope_count(n: int, r: int) -> int:
     """Expected number of canonical topes of a rank-r oriented matroid on n elements."""
     return phi(r - 1, n - 1)
+
+
+def uniform_covector_count(n: int, r: int) -> int:
+    """Number of covectors of a uniform rank-r oriented matroid on n elements:
+    a nonzero covector with j zeros picks a j-subset and a tope of the
+    contraction by it, both signs."""
+    return 1 + sum(math.comb(n, j) * 2 * phi(r - j - 1, n - j - 1) for j in range(r))
 
 
 @cache
@@ -180,23 +192,6 @@ def pair_swap_chirotope(n: int) -> Chirotope:
 # ----------------------------------------------------------------------
 
 
-def pattern_index(neg: int, subset: tuple[int, ...]) -> int:
-    """Canonical pattern index of a full-support vector's restriction to
-    ``subset``, read from its negative mask.
-
-    The sign at the least element is normalized to '+', and bit j-1 is set
-    when the j-th further element then reads '-'. So indices follow the
-    string order read from the last element of the subset back, not the
-    fixed string order: on (1, 2, 3), '++-' is 2 and '+-+' is 1.
-    """
-    flip = neg >> (subset[0] - 1) & 1
-    pid = 0
-    for j in range(1, len(subset)):
-        if (neg >> (subset[j] - 1) & 1) != flip:
-            pid |= 1 << (j - 1)
-    return pid
-
-
 @cache
 def _pattern_slots(n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Bit-sliced subset table for ``pattern_bytes``: ``slots[k][e - 1]``
@@ -216,7 +211,11 @@ def _pattern_slots(n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 def pattern_bytes(neg: int, n: int, r: int) -> int:
     """Packed pattern fields of a full-support vector on 1..n, from its
     negative mask: one field of 2**r bits per (r+1)-subset Q in
-    lexicographic order, holding the single bit ``1 << pattern_index(neg, Q)``.
+    lexicographic order, holding the single bit of the vector's canonical
+    pattern on Q. That pattern's index normalizes the sign at the least
+    element of Q to '+' and sets bit j-1 when the j-th further element then
+    reads '-'; ``_pattern_vector`` is the inverse. So on (1, 2, 3), '++-' is
+    2 and '+-+' is 1.
 
     ORing the fields of several vectors gives, field by field, the set of
     canonical patterns their restrictions produce. At r = 3 a field is one
@@ -248,7 +247,7 @@ class TopeSet(Immutable):
 
     The key is (n, r, topes). ``hit_patterns`` is derived from the topes and
     cached on first use: for every (r+1)-subset Q in lexicographic order, a
-    bitmask of the canonical patterns (numbered by ``pattern_index``) that
+    bitmask of the canonical patterns (numbered as in ``pattern_bytes``) that
     the topes' restrictions to Q produce. It is the OR of the topes'
     ``pattern_bytes``, split back into one entry per Q. Every axiom and
     circuit check reads it. It is not a field, so neither equality nor the
@@ -569,8 +568,8 @@ def check_uniform_tope_axioms(topes: TopeSet) -> UniformTopeReport:
     tope exactly when the tope's restriction to Q differs from both the
     pattern and its opposite, so each Q is checked against the set of
     canonical restriction patterns its topes produce (the set's
-    ``hit_patterns``). The avoided pattern of least ``pattern_index`` is
-    recorded as the witness.
+    ``hit_patterns``). The avoided pattern of least index is recorded as
+    the witness.
     """
     expected = canonical_tope_count(topes.n, topes.r)
     every = (1 << (1 << topes.r)) - 1  # all 2**(|Q|-1) canonical patterns per (r+1)-subset

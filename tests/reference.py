@@ -4,9 +4,10 @@ The sign-vector relations (``compose``, ``conforms``, ``perpendicular``,
 ``full_support_extensions``) follow their textbook definitions. On top of
 them, ``is_covector_by_extension`` decides covector membership by full-support
 completion, and ``alternating_topes_direct`` lists the alternating instance's
-topes by the sign-change rule; the tests compare the library's cocircuit,
-tope, covector and circuit computations against them. The library itself
-calls none of these.
+topes by the sign-change rule, and ``pattern_index`` numbers a vector's
+canonical pattern on one subset, element by element; the tests compare the
+library's cocircuit, tope, covector, circuit and packed pattern computations
+against them. The library itself calls none of these.
 
 ``parse`` is the argparse command line that ``omcert.cli`` had before its
 table-driven parser; the two must agree on every run configuration and
@@ -81,6 +82,23 @@ def is_covector_by_extension(x: SignedVector, topes: TopeSet) -> bool:
     if x.n != topes.n:
         raise ValueError(f"ground-set mismatch: {x.n} vs {topes.n}")
     return all(ext.canonical() in topes.topes for ext in full_support_extensions(x))
+
+
+def pattern_index(neg: int, subset: tuple[int, ...]) -> int:
+    """Canonical pattern index of a full-support vector's restriction to
+    ``subset``, read from its negative mask, one element at a time.
+
+    The sign at the least element is normalized to '+', and bit j-1 is set
+    when the j-th further element then reads '-'. So indices follow the
+    string order read from the last element of the subset back, not the
+    fixed string order: on (1, 2, 3), '++-' is 2 and '+-+' is 1.
+    """
+    flip = neg >> (subset[0] - 1) & 1
+    pid = 0
+    for j in range(1, len(subset)):
+        if (neg >> (subset[j] - 1) & 1) != flip:
+            pid |= 1 << (j - 1)
+    return pid
 
 
 def alternating_topes_direct(n: int, r: int) -> TopeSet:

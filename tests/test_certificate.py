@@ -282,6 +282,40 @@ class TestValidation:
         assert validate_contradiction_document(contradiction_doc) == []
         assert len(built) == len(contradiction_doc["survivors"]) == 20
 
+    def test_verify_n8_builds_each_survivor_entry_once(self, monkeypatch, tmp_path, capsys, search_doc):
+        # the output document reuses the entries the validation rebuilt
+        search = tmp_path / "search.json"
+        search.write_bytes(serialize_certificate(search_doc))
+        built = []
+
+        def counted(record):
+            built.append(record)
+            return survivor_entry(record)
+
+        survivor_entry = omcert.certificate._survivor_entry
+        monkeypatch.setattr(omcert.certificate, "_survivor_entry", counted)
+        assert main(["verify-n8", "--certificate", str(search)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FULL_SHA256
+        assert len(built) == 20
+
+    def test_clean_validation_formats_no_path(self, monkeypatch, contradiction_doc):
+        calls = []
+
+        def counted(key):
+            calls.append(key)
+            return path_key(key)
+
+        path_key = omcert.certificate._path_key
+        monkeypatch.setattr(omcert.certificate, "_path_key", counted)
+        assert validate_certificate_document(contradiction_doc) == []
+        assert calls == []
+        bad = copied(contradiction_doc)
+        bad["conclusion"]["premise_strong_map"]["method"] = "vibes"
+        assert validate_certificate_document(bad) == [
+            "document.conclusion.premise_strong_map.method is 'vibes', expected 'tope-inclusion'"
+        ]
+        assert calls == ["conclusion", "premise_strong_map", "method"]
+
     @pytest.mark.parametrize("field", SEARCH_INSTANCE_FIELDS)
     def test_search_instance_metadata_checked(self, search_doc, field):
         bad = copied(search_doc)

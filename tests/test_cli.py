@@ -90,12 +90,13 @@ class TestStrongMap:
         assert doc["covector_containment"]["holds"]
         assert doc["methods_agree"]
 
-    def test_n8_tope_method_only(self, capsys):
+    def test_n8_both_methods(self, capsys):
         code, out, _ = run_cli(capsys, "strongmap", "--n", "8")
         assert code == 0
         doc = json.loads(out)
         assert doc["tope_inclusion"]["holds"]
-        assert "covector_containment" not in doc
+        assert doc["covector_containment"]["holds"]
+        assert doc["methods_agree"]
 
 
 class TestSearchCommand:
@@ -303,8 +304,10 @@ class TestOversizedInstances:
 
 class TestCovectorLimit:
     """``axioms`` enumerates covectors, 3**n candidates, only up to
-    matroid.COVECTOR_LIMIT = 10; a larger n is a usage error before anything
-    is built. The other commands enumerate no covectors past n = 6."""
+    matroid.COVECTOR_LIMIT = 10, and checks their axioms on every pair only up
+    to matroid.COVECTOR_BOUND = 1,000 covectors; past either it is a usage
+    error before anything is built. ``strongmap`` cross-checks by covectors up
+    to n = 10 and by topes alone past it; ``topes`` enumerates no covectors."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -323,6 +326,7 @@ class TestCovectorLimit:
         "argv",
         [
             ["axioms", "--n", "10", "--rank", "3"],
+            ["axioms", "--n", "8", "--rank", "4"],  # 929 covectors, within the bound
             ["topes", "--n", "11", "--rank", "3"],
             ["strongmap", "--n", "12"],
         ],
@@ -331,6 +335,15 @@ class TestCovectorLimit:
     def test_within_the_limit_or_other_commands_parse(self, argv):
         cfg, _ = parse_args(argv)
         assert (cfg.command, cfg.n) == (argv[0], int(argv[2]))
+
+    @pytest.mark.parametrize("n, rank, count", [(10, 9, 57003), (8, 5, 2467)])
+    def test_too_many_covectors_refused(self, capsys, n, rank, count):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["axioms", "--n", str(n), "--rank", str(rank)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: omcert axioms ")
+        assert f"is too large: its {count} covectors are more than the 1000" in err
 
 
 # Command lines that the argparse parser in tests/reference.py and cli.parse_args

@@ -4,6 +4,8 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import omcert.contradiction
 import omcert.matroid
@@ -19,9 +21,10 @@ from omcert.contradiction import (
     lift_through_restriction,
     verify_premise,
 )
-from omcert.matroid import restriction_tope_set
+from omcert.matroid import TopeSet, circuit_table, restriction_tope_set
 from omcert.search import SurvivorRecord
 from omcert.signed_vector import SignedVector
+from reference import alternating_topes_direct
 
 sv = SignedVector.parse
 
@@ -134,6 +137,26 @@ def with_table_entry(survivor, index, entry):
     )
 
 
+SOURCE6 = alternating_topes_direct(6, 4).ordered
+
+
+def deletion_oracle(survivor: SurvivorRecord) -> bool:
+    """The deletion check on objects: on every 5-element kept set, the
+    circuits of the deletion's own tope set equal, up to sign, the circuit
+    table's entries on the kept set's 4-subsets, restricted to it."""
+    if len(survivor.circuit_table) != 15:
+        return False
+    table = dict(zip(combinations(range(1, 7), 4), survivor.circuit_table))
+    parent = survivor.tope_set()
+    for kept in combinations(range(1, 7), 5):
+        carried = circuit_table(restriction_tope_set(parent, kept))
+        for q, want in zip(combinations(kept, 4), carried):
+            circuit = table[q]
+            if circuit is None or want is None or circuit.restrict(kept) not in (want, want.opposite()):
+                return False
+    return True
+
+
 class TestDeletionCheck:
     @pytest.mark.parametrize("index", [0, 7, 14])
     def test_swapped_circuit_rejected(self, search_certificate, index):
@@ -152,19 +175,49 @@ class TestDeletionCheck:
         assert omcert.contradiction._check_deletion_circuits(bad) is False
 
     def test_mask_fields_match_restricted_tope_sets(self, search_certificate):
-        # the object path (restrict every tope, canonicalize, build a TopeSet)
-        # is the oracle for the gathered negative masks and their fields
-        gathers = omcert.contradiction._deletion_gathers(6)
-        assert [kept for kept, _ in gathers] == list(combinations(range(1, 7), 5))
+        # the identity behind the check: a deletion's pattern field on a
+        # 4-subset Q of the kept set is the parent's field on Q, so one table
+        # comparison per survivor covers all six deletions
         for survivor in search_certificate.survivors:
             parent = survivor.tope_set()
-            negs = [t.neg for t in survivor.topes]
-            for kept, gather in gathers:
+            fields = dict(zip(combinations(range(1, 7), 4), parent.hit_patterns))
+            for kept in combinations(range(1, 7), 5):
                 deletion = restriction_tope_set(parent, kept)
-                assert {gather[neg] for neg in negs} == {t.neg for t in deletion.topes}
-                packed = omcert.contradiction._deletion_pattern_bytes(negs, gather, 5, 3)
-                assert [packed >> 8 * i & 0xFF for i in range(5)] == list(deletion.hit_patterns)
-                assert packed >> 40 == 0
+                assert list(deletion.hit_patterns) == [fields[q] for q in combinations(kept, 4)]
+
+    @settings(max_examples=80, deadline=None)
+    @example(topes=0, mutation="none", index=0, shift=1)
+    @example(topes=4, mutation="negate", index=9, shift=1)
+    @example(topes=7, mutation="swap", index=3, shift=1)
+    @given(
+        topes=st.integers(0, 19) | st.lists(st.integers(0, 25), min_size=16, max_size=16, unique=True),
+        mutation=st.sampled_from(("none", "swap", "negate", "empty", "move")),
+        index=st.integers(0, 14),
+        shift=st.integers(1, 14),
+    )
+    def test_check_equals_object_path_oracle(self, search_certificate, topes, mutation, index, shift):
+        # a survivor, or 16 random alt(6,4) topes with their own table; then
+        # one table entry swapped, negated, set to None or put on another support
+        if isinstance(topes, int):
+            record = search_certificate.survivors[topes]
+        else:
+            tope_set = TopeSet(6, 3, frozenset(SOURCE6[i] for i in topes))
+            record = SurvivorRecord(tope_set.ordered, (), (), (), circuit_table(tope_set))
+        entry = record.circuit_table[index]
+        if mutation == "swap" and entry is not None:
+            last = 1 << (entry.support_mask.bit_length() - 1)
+            entry = SignedVector(entry.n, entry.pos ^ last, entry.neg ^ last)
+        elif mutation == "negate" and entry is not None:
+            entry = entry.opposite()
+        elif mutation == "empty":
+            entry = None
+        elif mutation == "move":
+            entry = record.circuit_table[(index + shift) % 15]
+        record = with_table_entry(record, index, entry)
+        expected = deletion_oracle(record)
+        assert omcert.contradiction._check_deletion_circuits((record,)) is expected
+        if isinstance(topes, int):
+            assert expected is (mutation in ("none", "negate"))
 
     def test_no_object_path_in_the_pipeline(self, monkeypatch, search_certificate):
         def refuse(*args, **kwargs):

@@ -17,14 +17,14 @@ from omcert.matroid import (
     covectors_from_topes,
     pair_swap_chirotope,
     pattern_bytes,
-    pattern_index,
     phi,
     restriction_tope_set,
     topes_from_cocircuits,
     topes_of,
+    uniform_covector_count,
 )
 from omcert.signed_vector import SignedVector
-from reference import alternating_topes_direct, compose, conforms, perpendicular
+from reference import alternating_topes_direct, compose, conforms, pattern_index, perpendicular
 
 sv = SignedVector.parse
 
@@ -304,20 +304,15 @@ class TestTopeGeneration:
             assert restriction_tope_set(swap8, kept).topes == swap6.topes
 
 
-def uniform_covector_count(n: int, r: int) -> int:
-    """Face-count oracle for uniform instances: a covector with j zeros picks
-    a j-subset and a tope of the contraction by it."""
-    return 1 + sum(
-        math.comb(n, j) * 2 * phi(r - j - 1, n - j - 1) for j in range(r)
-    )
-
-
 class TestCovectors:
-    def test_counts_match_face_oracle(self, alt64, swap6):
+    def test_counts_match_face_oracle(self, alt64, swap6, alt84):
         assert len(covectors_from_topes(alt64)) == uniform_covector_count(6, 4) == 345
         assert len(covectors_from_topes(swap6)) == uniform_covector_count(6, 2) == 25
+        assert len(covectors_from_topes(alt84)) == uniform_covector_count(8, 4) == 929
         alt42 = topes_of(alternating_chirotope(4, 2))
         assert len(covectors_from_topes(alt42)) == uniform_covector_count(4, 2) == 17
+        # at full rank every sign vector is a covector
+        assert [uniform_covector_count(n, n) for n in range(1, 9)] == [3**n for n in range(1, 9)]
 
     def test_contains_zero_topes_opposites(self, swap6):
         cov = covectors_from_topes(swap6)

@@ -11,14 +11,17 @@ function again), and every method, property and cached property of a class
 defined there. Methods that Python generates for ``NamedTuple`` records are
 not in the source and are not counted.
 
-A design guard sits next to the walk: every ``Immutable`` subclass takes its
-``__eq__`` and ``__hash__`` from ``Immutable``, which compares ``_key()``,
-except ``SignedVector``, the type the pipeline hashes, which keeps its own
-for speed.
+Two design guards sit next to the walk. Every ``Immutable`` subclass takes
+its ``__eq__`` and ``__hash__`` from ``Immutable``, which compares
+``_key()``, except ``SignedVector``, the type the pipeline hashes, which
+keeps its own for speed. And the packed pattern fields stay in two modules:
+no module other than ``matroid``, which computes them, and ``search``, whose
+kernel ORs them, imports ``pattern_bytes``.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import importlib
 import importlib.util
@@ -42,11 +45,11 @@ ALLOWED = {
     "signed_vector.Immutable.__setattr__": "refuses assignment; the pipeline assigns no field",
     "signed_vector.Immutable.__delattr__": "refuses deletion; the pipeline deletes no field",
     "signed_vector.SignedVector.__repr__": "repr protocol, for debugging",
-    "signed_vector.SignedVector.restrict": "oracle of the deletion check and of the chirotope-side oracle to come",
+    "signed_vector.SignedVector.restrict": "builds the deletions of restriction_tope_set, the oracle below",
     "matroid.TopeSet.__contains__": "container protocol; the pipeline tests the frozenset",
     "matroid.CovectorSet.__len__": "container protocol; the reports count vectors themselves",
     "matroid.CovectorSet.__contains__": "container protocol; the pipeline tests the frozenset",
-    "matroid.restriction_tope_set": "oracle of the deletion check and of the chirotope-side oracle to come",
+    "matroid.restriction_tope_set": "oracle of the deletion identity, test_contradiction's test_mask_fields_match_restricted_tope_sets",
     "search.SurvivorRecord._key": "key of equality and hashing; the pipeline compares no records",
     "search.SurvivorRecord.__repr__": "repr protocol, for debugging; hides the circuit table",
 }
@@ -97,7 +100,8 @@ def load_probe():
 
 
 def walk(tmp_path: Path) -> None:
-    """Every command, a usage error and help, then every probe mode."""
+    """Every command, an invalid certificate, a usage error and help, then
+    every probe mode."""
     search, full = str(tmp_path / "search.json"), str(tmp_path / "all.json")
     text = ["--format", "text"]
     for argv in (
@@ -111,6 +115,9 @@ def walk(tmp_path: Path) -> None:
         ["all", "--output", full],
     ):
         assert main(argv) == 0, argv
+    bad = tmp_path / "bad.json"
+    bad.write_text(Path(search).read_text().replace('"rank": 3', '"rank": 5'))
+    assert main(["verify-n8", "--certificate", str(bad)]) == 1
     for argv, code in ((["all", "--bogus"], 2), (["-h"], 0)):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -153,3 +160,13 @@ def test_value_types_take_equality_and_hash_from_immutable():
                 if value not in (Immutable, SignedVector):
                     own |= {f"{value.__name__}.{a}" for a in ("__eq__", "__hash__") if a in vars(value)}
     assert own == set()
+
+
+def test_only_matroid_and_search_import_pattern_bytes():
+    importers = set()
+    for path in sorted(Path(omcert.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            if "pattern_bytes" in names or isinstance(node, ast.Attribute) and node.attr == "pattern_bytes":
+                importers.add(path.stem)
+    assert importers == {"search"}
