@@ -222,6 +222,13 @@ def _run_contradiction(cfg: RunConfig, certificate_path: str | None) -> int:
             # ValueError: malformed JSON or undecodable bytes; RecursionError: too deeply nested
             print(f"error: cannot load {certificate_path}: {exc}", file=sys.stderr)
             return 1
+        if type(loaded) is dict and loaded.get("restrictions"):  # an `all` document
+            print(
+                "invalid certificate: document is a full-pipeline (all) certificate;"
+                " --certificate takes the lemma6 search certificate",
+                file=sys.stderr,
+            )
+            return 1
         search_cert, survivors, problems = _validated_search(loaded)
         if problems:
             for problem in problems:

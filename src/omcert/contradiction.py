@@ -10,13 +10,13 @@ circuits on the support {1,2,5,6}, which no oriented matroid can.
 Two standard facts are consumed as named assumptions rather than re-proved:
 circuits of a deletion are exactly the parent circuits supported inside the
 kept set, and a uniform oriented matroid carries exactly one circuit pair
-per (rank+1)-subset. Both come with desk-scale empirical checks over the
-search survivors, which read the circuit table each survivor record carries,
-and a failed check fails the verdict; the reduction of an arbitrary
-intermediate to a uniform one is recorded as a trusted citation. The
-deletion check never builds a deletion's tope set: a deletion's pattern
-field on a 4-subset of the kept set is the parent's, so it compares each
-survivor's circuit table with the circuits its own topes carry.
+per (rank+1)-subset. Both are checked over the search survivors, reading the
+circuit table each survivor record carries, and a failed check fails the
+verdict; the reduction of an arbitrary intermediate to a uniform one is
+recorded as a trusted citation. The search builds that table from the
+survivor's own topes, so on every record it emits the deletion check holds
+exactly when the uniqueness check does; the deletion identity rests on the
+README's argument and ``TestDeletionCheck::test_mask_fields_match_restricted_tope_sets``.
 """
 
 from __future__ import annotations
@@ -158,6 +158,10 @@ def _check_deletion_circuits(survivors: tuple[SurvivorRecord, ...]) -> bool:
     neither the canonical sign nor deduplication changes the OR of the
     fields. So every deletion has exactly one avoided pattern on each of its
     4-subsets, the restricted parent circuit, exactly when the parent does.
+    A record that ``search._survivor_record`` builds carries the
+    ``circuit_table`` of its own topes, so on it this holds exactly when
+    ``_check_circuit_uniqueness`` does; the deletion identity rests on the
+    argument above and ``TestDeletionCheck::test_mask_fields_match_restricted_tope_sets``.
     """
     for survivor in survivors:
         carried = circuit_table(survivor.tope_set())
@@ -269,10 +273,10 @@ def direct_search_n8(budget: int) -> DirectSearchOutcome:
     source topes with the saturation kernel, at most ``budget`` nodes.
 
     A node is one candidate tope tried on top of a prefix. The whole space
-    is 177,833,728 nodes, which the kernel exhausts in about 78 s on one
-    core, about 2.3 million nodes per second, with one AND per node against
-    the prefix's critical bits (``pytest -m slow``: 79.5 s, Python 3.11.7,
-    2-core machine).
+    is 177,833,728 nodes, which the kernel exhausts in 72-92 s on one core
+    of a shared 2-core machine, 1.9-2.5 million nodes per second, with one AND
+    per node against the prefix's critical bits (``pytest -m slow``: 101.0 s,
+    Python 3.11.7).
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")

@@ -17,13 +17,13 @@ patterns a tope produces (the tope's ``matroid.pattern_bytes``, the fields
 every tope set's ``hit_patterns`` table is split from). A candidate fails
 exactly when some 4-subset's byte saturates (all 8 patterns hit). A tope
 sets one bit per byte, so a child saturates a byte only by adding the one bit
-a 7-bit byte of the prefix lacks: each internal node computes those critical
-bits once, and each child is tested against them with one AND. Bytes only
-accumulate as topes are added, so a saturated prefix is pruned and the
-combinations below it are credited without being visited, read from a table
-of binomials built once per run; all 184,756 are still counted.
-Survivors are re-verified through the ordinary axiom checker, which also
-yields the witnesses.
+a 7-bit byte of the prefix lacks: each internal node reads those critical
+bits once from the byte table ``CRITICAL``, and each child is tested against
+them with one AND. Bytes only accumulate as topes are added, so a saturated
+prefix is pruned and the combinations below it are credited without being
+visited, read from a table of binomials built once per run; all 184,756 are
+still counted. Survivors are re-verified through the ordinary axiom checker,
+which also yields the witnesses.
 
 The instance, the certificate and a kernel run are ``NamedTuple`` records.
 ``SurvivorRecord`` is an immutable class on ``signed_vector.Immutable``
@@ -181,6 +181,11 @@ def pattern_masks(instance: SearchInstance) -> tuple[int, tuple[int, ...]]:
     return base, tuple(pattern_bytes(t.neg, n, r) for t in instance.pool)
 
 
+# For each byte value, the bits a child must not add: the missing bit of a
+# 7-bit byte, every bit of a saturated one, none otherwise.
+CRITICAL = bytes(0xFF ^ b if b.bit_count() == 7 else 0xFF if b == 0xFF else 0 for b in range(256))
+
+
 class SaturationRun(NamedTuple):
     """What one kernel run found and counted."""
 
@@ -208,37 +213,21 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
     The critical-bit test: every tope's ``pattern_bytes`` holds exactly one
     bit per byte, so a child saturates a byte exactly when that byte of the
     prefix has 7 bits set and the child holds the missing one. Once per
-    internal node, x = full ^ mask holds each byte's missing bits; no byte of
-    x is zero, as the prefix is unsaturated, so no borrow crosses a byte and
-    y = x & (x - low) clears exactly the lowest bit of each byte. The bytes
-    of y that are zero, those with one missing bit, are found exactly by
-    ~(((y & 0x7F..) + 0x7F..) | y) & high (Warren, Hacker's Delight, ch. 6;
-    the sum carries out of no byte), and shifting that right by 7 and
-    multiplying by 255 spreads it to a byte mask. ``crit`` is x under that
-    mask: the bit that would complete each nearly full byte. A child then
-    saturates a byte iff its mask ANDed with ``crit`` is nonzero. If the base
-    alone already saturates a byte, every root child saturates it too: the
-    root's ``crit`` is ``full`` and every root child is tried, pruned and
-    credited.
+    internal node, ``CRITICAL`` translates each byte of the prefix mask into
+    ``crit``, the bits a child must not add; a child saturates a byte iff its
+    mask ANDed with ``crit`` is nonzero. A byte the base alone saturates
+    translates to 0xFF, so every root child is tried, pruned and credited.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     mask, pool_masks = pattern_masks(instance)
     npool, choose, nbytes = len(pool_masks), instance.choose, len(instance.supports)
-    low = int.from_bytes(b"\x01" * nbytes, "little")  # the lowest bit of every byte
-    full, high = (1 << 8 * nbytes) - 1, low << 7
-    seven = high - low  # 0x7F in every byte
     below = [[]] + [[math.comb(npool - i - 1, k) for i in range(npool)] for k in range(choose)]
     limit = -1 if budget is None else budget  # nodes never reaches -1
     found: list[tuple[int, ...]] = []
     nodes = credited = 0
     picks, saved_mask, saved_crit = [0] * choose, [0] * choose, [0] * choose
-    x = full ^ mask
-    if (x - low) & ~x & high:  # the base saturates a byte (Mycroft's zero-byte test)
-        crit = full
-    else:
-        y = x & (x - low)
-        crit = x & ((~(((y & seven) + seven) | y) & high) >> 7) * 255
+    crit = int.from_bytes(mask.to_bytes(nbytes, "little").translate(CRITICAL), "little")
     rem, depth, i = choose, 0, 0
     credit, end = below[rem], npool - rem + 1
     while True:
@@ -257,9 +246,7 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
                 picks[depth], saved_mask[depth], saved_crit[depth] = i, mask, crit
                 depth += 1
                 mask |= pool_masks[i]
-                x = full ^ mask
-                y = x & (x - low)
-                crit = x & ((~(((y & seven) + seven) | y) & high) >> 7) * 255
+                crit = int.from_bytes(mask.to_bytes(nbytes, "little").translate(CRITICAL), "little")
                 rem -= 1
                 credit, end = below[rem], end + 1
                 i += 1

@@ -191,6 +191,17 @@ class TestVerifyPipeline:
             'invalid certificate: document."a\\ninvalid certificate: everything fine" is unexpected',
         ]
 
+    def test_pipeline_certificate_named_as_such(self, capsys, tmp_path, contradiction_certificate):
+        path = tmp_path / "all.json"
+        path.write_bytes(serialize_certificate(contradiction_certificate))
+        code, out, err = run_cli(capsys, "verify-n8", "--certificate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "invalid certificate: document is a full-pipeline (all) certificate;"
+            " --certificate takes the lemma6 search certificate"
+        ]
+
     def test_missing_certificate_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify-n8", "--certificate", str(tmp_path / "nope.json"))
         assert code == 1

@@ -245,7 +245,7 @@ class TestDirectSearch:
     @pytest.mark.slow
     def test_full_exhaustion_finds_nothing(self):
         # independent oracle for the whole result: the kernel tries
-        # 177,833,728 nodes (about 78 s on one core, 2.28 million nodes/s) and
+        # 177,833,728 nodes (72-92 s on one core, 1.9-2.5 million nodes/s) and
         # exhausts the space
         outcome = direct_search_n8(budget=250_000_000)
         assert outcome.status == "none-found"

@@ -19,6 +19,7 @@ from omcert.matroid import (
 )
 from omcert.search import (
     CIRCUIT_SUPPORTS,
+    CRITICAL,
     EXCLUDED_TOPES,
     FORCED_CIRCUITS,
     SaturationRun,
@@ -133,6 +134,16 @@ class TestKernel:
                 fields = mask.to_bytes(nbytes, "little")
                 assert all(field and field & field - 1 == 0 for field in fields)
                 assert mask >> 8 * nbytes == 0
+
+    def test_critical_table_pinned(self):
+        # independent of the table's construction: list each value's unset
+        # bits; exactly one is the bit a child must not add, none means every
+        # bit is, and two or more mean none is
+        assert len(CRITICAL) == 256
+        for value in range(256):
+            unset = [1 << k for k in range(8) if not value >> k & 1]
+            want = unset[0] if len(unset) == 1 else 0xFF if not unset else 0
+            assert CRITICAL[value] == want, value
 
     def test_negative_budget_rejected(self, search_instance):
         for budget in (-1, -3):
