@@ -7,22 +7,23 @@ serialize as comma-joined ascending integers inside key strings. Documents
 are built from deterministically ordered data only, so serialized bytes are
 identical across runs and thread counts.
 
-Validation rebuilds the certificate rather than re-checking it field by
-field. From the document it reads only the version and each survivor's tope
-list: every tope set is mapped to its pool picks and rebuilt through the
-prover's own survivor record (which checks the uniform tope-set axioms),
-``combinations_checked`` comes from the closed form C(20, 10), and a full
-document also gets the contradiction stage run on the rebuilt search. The
-stated document must then equal the rebuilt one under a type-strict
-recursive diff that names the path of each difference. The 184,756-case
-enumeration is never re-run.
+Validation regenerates the certificate and diffs the two. It checks that
+the document is a JSON object of the current version, runs the prover's
+search (``enumerate_survivors``, a few milliseconds), and requires the stated
+document to equal the one the prover emits under a type-strict recursive
+diff that names the path of each difference. So the survivor list is
+checked complete: a document missing a survivor differs from the emitted
+one. A search document must also carry the forced conclusions; a full
+document also gets the contradiction stage run on the regenerated search,
+and its verdict must be ``nonfactorizable``. A failure of the search itself
+is one problem, and a path is formatted only for a reported problem.
 
-A search document is rebuilt once: ``omcert verify-n8 --certificate``
-continues with the rebuilt certificate and survivor entries.
-``search_certificate_from_document`` returns the rebuild, or raises
+The checker is the prover, so this shows that the document is the prover's
+own, not that the prover is right. ``omcert verify-n8 --certificate``
+continues with the regenerated certificate, and
+``search_certificate_from_document`` returns it, or raises
 ``VerificationError`` on an invalid document: a library caller gets a
-certificate only from a document that validates. A path is formatted only
-for a reported problem.
+certificate only from a document that validates.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ from .search import (
     SearchCertificate,
     SurvivorRecord,
     VerificationError,
-    _search_certificate,
-    _survivor_record,
     build_search_instance,
+    enumerate_survivors,
     verify_search_conclusions,
 )
 
@@ -69,12 +69,8 @@ def _survivor_entry(s: SurvivorRecord) -> dict[str, Any]:
     }
 
 
-def search_certificate_document(
-    cert: SearchCertificate, survivors: list[Any] | None = None
-) -> dict[str, Any]:
+def search_certificate_document(cert: SearchCertificate) -> dict[str, Any]:
     inst = cert.instance
-    if survivors is None:
-        survivors = [_survivor_entry(s) for s in cert.survivors]
     return {
         "version": CERTIFICATE_VERSION,
         "instance": {
@@ -95,7 +91,7 @@ def search_certificate_document(
             "combinations_checked": cert.combinations_checked,
             "survivor_count": len(cert.survivors),
         },
-        "survivors": survivors,
+        "survivors": [_survivor_entry(s) for s in cert.survivors],
         "restrictions": [],
         "conclusion": {
             "circuits": {
@@ -106,10 +102,8 @@ def search_certificate_document(
     }
 
 
-def contradiction_certificate_document(
-    cert: ContradictionCertificate, survivors: list[Any] | None = None
-) -> dict[str, Any]:
-    doc = search_certificate_document(cert.search, survivors)
+def contradiction_certificate_document(cert: ContradictionCertificate) -> dict[str, Any]:
+    doc = search_certificate_document(cert.search)
     return {
         "version": CERTIFICATE_VERSION,
         "instance": {
@@ -199,8 +193,6 @@ def _diff(stated: Any, expected: Any, path: tuple) -> list[str]:
     (a root string then keys and indices). JSON types must match (``true``
     is not 1 and ``6.0`` is not 6); missing and unexpected keys and array
     lengths are reported; key order is ignored."""
-    if stated is expected:  # the survivors, already diffed during the rebuild
-        return []
     if type(expected) is dict:
         if type(stated) is not dict:
             return [f"{_path(path)} is not an object"]
@@ -227,116 +219,62 @@ def _diff(stated: Any, expected: Any, path: tuple) -> list[str]:
     return []
 
 
-def _survivor_picks(entry: Any, where: str, base: set[str], pool: dict[str, int]) -> tuple[int, ...]:
-    """The sorted pool indices of a stated survivor's topes outside the base."""
-    if type(entry) is not dict:
-        raise VerificationError(f"{where} is not an object")
-    if "topes" not in entry:
-        raise VerificationError(f"{where}.topes is missing")
-    topes = entry["topes"]
-    if type(topes) is not list:
-        raise VerificationError(f"{where}.topes is not an array")
-    picks = set()
-    for j, tope in enumerate(topes):
-        if type(tope) is not str:
-            raise VerificationError(f"{where}.topes[{j}] is not a string")
-        if tope in pool:
-            picks.add(pool[tope])
-        elif tope not in base:
-            raise VerificationError(f"{where}.topes[{j}] is {tope!r}, not a tope of the instance")
-    return tuple(sorted(picks))
-
-
-def _rebuilt_search(doc: Any) -> tuple[SearchCertificate | None, list[dict[str, Any]], list[str]]:
-    """Rebuild the search certificate from the document's version and its
-    survivors' tope lists, diffing each stated survivor entry with its own
-    rebuilt one; returns the certificate, the rebuilt entries and the
-    problems. The certificate is None when some survivor cannot be rebuilt."""
+def _regenerated_search(doc: Any) -> tuple[SearchCertificate | None, list[str]]:
+    """The prover's own search certificate, or the one problem that stops
+    validation first: a document that is not a JSON object of the current
+    version, or a failure of the search itself."""
     if type(doc) is not dict:
-        return None, [], ["document is not a JSON object"]
+        return None, ["document is not a JSON object"]
     version = doc.get("version")
     if type(version) is not int or version != CERTIFICATE_VERSION:
-        return None, [], [f"unsupported version {version!r}"]
-    if "survivors" not in doc:
-        return None, [], ["document.survivors is missing"]
-    stated = doc["survivors"]
-    if type(stated) is not list:
-        return None, [], ["document.survivors is not an array"]
-    if not stated:
-        return None, [], ["document.survivors has 0 entries, expected at least 1"]
-
-    instance = build_search_instance()
-    base = {str(t) for t in instance.base}
-    pool = {str(t): i for i, t in enumerate(instance.pool)}
-    records: list[SurvivorRecord] = []
-    entries: list[dict[str, Any]] = []
-    problems: list[str] = []
-    previous: tuple[int, ...] = ()
-    for i, entry in enumerate(stated):
-        where = f"document.survivors[{i}]"
-        try:
-            picks = _survivor_picks(entry, where, base, pool)
-        except VerificationError as exc:
-            problems.append(str(exc))
-            continue
-        try:
-            record = _survivor_record(instance, picks)
-        except VerificationError as exc:
-            problems.append(f"{where}.topes: {exc}")
-            continue
-        # the kernel finds survivors in plain tuple order of their picks
-        if picks <= previous:
-            problems.append(f"{where} is not after the previous survivor in enumeration order")
-        previous = picks
-        entries.append(_survivor_entry(record))
-        problems += _diff(entry, entries[-1], (where,))
-        records.append(record)
-    if len(records) < len(stated):
-        return None, entries, problems
-    return _search_certificate(instance, tuple(records), instance.combination_count), entries, problems
+        return None, [f"unsupported version {version!r}"]
+    try:
+        return enumerate_survivors(build_search_instance()), []
+    except VerificationError as exc:
+        return None, [f"the search failed: {exc}"]
 
 
-def _validated_search(doc: Any) -> tuple[SearchCertificate | None, list[dict[str, Any]], list[str]]:
-    """Rebuild a search document, diff it against the rebuild and check the
-    rebuilt conclusions; returns what ``_rebuilt_search`` does. The
+def _validated_search(doc: Any) -> tuple[SearchCertificate | None, list[str]]:
+    """Diff a search document against the one the prover emits and check the
+    regenerated conclusions; returns the regenerated certificate and the
+    problems, or one problem naming a full-pipeline document. The
     certificate is valid only when the problem list is empty."""
-    cert, entries, problems = _rebuilt_search(doc)
+    if type(doc) is dict and doc.get("restrictions"):
+        return None, ["document is a full-pipeline (all) certificate, not a lemma6 search certificate"]
+    cert, problems = _regenerated_search(doc)
     if cert is None:
-        return None, entries, problems
-    # the survivors were diffed entry by entry during the rebuild: pass them as they are
-    expected = search_certificate_document(cert, doc["survivors"])
-    problems += _diff(doc, expected, ("document",))
+        return None, problems
+    problems = _diff(doc, search_certificate_document(cert), ("document",))
     try:
         verify_search_conclusions(cert)
     except VerificationError as exc:
         problems.append(f"search conclusions do not hold: {exc}")
-    return cert, entries, problems
+    return cert, problems
 
 
 def validate_search_document(doc: dict[str, Any]) -> list[str]:
-    """Re-check a search certificate document by rebuilding it; returns
+    """Re-check a search certificate document by regenerating it; returns
     problem descriptions."""
-    return _validated_search(doc)[2]
+    return _validated_search(doc)[1]
 
 
 def search_certificate_from_document(doc: dict[str, Any]) -> SearchCertificate:
-    """The search certificate rebuilt from a valid document. Raises
+    """The regenerated search certificate of a valid document. Raises
     VerificationError, one problem per line, if the document is invalid."""
-    cert, _, problems = _validated_search(doc)
+    cert, problems = _validated_search(doc)
     if problems:
         raise VerificationError("\n".join(problems))
     return cert
 
 
 def validate_contradiction_document(doc: dict[str, Any]) -> list[str]:
-    """Re-check a full pipeline document by rebuilding it; returns problem
+    """Re-check a full pipeline document by regenerating it; returns problem
     descriptions."""
-    cert, _, problems = _rebuilt_search(doc)
-    if cert is None:
+    search, problems = _regenerated_search(doc)
+    if search is None:
         return problems
-    full = build_contradiction_certificate(search_cert=cert)
-    expected = contradiction_certificate_document(full, doc["survivors"])
-    problems += _diff(doc, expected, ("document",))
+    full = build_contradiction_certificate(search_cert=search)
+    problems = _diff(doc, contradiction_certificate_document(full), ("document",))
     if full.verdict != "nonfactorizable":
         problems.append(f"rebuilt verdict is {full.verdict!r}, expected 'nonfactorizable'")
     return problems

@@ -211,7 +211,6 @@ def _contradiction_text(doc: dict) -> list[str]:
 
 
 def _run_contradiction(cfg: RunConfig, certificate_path: str | None) -> int:
-    survivors = None  # the survivor entries, when validation already built them
     if certificate_path is None:
         search_cert = enumerate_survivors(build_search_instance())
     else:
@@ -222,20 +221,13 @@ def _run_contradiction(cfg: RunConfig, certificate_path: str | None) -> int:
             # ValueError: malformed JSON or undecodable bytes; RecursionError: too deeply nested
             print(f"error: cannot load {certificate_path}: {exc}", file=sys.stderr)
             return 1
-        if type(loaded) is dict and loaded.get("restrictions"):  # an `all` document
-            print(
-                "invalid certificate: document is a full-pipeline (all) certificate;"
-                " --certificate takes the lemma6 search certificate",
-                file=sys.stderr,
-            )
-            return 1
-        search_cert, survivors, problems = _validated_search(loaded)
+        search_cert, problems = _validated_search(loaded)
         if problems:
             for problem in problems:
                 print(f"invalid certificate: {problem}", file=sys.stderr)
             return 1
     cert = build_contradiction_certificate(search_cert=search_cert)
-    doc = contradiction_certificate_document(cert, survivors)
+    doc = contradiction_certificate_document(cert)
     status = (
         _emit_text(cfg, _contradiction_text(doc))
         if cfg.format == "text"
@@ -271,7 +263,7 @@ _OPTIONS = {
     "--n": ("N", int, ""),
     "--rank": ("RANK", int, ""),
     "--threads": ("N", int, "accepted for compatibility; the search runs in one thread, N has no effect"),
-    "--certificate": ("PATH", str, "reuse an emitted search certificate instead of re-running the search"),
+    "--certificate": ("PATH", str, "continue from a search certificate once a fresh search reproduces it"),
 }
 _EMIT = ("--format", "--output")
 # command -> (help, options); an option not given keeps the default _config_from_args gives it

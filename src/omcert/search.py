@@ -75,10 +75,6 @@ class SearchInstance(NamedTuple):
     pool: tuple[SignedVector, ...]
 
     @property
-    def combination_count(self) -> int:
-        return math.comb(len(self.pool), self.choose)
-
-    @property
     def supports(self) -> tuple[tuple[int, ...], ...]:
         """The (rank+1)-subsets of the ground set, in lexicographic order."""
         return tuple(combinations(range(1, self.n + 1), self.rank + 1))
@@ -286,25 +282,19 @@ def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> Surviv
     )
 
 
-def _search_certificate(
-    instance: SearchInstance, survivors: tuple[SurvivorRecord, ...], combinations_checked: int
-) -> SearchCertificate:
-    """Assemble a certificate; the conclusion is the first survivor's circuit pair."""
+def enumerate_survivors(instance: SearchInstance) -> SearchCertificate:
+    """Run the kernel once over the whole instance and assemble the
+    certificate; the conclusion is the first survivor's circuit pair."""
+    run = saturation_search(instance)
+    survivors = tuple(_survivor_record(instance, picks) for picks in run.picks)
     if not survivors:
         raise VerificationError("no survivors found; the search instance is corrupt")
     return SearchCertificate(
         instance=instance,
-        combinations_checked=combinations_checked,
+        combinations_checked=run.credited,
         survivors=survivors,
         conclusion_circuits=(survivors[0].circuits[0][1], survivors[0].circuits[1][1]),
     )
-
-
-def enumerate_survivors(instance: SearchInstance) -> SearchCertificate:
-    """Run the kernel once over the whole instance and assemble the certificate."""
-    run = saturation_search(instance)
-    survivors = tuple(_survivor_record(instance, picks) for picks in run.picks)
-    return _search_certificate(instance, survivors, run.credited)
 
 
 def verify_search_conclusions(cert: SearchCertificate) -> bool:

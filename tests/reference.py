@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--certificate",
         default=None,
         metavar="PATH",
-        help="reuse a previously emitted search certificate instead of re-running the search",
+        help="continue from a search certificate once a fresh search reproduces it",
     )
     sub.add_parser("all", parents=[common, threaded], help="full pipeline certificate")
     for command_parser in sub.choices.values():  # usage errors print the subcommand usage

@@ -215,13 +215,43 @@ class TestValidation:
 
     def test_survivors_out_of_order_or_repeated(self, search_doc):
         s = search_doc["survivors"]
-        for survivors in ([s[1], s[0], *s[2:]], [s[0], *s]):
-            bad = copied(search_doc)
-            bad["survivors"] = copied(survivors)
-            bad["counts"]["survivor_count"] = len(survivors)
-            assert validate_search_document(bad) == [
-                "document.survivors[1] is not after the previous survivor in enumeration order"
-            ]
+        swapped = copied(search_doc)
+        swapped["survivors"] = copied([s[1], s[0], *s[2:]])
+        problems = validate_search_document(swapped)
+        assert problems[0] == "document.survivors[0].topes[7] is '++-++-', expected '++-+++'"
+        assert problems[9] == "document.survivors[1].topes[7] is '++-+++', expected '++-++-'"
+        assert len(problems) == 18
+        assert all(p.startswith(("document.survivors[0].", "document.survivors[1].")) for p in problems)
+        repeated = copied(search_doc)
+        repeated["survivors"] = copied([s[0], *s])
+        repeated["counts"]["survivor_count"] = 21
+        problems = validate_search_document(repeated)
+        assert problems[:3] == [
+            "document.counts.survivor_count is 21, expected 20",
+            "document.survivors has 21 entries, expected 20",
+            "document.survivors[1].topes[7] is '++-+++', expected '++-++-'",
+        ]
+        assert all(p.startswith("document.survivors[") for p in problems[2:])
+
+    @pytest.mark.parametrize("kept", [1, 19])
+    @pytest.mark.parametrize("flavor", ["search", "full"])
+    def test_cut_survivor_list_rejected(self, search_doc, contradiction_doc, flavor, kept):
+        # a document cut to its first survivors, with survivor_count to match
+        bad = copied(contradiction_doc if flavor == "full" else search_doc)
+        bad["survivors"] = bad["survivors"][:kept]
+        bad["counts"]["survivor_count"] = kept
+        validate = validate_contradiction_document if flavor == "full" else validate_search_document
+        assert validate(bad) == [
+            f"document.counts.survivor_count is {kept}, expected 20",
+            f"document.survivors has {kept} entries, expected 20",
+        ]
+        assert validate_certificate_document(bad) == validate(bad)
+
+    def test_pipeline_document_named_by_search_validation(self, contradiction_doc):
+        problem = "document is a full-pipeline (all) certificate, not a lemma6 search certificate"
+        assert validate_search_document(contradiction_doc) == [problem]
+        with pytest.raises(VerificationError, match=r"^document is a full-pipeline \(all\) certificate"):
+            search_certificate_from_document(contradiction_doc)
 
     def test_tampered_circuit_detected(self, contradiction_doc):
         bad = json.loads(json.dumps(contradiction_doc))
@@ -246,7 +276,8 @@ class TestValidation:
         where = "document" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
         assert any(p.startswith(where) for p in validate(bad))
 
-    def test_survivor_rebuild_failure_named(self, monkeypatch, search_doc):
+    def test_survivor_rebuild_failure_named(self, monkeypatch, search_doc, contradiction_doc):
+        # a failure of the regenerated search is one problem, not a traceback
         forced = list(combinations(range(1, 7), 4)).index(CIRCUIT_SUPPORTS[1])
 
         def several_on_forced_support(tope_set):
@@ -255,20 +286,13 @@ class TestValidation:
             return tuple(table)
 
         monkeypatch.setattr(omcert.search, "circuit_table", several_on_forced_support)
-        problems = validate_search_document(search_doc)
-        assert len(problems) == 20
-        assert problems[0].startswith("document.survivors[0].topes: picks (")
-        assert problems[0].endswith("carry no unique circuit on (1, 2, 5, 6)")
-
-    def test_validation_never_enumerates(self, monkeypatch, search_doc, contradiction_doc):
-        def refuse(*args, **kwargs):
-            raise AssertionError("validation re-ran the enumeration")
-
-        monkeypatch.setattr(omcert.search, "enumerate_survivors", refuse)
-        for module in (omcert.search, omcert.contradiction):
-            monkeypatch.setattr(module, "saturation_search", refuse)
-        assert validate_search_document(search_doc) == []
-        assert validate_contradiction_document(contradiction_doc) == []
+        for problems in (
+            validate_search_document(search_doc),
+            validate_contradiction_document(contradiction_doc),
+        ):
+            assert len(problems) == 1
+            assert problems[0].startswith("the search failed: picks (")
+            assert problems[0].endswith("carry no unique circuit on (1, 2, 5, 6)")
 
     def test_validation_builds_each_survivor_entry_once(self, monkeypatch, contradiction_doc):
         built = []
@@ -281,22 +305,6 @@ class TestValidation:
         monkeypatch.setattr(omcert.certificate, "_survivor_entry", counted)
         assert validate_contradiction_document(contradiction_doc) == []
         assert len(built) == len(contradiction_doc["survivors"]) == 20
-
-    def test_verify_n8_builds_each_survivor_entry_once(self, monkeypatch, tmp_path, capsys, search_doc):
-        # the output document reuses the entries the validation rebuilt
-        search = tmp_path / "search.json"
-        search.write_bytes(serialize_certificate(search_doc))
-        built = []
-
-        def counted(record):
-            built.append(record)
-            return survivor_entry(record)
-
-        survivor_entry = omcert.certificate._survivor_entry
-        monkeypatch.setattr(omcert.certificate, "_survivor_entry", counted)
-        assert main(["verify-n8", "--certificate", str(search)]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FULL_SHA256
-        assert len(built) == 20
 
     def test_clean_validation_formats_no_path(self, monkeypatch, contradiction_doc):
         calls = []
@@ -380,7 +388,7 @@ class TestShape:
         assert validate_search_document(bad) == [
             "document.survivors[0] is not an object",
             "document.survivors[1].circuits is missing",
-            "document.survivors[2].topes[0] is not a string",
+            "document.survivors[2].topes[0] is ['+-----'], expected '++++++'",
         ]
 
     def test_misstated_lifted_circuit_reported(self, contradiction_doc):

@@ -198,8 +198,22 @@ class TestVerifyPipeline:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [
-            "invalid certificate: document is a full-pipeline (all) certificate;"
-            " --certificate takes the lemma6 search certificate"
+            "invalid certificate: document is a full-pipeline (all) certificate,"
+            " not a lemma6 search certificate"
+        ]
+
+    def test_cut_survivor_list_exits_1(self, capsys, tmp_path, search_certificate):
+        doc = json.loads(serialize_certificate(search_certificate))
+        doc["survivors"] = doc["survivors"][:1]
+        doc["counts"]["survivor_count"] = 1
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify-n8", "--certificate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "invalid certificate: document.counts.survivor_count is 1, expected 20",
+            "invalid certificate: document.survivors has 1 entries, expected 20",
         ]
 
     def test_missing_certificate_file(self, capsys, tmp_path):

@@ -173,7 +173,7 @@ class TestInstance:
         assert len(search_instance.base) == 6
         assert len(search_instance.pool) == 20
         assert search_instance.choose == 10
-        assert search_instance.combination_count == 184756
+        assert math.comb(len(search_instance.pool), search_instance.choose) == 184756
 
     def test_base_and_pool_disjoint_and_ordered(self, search_instance, alt64):
         base = set(search_instance.base)
