@@ -7,23 +7,28 @@ serialize as comma-joined ascending integers inside key strings. Documents
 are built from deterministically ordered data only, so serialized bytes are
 identical across runs and thread counts.
 
-Validation regenerates the certificate and diffs the two. It checks that
-the document is a JSON object of the current version, runs the prover's
-search (``enumerate_survivors``, a few milliseconds), and requires the stated
-document to equal the one the prover emits under a type-strict recursive
-diff that names the path of each difference. So the survivor list is
-checked complete: a document missing a survivor differs from the emitted
-one. A search document must also carry the forced conclusions; a full
-document also gets the contradiction stage run on the regenerated search,
-and its verdict must be ``nonfactorizable``. A failure of the search itself
-is one problem, and a path is formatted only for a reported problem.
+Validation regenerates the certificate and diffs the two, on one checking
+path that all four public validators share. It checks that the document is
+a JSON object of the current version and reads its flavor once: a non-empty
+list in ``restrictions`` means ``all`` (full pipeline), ``[]`` means
+``lemma6`` (search only), and any other value states no flavor and is left
+to the diff. A document of the other flavor is one problem that names both.
+It then runs the prover's search once (``enumerate_survivors``, a few
+milliseconds) and requires the stated document to equal the one the prover
+emits for the flavor under a type-strict recursive diff that names the path
+of each difference. So the survivor list is checked complete: a document
+missing a survivor differs from the emitted one. A search document must also
+carry the forced conclusions; a full document also gets the contradiction
+stage run on the regenerated search, and its verdict must be
+``nonfactorizable``. A failure of the search itself is one problem, and a
+path is formatted only for a reported problem.
 
 The checker is the prover, so this shows that the document is the prover's
-own, not that the prover is right. ``omcert verify-n8 --certificate``
-continues with the regenerated certificate, and
-``search_certificate_from_document`` returns it, or raises
-``VerificationError`` on an invalid document: a library caller gets a
-certificate only from a document that validates.
+own, not that the prover is right. ``search_certificate_from_document``
+returns the regenerated certificate of a valid search document, or raises
+``VerificationError``, one problem per line, on an invalid one: a caller,
+``omcert verify-n8 --certificate`` included, gets a certificate only from a
+document that validates.
 """
 
 from __future__ import annotations
@@ -219,69 +224,62 @@ def _diff(stated: Any, expected: Any, path: tuple) -> list[str]:
     return []
 
 
-def _regenerated_search(doc: Any) -> tuple[SearchCertificate | None, list[str]]:
-    """The prover's own search certificate, or the one problem that stops
-    validation first: a document that is not a JSON object of the current
-    version, or a failure of the search itself."""
+# flavor -> how a problem names a document of that flavor
+_FLAVORS = {"lemma6": "a lemma6 search certificate", "all": "a full-pipeline (all) certificate"}
+
+
+def _checked(doc: Any, flavor: str | None) -> tuple[SearchCertificate | None, list[str]]:
+    """The one checking path: the regenerated search certificate and the
+    problems of ``doc`` read as a ``flavor`` document (None: the flavor it
+    states, else ``lemma6``). The document is valid only when the problem
+    list is empty."""
     if type(doc) is not dict:
         return None, ["document is not a JSON object"]
     version = doc.get("version")
     if type(version) is not int or version != CERTIFICATE_VERSION:
         return None, [f"unsupported version {version!r}"]
+    restrictions = doc.get("restrictions")
+    stated = ("all" if restrictions else "lemma6") if type(restrictions) is list else None
+    flavor = flavor or stated or "lemma6"
+    if stated not in (None, flavor):
+        return None, [f"document is {_FLAVORS[stated]}, not {_FLAVORS[flavor]}"]
     try:
-        return enumerate_survivors(build_search_instance()), []
+        search = enumerate_survivors(build_search_instance())
     except VerificationError as exc:
         return None, [f"the search failed: {exc}"]
-
-
-def _validated_search(doc: Any) -> tuple[SearchCertificate | None, list[str]]:
-    """Diff a search document against the one the prover emits and check the
-    regenerated conclusions; returns the regenerated certificate and the
-    problems, or one problem naming a full-pipeline document. The
-    certificate is valid only when the problem list is empty."""
-    if type(doc) is dict and doc.get("restrictions"):
-        return None, ["document is a full-pipeline (all) certificate, not a lemma6 search certificate"]
-    cert, problems = _regenerated_search(doc)
-    if cert is None:
-        return None, problems
-    problems = _diff(doc, search_certificate_document(cert), ("document",))
-    try:
-        verify_search_conclusions(cert)
-    except VerificationError as exc:
-        problems.append(f"search conclusions do not hold: {exc}")
-    return cert, problems
+    if flavor == "lemma6":
+        problems = _diff(doc, search_certificate_document(search), ("document",))
+        try:
+            verify_search_conclusions(search)
+        except VerificationError as exc:
+            problems.append(f"search conclusions do not hold: {exc}")
+    else:
+        full = build_contradiction_certificate(search_cert=search)
+        problems = _diff(doc, contradiction_certificate_document(full), ("document",))
+        if full.verdict != "nonfactorizable":
+            problems.append(f"rebuilt verdict is {full.verdict!r}, expected 'nonfactorizable'")
+    return search, problems
 
 
 def validate_search_document(doc: dict[str, Any]) -> list[str]:
-    """Re-check a search certificate document by regenerating it; returns
-    problem descriptions."""
-    return _validated_search(doc)[1]
+    """Problems of a ``lemma6`` search certificate document."""
+    return _checked(doc, "lemma6")[1]
 
 
 def search_certificate_from_document(doc: dict[str, Any]) -> SearchCertificate:
-    """The regenerated search certificate of a valid document. Raises
-    VerificationError, one problem per line, if the document is invalid."""
-    cert, problems = _validated_search(doc)
+    """The regenerated search certificate of a valid ``lemma6`` document.
+    Raises VerificationError, one problem per line, if the document is invalid."""
+    search, problems = _checked(doc, "lemma6")
     if problems:
         raise VerificationError("\n".join(problems))
-    return cert
+    return search
 
 
 def validate_contradiction_document(doc: dict[str, Any]) -> list[str]:
-    """Re-check a full pipeline document by regenerating it; returns problem
-    descriptions."""
-    search, problems = _regenerated_search(doc)
-    if search is None:
-        return problems
-    full = build_contradiction_certificate(search_cert=search)
-    problems = _diff(doc, contradiction_certificate_document(full), ("document",))
-    if full.verdict != "nonfactorizable":
-        problems.append(f"rebuilt verdict is {full.verdict!r}, expected 'nonfactorizable'")
-    return problems
+    """Problems of a full-pipeline (``all``) certificate document."""
+    return _checked(doc, "all")[1]
 
 
 def validate_certificate_document(doc: dict[str, Any]) -> list[str]:
-    """Dispatch on document flavor: restrictions present means full pipeline."""
-    if type(doc) is dict and doc.get("restrictions"):
-        return validate_contradiction_document(doc)
-    return validate_search_document(doc)
+    """Problems of a document of the flavor it states, ``lemma6`` if none."""
+    return _checked(doc, None)[1]

@@ -1,5 +1,11 @@
 """Command-line entry point: run any stage or the whole pipeline.
 
+Each command returns an ``Outcome``: its JSON document, its text lines and
+whether its checks held, or an exit code when it stops early (``verify-n8
+--certificate`` on a file that cannot be loaded or is invalid). ``run``
+alone picks the format, serializes, writes to ``--output`` or stdout, and
+maps the outcome to an exit code.
+
 Exit codes: 0 = verified, 1 = a mathematical check (or output write) failed,
 2 = usage error. JSON is the authoritative certificate format; text output
 is a derived human-readable summary.
@@ -14,9 +20,9 @@ import sys
 from typing import Any, NamedTuple, NoReturn
 
 from .certificate import (
-    _validated_search,
-    certificate_document,
     contradiction_certificate_document,
+    search_certificate_document,
+    search_certificate_from_document,
     serialize_certificate,
 )
 from .contradiction import build_contradiction_certificate
@@ -47,88 +53,59 @@ class RunConfig(NamedTuple):
     format: str = "json"
 
 
+# what a command found: its JSON document, its text lines and whether its checks held
+class Outcome(NamedTuple):
+    doc: dict
+    lines: list[str]
+    ok: bool
+
+
 def _family_chirotope(cfg: RunConfig) -> Chirotope:
     if cfg.family == "alternating":
         return alternating_chirotope(cfg.n, cfg.rank)
     return pair_swap_chirotope(cfg.n)
 
 
-def _emit(cfg: RunConfig, payload: bytes) -> int:
-    if cfg.output_path:
-        try:
-            with open(cfg.output_path, "wb") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write {cfg.output_path}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
-    return 0
-
-
-def _emit_json(cfg: RunConfig, doc: dict) -> int:
-    return _emit(cfg, serialize_certificate(doc))
-
-
-def _emit_text(cfg: RunConfig, lines: list[str]) -> int:
-    return _emit(cfg, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def _cmd_topes(cfg: RunConfig) -> int:
+def _cmd_topes(cfg: RunConfig) -> Outcome:
     topes = topes_of(_family_chirotope(cfg))
     expected = canonical_tope_count(topes.n, topes.r)
-    if cfg.format == "text":
-        status = _emit_text(cfg, list(topes.strings))
-    else:
-        status = _emit_json(
-            cfg,
-            {
-                "family": cfg.family,
-                "n": topes.n,
-                "rank": topes.r,
-                "expected_count": expected,
-                "count": len(topes),
-                "topes": list(topes.strings),
-            },
-        )
-    if status:
-        return status
-    return 0 if len(topes) == expected else 1
+    doc = {
+        "family": cfg.family,
+        "n": topes.n,
+        "rank": topes.r,
+        "expected_count": expected,
+        "count": len(topes),
+        "topes": list(topes.strings),
+    }
+    return Outcome(doc, doc["topes"], len(topes) == expected)
 
 
-def _cmd_axioms(cfg: RunConfig) -> int:
+def _cmd_axioms(cfg: RunConfig) -> Outcome:
     topes = topes_of(_family_chirotope(cfg))
     tope_report = check_uniform_tope_axioms(topes)
     covector_report = check_covector_axioms(covectors_from_topes(topes))
-    ok = tope_report.passed and covector_report.passed
-    if cfg.format == "text":
-        lines = [
-            f"instance: {cfg.family} n={topes.n} rank={topes.r}",
-            f"tope count: {tope_report.actual_count} (expected {tope_report.expected_count})",
-            f"uniform tope axioms: {'pass' if tope_report.passed else 'FAIL'}",
-            f"covectors: {covector_report.vector_count}",
-            f"covector axioms: {'pass' if covector_report.passed else 'FAIL'}",
-        ]
-        status = _emit_text(cfg, lines)
-    else:
-        status = _emit_json(
-            cfg,
-            {
-                "family": cfg.family,
-                "n": topes.n,
-                "rank": topes.r,
-                "tope_count": tope_report.actual_count,
-                "expected_tope_count": tope_report.expected_count,
-                "uniform_tope_axioms_pass": tope_report.passed,
-                "vc_failures": [list(q) for q in tope_report.missing],
-                "covector_count": covector_report.vector_count,
-                "covector_axioms_pass": covector_report.passed,
-            },
-        )
-    return status or (0 if ok else 1)
+    doc = {
+        "family": cfg.family,
+        "n": topes.n,
+        "rank": topes.r,
+        "tope_count": tope_report.actual_count,
+        "expected_tope_count": tope_report.expected_count,
+        "uniform_tope_axioms_pass": tope_report.passed,
+        "vc_failures": [list(q) for q in tope_report.missing],
+        "covector_count": covector_report.vector_count,
+        "covector_axioms_pass": covector_report.passed,
+    }
+    lines = [
+        f"instance: {cfg.family} n={topes.n} rank={topes.r}",
+        f"tope count: {tope_report.actual_count} (expected {tope_report.expected_count})",
+        f"uniform tope axioms: {'pass' if tope_report.passed else 'FAIL'}",
+        f"covectors: {covector_report.vector_count}",
+        f"covector axioms: {'pass' if covector_report.passed else 'FAIL'}",
+    ]
+    return Outcome(doc, lines, tope_report.passed and covector_report.passed)
 
 
-def _cmd_strongmap(cfg: RunConfig) -> int:
+def _cmd_strongmap(cfg: RunConfig) -> Outcome:
     source = topes_of(alternating_chirotope(cfg.n, cfg.rank))
     target = topes_of(pair_swap_chirotope(cfg.n))
     tope_verdict = is_strong_map_topes(source, target)
@@ -149,31 +126,13 @@ def _cmd_strongmap(cfg: RunConfig) -> int:
         f"tope inclusion: {'holds' if tope_verdict.holds else 'FAILS'} (corank {tope_verdict.corank})",
     ]
     if covector_verdict is not None:
-        doc["covector_containment"] = {
-            "holds": covector_verdict.holds,
-            "corank": covector_verdict.corank,
-        }
+        doc["covector_containment"] = {"holds": covector_verdict.holds, "corank": covector_verdict.corank}
         doc["methods_agree"] = covector_verdict.holds == tope_verdict.holds
-        lines.append(
-            f"covector containment: {'holds' if covector_verdict.holds else 'FAILS'}"
-        )
-    status = _emit_text(cfg, lines) if cfg.format == "text" else _emit_json(cfg, doc)
-    return status or (0 if ok else 1)
+        lines.append(f"covector containment: {'holds' if covector_verdict.holds else 'FAILS'}")
+    return Outcome(doc, lines, ok)
 
 
-def _search_text(doc: dict) -> list[str]:
-    lines = [
-        f"combinations checked: {doc['counts']['combinations_checked']}",
-        f"survivors: {doc['counts']['survivor_count']}",
-        "forced circuits: "
-        + ", ".join(f"{k} -> {v}" for k, v in doc["conclusion"]["circuits"].items()),
-    ]
-    for i, s in enumerate(doc["survivors"]):
-        lines.append(f"survivor {i:2d}: " + " ".join(s["topes"]))
-    return lines
-
-
-def _cmd_lemma6(cfg: RunConfig) -> int:
+def _cmd_lemma6(cfg: RunConfig) -> Outcome:
     cert = enumerate_survivors(build_search_instance())
     try:
         verify_search_conclusions(cert)
@@ -181,14 +140,39 @@ def _cmd_lemma6(cfg: RunConfig) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         verified = False
-    doc = certificate_document(cert)
-    status = (
-        _emit_text(cfg, _search_text(doc)) if cfg.format == "text" else _emit_json(cfg, doc)
-    )
-    return status or (0 if verified else 1)
+    doc = search_certificate_document(cert)
+    lines = [
+        f"combinations checked: {doc['counts']['combinations_checked']}",
+        f"survivors: {doc['counts']['survivor_count']}",
+        "forced circuits: "
+        + ", ".join(f"{k} -> {v}" for k, v in doc["conclusion"]["circuits"].items()),
+    ]
+    lines += [f"survivor {i:2d}: " + " ".join(s["topes"]) for i, s in enumerate(doc["survivors"])]
+    return Outcome(doc, lines, verified)
 
 
-def _contradiction_text(doc: dict) -> list[str]:
+def _run_contradiction(certificate_path: str | None) -> Outcome | int:
+    """The n=8 stage on a fresh search, or on the search of a certificate
+    file once a fresh search reproduces it; exit code 1 if the file cannot
+    be loaded or is invalid."""
+    if certificate_path is None:
+        search_cert = enumerate_survivors(build_search_instance())
+    else:
+        try:
+            with open(certificate_path, "rb") as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError: malformed JSON or undecodable bytes; RecursionError: too deeply nested
+            print(f"error: cannot load {certificate_path}: {exc}", file=sys.stderr)
+            return 1
+        try:
+            search_cert = search_certificate_from_document(loaded)
+        except VerificationError as exc:
+            for problem in str(exc).splitlines():
+                print(f"invalid certificate: {problem}", file=sys.stderr)
+            return 1
+    cert = build_contradiction_certificate(search_cert=search_cert)
+    doc = contradiction_certificate_document(cert)
     conclusion = doc["conclusion"]
     lines = [
         f"premise strong map: {'holds' if conclusion['premise_strong_map']['holds'] else 'FAILS'}"
@@ -207,48 +191,38 @@ def _contradiction_text(doc: dict) -> list[str]:
         f" {'conflict' if conclusion['contradiction'] else 'no conflict'}"
     )
     lines.append(f"verdict: {conclusion['verdict']}")
-    return lines
+    return Outcome(doc, lines, cert.verdict == "nonfactorizable")
 
 
-def _run_contradiction(cfg: RunConfig, certificate_path: str | None) -> int:
-    if certificate_path is None:
-        search_cert = enumerate_survivors(build_search_instance())
-    else:
-        try:
-            with open(certificate_path, "rb") as fh:
-                loaded = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:
-            # ValueError: malformed JSON or undecodable bytes; RecursionError: too deeply nested
-            print(f"error: cannot load {certificate_path}: {exc}", file=sys.stderr)
-            return 1
-        search_cert, problems = _validated_search(loaded)
-        if problems:
-            for problem in problems:
-                print(f"invalid certificate: {problem}", file=sys.stderr)
-            return 1
-    cert = build_contradiction_certificate(search_cert=search_cert)
-    doc = contradiction_certificate_document(cert)
-    status = (
-        _emit_text(cfg, _contradiction_text(doc))
-        if cfg.format == "text"
-        else _emit_json(cfg, doc)
-    )
-    return status or (0 if cert.verdict == "nonfactorizable" else 1)
+_HANDLERS = {"topes": _cmd_topes, "axioms": _cmd_axioms, "strongmap": _cmd_strongmap, "lemma6": _cmd_lemma6}
 
 
 def run(cfg: RunConfig, certificate_path: str | None = None) -> int:
-    handlers = {
-        "topes": _cmd_topes,
-        "axioms": _cmd_axioms,
-        "strongmap": _cmd_strongmap,
-        "lemma6": _cmd_lemma6,
-    }
-    if cfg.command in handlers:
-        return handlers[cfg.command](cfg)
+    """Run one command and emit its outcome in the configured format, to the
+    output file or to stdout; the exit code."""
     if cfg.command in ("verify-n8", "all"):
-        return _run_contradiction(cfg, certificate_path)
-    print(f"error: unknown command {cfg.command!r}", file=sys.stderr)
-    return 2
+        outcome = _run_contradiction(certificate_path)
+    elif cfg.command in _HANDLERS:
+        outcome = _HANDLERS[cfg.command](cfg)
+    else:
+        print(f"error: unknown command {cfg.command!r}", file=sys.stderr)
+        return 2
+    if isinstance(outcome, int):
+        return outcome
+    if cfg.format == "text":
+        payload = ("\n".join(outcome.lines) + "\n").encode("utf-8")
+    else:
+        payload = serialize_certificate(outcome.doc)
+    if cfg.output_path:
+        try:
+            with open(cfg.output_path, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {cfg.output_path}: {exc}", file=sys.stderr)
+            return 1
+    else:
+        sys.stdout.write(payload.decode("utf-8"))
+    return 0 if outcome.ok else 1
 
 
 _DESCRIPTION = """\

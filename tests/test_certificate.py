@@ -253,6 +253,28 @@ class TestValidation:
         with pytest.raises(VerificationError, match=r"^document is a full-pipeline \(all\) certificate"):
             search_certificate_from_document(contradiction_doc)
 
+    def test_search_document_named_by_full_validation(self, search_doc):
+        assert validate_contradiction_document(search_doc) == [
+            "document is a lemma6 search certificate, not a full-pipeline (all) certificate"
+        ]
+
+    @pytest.mark.parametrize("restrictions", [5, "x", {"a": 1}, None], ids=["int", "str", "object", "null"])
+    @pytest.mark.parametrize("flavor", ["search", "full"])
+    def test_restrictions_not_a_list_name_no_flavor(self, search_doc, contradiction_doc, flavor, restrictions):
+        # only a list in restrictions states a flavor; any other value is a diff problem
+        bad = copied(contradiction_doc if flavor == "full" else search_doc)
+        bad["restrictions"] = restrictions
+        with pytest.raises(VerificationError) as raised:
+            search_certificate_from_document(bad)
+        for problems in (
+            validate_search_document(bad),
+            str(raised.value).splitlines(),
+            validate_contradiction_document(bad),
+            validate_certificate_document(bad),
+        ):
+            assert "document.restrictions is not an array" in problems
+            assert not any(p.startswith("document is ") for p in problems)
+
     def test_tampered_circuit_detected(self, contradiction_doc):
         bad = json.loads(json.dumps(contradiction_doc))
         bad["conclusion"]["circuit_b"] = bad["conclusion"]["circuit_a"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -120,10 +121,12 @@ class TestSearchCommand:
         doc = json.loads(path.read_text())
         assert doc["counts"]["survivor_count"] == 20
 
-    def test_unwritable_output(self, capsys, tmp_path):
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_unwritable_output(self, capsys, tmp_path, fmt):
         path = tmp_path / "missing-dir" / "search.json"
-        code, _, err = run_cli(capsys, "lemma6", "--output", str(path))
+        code, out, err = run_cli(capsys, "lemma6", "--format", fmt, "--output", str(path))
         assert code == 1
+        assert out == ""
         assert "cannot write" in err
 
 
@@ -231,6 +234,41 @@ class TestVerifyPipeline:
         code, out, _ = run_cli(capsys, "all", "--format", "text")
         assert code == 0
         assert "verdict: nonfactorizable" in out
+
+
+# (exit code, sha256 of stdout) of each command at its defaults in each format;
+# any change to a command's output bytes must be deliberate. The --output file
+# of lemma6 and all holds the same bytes.
+OUTPUT_PINS = {
+    ("topes", "json"): (0, "6adbeeeab515c5c6680c4953c1673ed0d31a63c51a9cc5323580258e70cc3713"),
+    ("topes", "text"): (0, "73269af11536fcbc064cec5e64244a2a9ece50c0629b27b9a9356e6c613be651"),
+    ("axioms", "json"): (0, "c0e877409f3ce7fd961d1dd17a55ff91a807a03f8028c291caa432b973d9adf4"),
+    ("axioms", "text"): (0, "e64d5c2f98fe984d977f4f567b12e3c66e8d064a5f0586c775db1ebafbf73cd6"),
+    ("strongmap", "json"): (0, "440cda552f64468045a2a6c2ca854ea292a6619622d721abd0192bc1aaaf7360"),
+    ("strongmap", "text"): (0, "323b23cd692a5938b4b3c7f432f2878434e329af71d01f5cbbd98fa9b68881f2"),
+    ("lemma6", "json"): (0, "64f4e2c3c28f2e7c9cd02c4392bfc53380ac0e13d08acf5ad6cfb4d09c9bfaca"),
+    ("lemma6", "text"): (0, "2d3cb3593afd5f145bb94c6c96b6c80f62eb476b7017254405dc1a4aeed416a4"),
+    ("verify-n8", "json"): (0, "2508ca15969e1b5bd7cca9ea64c944a2be49bddb3fee1ba2bbaa0143cb500f79"),
+    ("verify-n8", "text"): (0, "e38531fa6087b6316241b5584f0547f5fc9bfbf6d1d5a68a862db7c38ef51a4e"),
+    ("all", "json"): (0, "2508ca15969e1b5bd7cca9ea64c944a2be49bddb3fee1ba2bbaa0143cb500f79"),
+    ("all", "text"): (0, "e38531fa6087b6316241b5584f0547f5fc9bfbf6d1d5a68a862db7c38ef51a4e"),
+}
+
+
+@pytest.mark.parametrize("command, fmt", OUTPUT_PINS, ids=[f"{c}-{f}" for c, f in OUTPUT_PINS])
+def test_output_pinned(capsys, tmp_path, search_certificate, command, fmt):
+    argv = [command, "--format", fmt]
+    if command == "verify-n8":
+        path = tmp_path / "search.json"
+        path.write_bytes(serialize_certificate(search_certificate))
+        argv += ["--certificate", str(path)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == OUTPUT_PINS[command, fmt]
+    if command in ("lemma6", "all"):
+        path = tmp_path / "out"
+        code, out, _ = run_cli(capsys, *argv, "--output", str(path))
+        assert (code, out) == (OUTPUT_PINS[command, fmt][0], "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == OUTPUT_PINS[command, fmt][1]
 
 
 # Malformed option lists: unknown or missing options and values, bad types and choices

@@ -16,7 +16,8 @@ its ``__eq__`` and ``__hash__`` from ``Immutable``, which compares
 ``_key()``, except ``SignedVector``, the type the pipeline hashes, which
 keeps its own for speed. And the packed pattern fields stay in two modules:
 no module other than ``matroid``, which computes them, and ``search``, whose
-kernel ORs them, imports ``pattern_bytes``.
+kernel ORs them, imports ``pattern_bytes``. No module imports an underscore
+name from another: what one module shares with another is public.
 """
 
 from __future__ import annotations
@@ -170,3 +171,12 @@ def test_only_matroid_and_search_import_pattern_bytes():
             if "pattern_bytes" in names or isinstance(node, ast.Attribute) and node.attr == "pattern_bytes":
                 importers.add(path.stem)
     assert importers == {"search"}
+
+
+def test_no_module_imports_a_private_name():
+    private = []
+    for path in sorted(Path(omcert.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("omcert")):
+                private += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []
