@@ -273,10 +273,11 @@ def direct_search_n8(budget: int) -> DirectSearchOutcome:
     source topes with the saturation kernel, at most ``budget`` nodes.
 
     A node is one candidate tope tried on top of a prefix. The whole space
-    is 177,833,728 nodes, which the kernel exhausts in 72-92 s on one core
-    of a shared 2-core machine, 1.9-2.5 million nodes per second, with one AND
-    per node against the prefix's critical bits (``pytest -m slow``: 101.0 s,
-    Python 3.11.7).
+    is 177,833,728 nodes, which the kernel exhausts in 77-103 s on one core
+    of a shared 2-core machine, 1.7-2.3 million nodes per second as the
+    machine's load varied. A node its parent's critical bits prune costs one
+    bound test, one AND and one increment (``pytest -m slow``: 77.6 s and
+    80.1 s, Python 3.11.7).
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")

@@ -17,13 +17,16 @@ patterns a tope produces (the tope's ``matroid.pattern_bytes``, the fields
 every tope set's ``hit_patterns`` table is split from). A candidate fails
 exactly when some 4-subset's byte saturates (all 8 patterns hit). A tope
 sets one bit per byte, so a child saturates a byte only by adding the one bit
-a 7-bit byte of the prefix lacks: each internal node reads those critical
-bits once from the byte table ``CRITICAL``, and each child is tested against
-them with one AND. Bytes only accumulate as topes are added, so a saturated
-prefix is pruned and the combinations below it are credited without being
-visited, read from a table of binomials built once per run; all 184,756 are
-still counted. Survivors are re-verified through the ordinary axiom checker,
-which also yields the witnesses.
+a 7-bit byte of the prefix lacks: a node reads those critical bits from the
+byte table ``CRITICAL``, and each child is tested against them with one AND.
+They only grow along a branch, so a node tests its children against its
+parent's critical bits first and reads its own only when a child passes.
+Bytes only accumulate as topes are added, so a saturated prefix is pruned and
+the combinations below it are credited without being visited: the children
+tried between two descents are counted and credited as one run, from a table
+of binomials built once per run; all 184,756 are still counted. Survivors are
+re-verified through the ordinary axiom checker, which also yields the
+witnesses.
 
 The instance, the certificate and a kernel run are ``NamedTuple`` records.
 ``SurvivorRecord`` is an immutable class on ``signed_vector.Immutable``
@@ -199,62 +202,88 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
     lexicographic order. A node is one child tried on top of an unsaturated
     prefix. A child that saturates a byte is pruned exactly, because pattern
     bytes only accumulate along a branch, and its whole subtree of
-    comb(npool - i - 1, rem - 1) selections is credited, read from the table
-    ``below[rem][i]`` built once per run. ``budget`` caps the nodes tried
+    comb(npool - i - 1, rem - 1) selections is credited, where ``rem =
+    choose - depth`` picks are still to make. ``budget`` caps the nodes tried
     (``ValueError`` if negative), and a run that hits it stops with
     ``exhausted`` set. The search is one loop: each level's pick, prefix mask
-    and critical mask are kept in preallocated lists, and ``rem``, the credit
-    row and the end of the child range move with the depth.
+    and critical mask are kept in preallocated lists, and the credit row and
+    the end of the child range move with the depth.
 
     The critical-bit test: every tope's ``pattern_bytes`` holds exactly one
     bit per byte, so a child saturates a byte exactly when that byte of the
-    prefix has 7 bits set and the child holds the missing one. Once per
-    internal node, ``CRITICAL`` translates each byte of the prefix mask into
-    ``crit``, the bits a child must not add; a child saturates a byte iff its
-    mask ANDed with ``crit`` is nonzero. A byte the base alone saturates
-    translates to 0xFF, so every root child is tried, pruned and credited.
+    prefix has 7 bits set and the child holds the missing one. ``CRITICAL``
+    translates each byte of a prefix mask into ``crit``, the bits a child
+    must not add; a child saturates a byte iff its mask ANDed with ``crit``
+    is nonzero. A byte the base alone saturates translates to 0xFF, so every
+    root child is tried, pruned and credited.
+
+    The parent's critical mask is reused. A child that passes a prefix's test
+    adds no bit to a 7-bit byte, so its own critical mask contains the
+    prefix's: critical masks only grow along a branch. A node first tests its
+    children against its parent's ``crit``, and builds its own only when a
+    child passes; that child is then tested again, against the node's mask.
+    A node whose children all fail the parent's test never builds one.
+
+    Pruned children are counted in runs. The children a node tries between
+    two of its descents or selections, ``[seg, i)``, cost one bound test, one
+    AND and one increment each. The run is credited once,
+    ``tail[depth][seg] - tail[depth][i]`` with ``tail[depth][i] =
+    comb(npool - i, rem)``, which sums its subtrees by the hockey-stick
+    identity. The node count is ``off + i``: ``i`` steps once per child
+    tried, and ``off`` takes up its jump back on each ascent. The budget
+    becomes the run's bound ``stop``, the index at which ``off + i`` reaches
+    it, so a run halts at the same node as a test per node would.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     mask, pool_masks = pattern_masks(instance)
     npool, choose, nbytes = len(pool_masks), instance.choose, len(instance.supports)
-    below = [[]] + [[math.comb(npool - i - 1, k) for i in range(npool)] for k in range(choose)]
-    limit = -1 if budget is None else budget  # nodes never reaches -1
+    tail = [[math.comb(npool - i, choose - d) for i in range(npool + 1)] for d in range(choose)]
+    limit = 1 << npool if budget is None else budget  # more nodes than the tree has
+    from_bytes, table = int.from_bytes, CRITICAL
     found: list[tuple[int, ...]] = []
-    nodes = credited = 0
+    off = credited = 0
     picks, saved_mask, saved_crit = [0] * choose, [0] * choose, [0] * choose
-    crit = int.from_bytes(mask.to_bytes(nbytes, "little").translate(CRITICAL), "little")
-    rem, depth, i = choose, 0, 0
-    credit, end = below[rem], npool - rem + 1
+    crit = from_bytes(mask.to_bytes(nbytes, "little").translate(table), "little")
+    last, depth, i = choose - 1, 0, 0
+    credit, end = tail[0], npool - choose + 1
+    seg, stop = i, min(end, limit)
     while True:
-        if i < end:
-            if nodes == limit:
-                break
-            nodes += 1
-            if pool_masks[i] & crit:
-                credited += credit[i]
-                i += 1
-            elif rem == 1:
+        while i < stop and pool_masks[i] & crit:
+            i += 1
+        credited += credit[seg] - credit[i]
+        if i < stop:  # child i passes the node's own critical mask
+            if depth == last:
                 found.append((*picks[:depth], i))
                 credited += 1
                 i += 1
-            else:
-                picks[depth], saved_mask[depth], saved_crit[depth] = i, mask, crit
-                depth += 1
-                mask |= pool_masks[i]
-                crit = int.from_bytes(mask.to_bytes(nbytes, "little").translate(CRITICAL), "little")
-                rem -= 1
-                credit, end = below[rem], end + 1
+                seg = i
+                continue
+            picks[depth], saved_mask[depth], saved_crit[depth] = i, mask, crit
+            depth += 1
+            mask |= pool_masks[i]
+            credit, end = tail[depth], end + 1
+            i += 1
+            seg, stop = i, limit - off
+            if stop > end:
+                stop = end
+            while i < stop and pool_masks[i] & crit:  # the parent's critical mask
                 i += 1
+            if i < stop:
+                crit = from_bytes(mask.to_bytes(nbytes, "little").translate(table), "little")
+        elif i < end:  # the budget ran out
+            break
         elif depth:
             depth -= 1
-            rem += 1
-            credit, end = below[rem], end - 1
+            credit, end = tail[depth], end - 1
+            off += i - picks[depth] - 1
             i, mask, crit = picks[depth] + 1, saved_mask[depth], saved_crit[depth]
+            seg, stop = i, limit - off
+            if stop > end:
+                stop = end
         else:
             break
-    # the loop leaves a child range unfinished only when the budget runs out
-    return SaturationRun(tuple(found), nodes, credited, exhausted=i < end)
+    return SaturationRun(tuple(found), off + i, credited, exhausted=i < end)
 
 
 def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> SurvivorRecord:

@@ -114,6 +114,11 @@ class TestKernel:
         assert run.credited == math.comb(len(pool), choose)
         assert not run.exhausted
         assert run == pruned_dfs(instance)
+        # every budget from 0 to two past the node total: the run stops inside
+        # a pruned run, on a descent, after a rebuilt critical mask and, in
+        # the third example, among root children the base alone prunes
+        for budget in range(run.nodes + 3):
+            assert saturation_search(instance, budget) == pruned_dfs(instance, budget), budget
 
     def test_matches_pruned_dfs_at_every_budget_scale(self, search_instance):
         assert saturation_search(search_instance) == pruned_dfs(search_instance)
@@ -134,6 +139,30 @@ class TestKernel:
                 fields = mask.to_bytes(nbytes, "little")
                 assert all(field and field & field - 1 == 0 for field in fields)
                 assert mask >> 8 * nbytes == 0
+
+    def test_critical_mask_only_grows(self, search_instance):
+        # the kernel tests a node's children against its parent's critical
+        # mask first, which holds only if a child that passes a prefix's test
+        # keeps every critical bit of the prefix
+        rng = random.Random(20261019)
+        for instance in (search_instance, build_search_instance(8)):
+            nbytes = len(instance.supports)
+            children = pattern_masks(instance)[1]
+            topes = [*(pattern_bytes(t.neg, instance.n, 3) for t in instance.base), *children]
+
+            def crit(mask: int) -> int:
+                return int.from_bytes(mask.to_bytes(nbytes, "little").translate(CRITICAL), "little")
+
+            tested = 0
+            for _ in range(60):
+                m = 0
+                for t in rng.sample(topes, rng.randint(1, len(instance.base) + instance.choose)):
+                    m |= t
+                for child in children:
+                    if not child & crit(m):
+                        assert crit(m) & ~crit(m | child) == 0
+                        tested += bool(crit(m))
+            assert tested > 50  # children that met a prefix with critical bits
 
     def test_critical_table_pinned(self):
         # independent of the table's construction: list each value's unset
