@@ -17,7 +17,7 @@ import json
 import math
 import re
 import sys
-from typing import Any, NamedTuple, NoReturn
+from typing import Any, NoReturn
 
 from .certificate import (
     contradiction_certificate_document,
@@ -41,20 +41,26 @@ from .matroid import (
     uniform_covector_count,
 )
 from .search import VerificationError, build_search_instance, enumerate_survivors, verify_search_conclusions
+from .signed_vector import Immutable
 from .strong_map import is_strong_map_covectors, is_strong_map_topes
 
 
-class RunConfig(NamedTuple):
+class RunConfig(Immutable):
+    __slots__ = _fields = ("command", "n", "rank", "family", "output_path", "format")
+    _defaults = {"n": 6, "rank": 4, "family": "alternating", "output_path": None, "format": "json"}
+
     command: str
-    n: int = 6
-    rank: int = 4
-    family: str = "alternating"
-    output_path: str | None = None
-    format: str = "json"
+    n: int
+    rank: int
+    family: str
+    output_path: str | None
+    format: str
 
 
 # what a command found: its JSON document, its text lines and whether its checks held
-class Outcome(NamedTuple):
+class Outcome(Immutable):
+    __slots__ = _fields = ("doc", "lines", "ok")
+
     doc: dict
     lines: list[str]
     ok: bool

@@ -21,8 +21,6 @@ README's argument and ``TestDeletionCheck::test_mask_fields_match_restricted_top
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .matroid import alternating_chirotope, circuit_table, pair_swap_chirotope
 from .search import (
     SEARCH_N,
@@ -37,7 +35,7 @@ from .search import (
     target_topes,
     verify_search_conclusions,
 )
-from .signed_vector import SignedVector
+from .signed_vector import Immutable, SignedVector
 from .strong_map import StrongMapVerdict, is_strong_map_topes
 
 FULL_N = 8
@@ -49,9 +47,13 @@ CONFLICT_SUPPORT = (1, 2, 5, 6)
 CONFLICT_MASK = sum(1 << (e - 1) for e in CONFLICT_SUPPORT)
 
 
-class RestrictionCheck(NamedTuple):
+class RestrictionCheck(Immutable):
     """Verification that one 6-element restriction reduces to the searched pair,
     plus the search circuit lifted back to eight elements through it."""
+
+    __slots__ = _fields = (
+        "kept", "source_restriction_is_alternating", "target_restriction_matches", "lifted_circuit"
+    )
 
     kept: tuple[int, ...]
     source_restriction_is_alternating: bool
@@ -63,9 +65,11 @@ class RestrictionCheck(NamedTuple):
         return self.source_restriction_is_alternating and self.target_restriction_matches
 
 
-class AssumptionRecord(NamedTuple):
+class AssumptionRecord(Immutable):
     """A trusted inference step named in the certificate. ``verified`` is None
     for a pure citation, otherwise the outcome of its empirical check."""
+
+    __slots__ = _fields = ("name", "statement", "verified", "note")
 
     name: str
     statement: str
@@ -73,7 +77,12 @@ class AssumptionRecord(NamedTuple):
     note: str
 
 
-class ContradictionCertificate(NamedTuple):
+class ContradictionCertificate(Immutable):
+    __slots__ = _fields = (
+        "premise", "source_tope_count", "target_tope_count", "search", "search_verified",
+        "restriction_a", "restriction_b", "circuits_conflict", "assumptions", "verdict",
+    )
+
     premise: StrongMapVerdict
     source_tope_count: int
     target_tope_count: int
@@ -256,12 +265,14 @@ def build_contradiction_certificate(search_cert: SearchCertificate) -> Contradic
 # ----------------------------------------------------------------------
 
 
-class DirectSearchOutcome(NamedTuple):
+class DirectSearchOutcome(Immutable):
     """Result of the budgeted backtracking search for an n=8 intermediate.
 
     status is "none-found" when the whole space was exhausted,
     "budget-exhausted" when the node budget ran out first, and "found" if a
     survivor turned up (which would falsify the main result)."""
+
+    __slots__ = _fields = ("status", "nodes", "witness")
 
     status: str
     nodes: int
@@ -273,11 +284,12 @@ def direct_search_n8(budget: int) -> DirectSearchOutcome:
     source topes with the saturation kernel, at most ``budget`` nodes.
 
     A node is one candidate tope tried on top of a prefix. The whole space
-    is 177,833,728 nodes, which the kernel exhausts in 77-103 s on one core
-    of a shared 2-core machine, 1.7-2.3 million nodes per second as the
+    is 177,833,728 nodes, which the kernel exhausts in 48-61 s on one core
+    of a shared 2-core machine, 2.9-3.7 million nodes per second as the
     machine's load varied. A node its parent's critical bits prune costs one
-    bound test, one AND and one increment (``pytest -m slow``: 77.6 s and
-    80.1 s, Python 3.11.7).
+    bound test, one AND and one increment, or nothing when its parent
+    resumes past it after an ascent (``pytest -m slow``: 48.3 s and 55.3 s,
+    Python 3.11.7).
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")

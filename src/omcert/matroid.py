@@ -22,7 +22,8 @@ check on more than ``COVECTOR_BOUND`` covectors, before building anything.
 ``Chirotope``, ``TopeSet`` and ``CovectorSet`` are immutable value types on
 ``signed_vector.Immutable``: a hand-written ``__init__`` runs the checks, and
 equality, hashing and repr come from ``Immutable``'s key, the fields (taken up
-to global sign for a chirotope). The axiom reports are ``NamedTuple`` records.
+to global sign for a chirotope). The axiom reports are records on the same
+base, built by ``Immutable``'s constructor.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .signed_vector import Immutable, SignedVector, increasing_subset
 
@@ -418,8 +419,12 @@ def covectors_from_topes(topes: TopeSet) -> CovectorSet:
 # ----------------------------------------------------------------------
 
 
-class CovectorAxiomReport(NamedTuple):
+class CovectorAxiomReport(Immutable):
     """Outcome of checking the four covector axioms on a set of sign vectors."""
+
+    __slots__ = _fields = (
+        "vector_count", "has_zero", "opposite_violations", "composition_violations", "elimination_violations"
+    )
 
     vector_count: int
     has_zero: bool
@@ -520,9 +525,11 @@ def _elimination_exists(pairs: set[tuple[int, int]], base_p: int, base_n: int, f
     return False
 
 
-class UniformTopeReport(NamedTuple):
+class UniformTopeReport(Immutable):
     """Outcome of checking the uniform tope-set axioms (count plus, for every
     (r+1)-subset Q, a full pattern on Q avoided by every tope restriction)."""
+
+    __slots__ = _fields = ("n", "r", "expected_count", "actual_count", "witnesses", "missing")
 
     n: int
     r: int

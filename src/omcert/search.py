@@ -20,25 +20,26 @@ sets one bit per byte, so a child saturates a byte only by adding the one bit
 a 7-bit byte of the prefix lacks: a node reads those critical bits from the
 byte table ``CRITICAL``, and each child is tested against them with one AND.
 They only grow along a branch, so a node tests its children against its
-parent's critical bits first and reads its own only when a child passes.
-Bytes only accumulate as topes are added, so a saturated prefix is pruned and
+parent's critical bits first and reads its own only when a child passes;
+after an ascent, the parent resumes where that first test stopped. Bytes
+only accumulate as topes are added, so a saturated prefix is pruned and
 the combinations below it are credited without being visited: the children
 tried between two descents are counted and credited as one run, from a table
 of binomials built once per run; all 184,756 are still counted. Survivors are
 re-verified through the ordinary axiom checker, which also yields the
 witnesses.
 
-The instance, the certificate and a kernel run are ``NamedTuple`` records.
-``SurvivorRecord`` is an immutable class on ``signed_vector.Immutable``
-instead: equality and hashing read ``Immutable``'s key, which here leaves
-out the circuit table, and its own repr hides the table.
+The instance, the certificate, a kernel run and each survivor are value
+types on ``signed_vector.Immutable``. The first three are records, built by
+``Immutable``'s constructor. ``SurvivorRecord`` writes its own: equality and
+hashing read ``Immutable``'s key, which here leaves out the circuit table,
+and its own repr hides the table.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import NamedTuple
 
 from .matroid import (
     TopeSet,
@@ -67,9 +68,11 @@ FORCED_CIRCUITS = ("+-+-00", "+-00-+")
 EXCLUDED_TOPES = ("+-+---", "+----+")
 
 
-class SearchInstance(NamedTuple):
+class SearchInstance(Immutable):
     """Frozen input of the search: base topes that every candidate must keep
     and the ordered pool the free picks come from."""
+
+    __slots__ = _fields = ("n", "rank", "choose", "base", "pool")
 
     n: int
     rank: int
@@ -126,9 +129,11 @@ class SurvivorRecord(Immutable):
         return TopeSet(self.topes[0].n, SEARCH_RANK, frozenset(self.topes))
 
 
-class SearchCertificate(NamedTuple):
+class SearchCertificate(Immutable):
     """Full record of one exhaustive run: every combination counted, every
     survivor listed in enumeration order, and the circuit pair they share."""
+
+    __slots__ = _fields = ("instance", "combinations_checked", "survivors", "conclusion_circuits")
 
     instance: SearchInstance
     combinations_checked: int
@@ -185,8 +190,10 @@ def pattern_masks(instance: SearchInstance) -> tuple[int, tuple[int, ...]]:
 CRITICAL = bytes(0xFF ^ b if b.bit_count() == 7 else 0xFF if b == 0xFF else 0 for b in range(256))
 
 
-class SaturationRun(NamedTuple):
+class SaturationRun(Immutable):
     """What one kernel run found and counted."""
+
+    __slots__ = _fields = ("picks", "nodes", "credited", "exhausted")
 
     picks: tuple[tuple[int, ...], ...]  # unsaturated selections, lexicographic
     nodes: int  # children tried
@@ -233,6 +240,16 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
     tried, and ``off`` takes up its jump back on each ascent. The budget
     becomes the run's bound ``stop``, the index at which ``off + i`` reaches
     it, so a run halts at the same node as a test per node would.
+
+    A run resumes after an ascent without a rescan. A child's first scan
+    tests the pool indices after the parent's pick, ``picks[depth] + 1`` on,
+    against the parent's critical mask, as the parent's run would after the
+    ascent, and its range, ending at ``end + 1``, covers the parent's;
+    ``nxt[depth]`` keeps the index where it stopped. On the ascent the
+    parent's run is still credited from ``picks[depth] + 1`` but resumes at
+    ``nxt[depth]``, clamped to the parent's new ``stop``: ``off`` only grows
+    along a run, so that ``stop`` is at most the child's and the clamp halts
+    at the same node. A child whose scan stopped on the budget never ascends.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -243,7 +260,7 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
     from_bytes, table = int.from_bytes, CRITICAL
     found: list[tuple[int, ...]] = []
     off = credited = 0
-    picks, saved_mask, saved_crit = [0] * choose, [0] * choose, [0] * choose
+    picks, saved_mask, saved_crit, nxt = [0] * choose, [0] * choose, [0] * choose, [0] * choose
     crit = from_bytes(mask.to_bytes(nbytes, "little").translate(table), "little")
     last, depth, i = choose - 1, 0, 0
     credit, end = tail[0], npool - choose + 1
@@ -269,6 +286,7 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
                 stop = end
             while i < stop and pool_masks[i] & crit:  # the parent's critical mask
                 i += 1
+            nxt[depth - 1] = i
             if i < stop:
                 crit = from_bytes(mask.to_bytes(nbytes, "little").translate(table), "little")
         elif i < end:  # the budget ran out
@@ -277,10 +295,12 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
             depth -= 1
             credit, end = tail[depth], end - 1
             off += i - picks[depth] - 1
-            i, mask, crit = picks[depth] + 1, saved_mask[depth], saved_crit[depth]
-            seg, stop = i, limit - off
+            seg, mask, crit = picks[depth] + 1, saved_mask[depth], saved_crit[depth]
+            i, stop = nxt[depth], limit - off
             if stop > end:
                 stop = end
+            if i > stop:
+                i = stop
         else:
             break
     return SaturationRun(tuple(found), off + i, credited, exhausted=i < end)

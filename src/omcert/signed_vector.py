@@ -3,10 +3,11 @@
 Elements are labeled 1..n with n <= 32. A vector keeps one bit per element
 in each of two masks (positive / negative), so all set algebra is constant
 time. Values are immutable and hashable; every operation returns a fresh
-value. ``SignedVector`` and the other validated value types subclass
-``Immutable``: plain classes with a hand-written ``__init__``, because a
-command-line run is mostly interpreter start-up and generating classes at
-import time would add to it. Assigning to a field raises AttributeError.
+value. Every value type of the package, ``SignedVector`` among them,
+subclasses ``Immutable``: plain slotted classes, because a command-line run
+is mostly interpreter start-up and generating classes at import time would
+add to it. A record takes ``Immutable``'s constructor; a validated type
+writes its own ``__init__``. Assigning to a field raises AttributeError.
 Equality, hashing and repr read ``Immutable``'s key, except on
 ``SignedVector``, the type the pipeline hashes, which keeps its own for speed.
 
@@ -45,16 +46,36 @@ def increasing_subset(items: tuple[int, ...] | list[int], n: int, what: str) -> 
 
 
 class Immutable:
-    """Base of the validated value types: a subclass sets its fields once, in
-    ``__init__``, through ``_set_fields``; assigning or deleting an attribute
-    afterwards raises AttributeError. Copies and pickles are rebuilt through
-    ``__init__`` from the fields named in ``_fields``, so they pass the same
-    checks. Two values are equal when they are of one class and their
-    ``_key()`` tuples are equal; the hash is the key's hash, and the repr
-    lists the fields."""
+    """Base of every value type: a subclass names its fields in ``__slots__``
+    and ``_fields`` and sets them once, in ``__init__``; assigning or deleting
+    an attribute afterwards raises AttributeError. A record, a type without
+    checks, uses the constructor here: fields by position, then by name, any
+    missing one taken from the class's ``_defaults``. A validated type writes
+    its own ``__init__``, which runs its checks and sets the fields through
+    ``_set_fields``. Copies and pickles are rebuilt through ``__init__`` from
+    the fields named in ``_fields``, so they pass the same checks. Two values
+    are equal when they are of one class and their ``_key()`` tuples are
+    equal; the hash is the key's hash, and the repr lists the fields."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in self._defaults:
+                values.append(self._defaults[field])
+            else:
+                raise TypeError(f"{name} is missing field {field!r}")
+        if kwargs:
+            raise TypeError(f"{name} got unexpected fields {', '.join(map(repr, kwargs))}")
+        self._set_fields(*values)
 
     def _set_fields(self, *values: object) -> None:
         for name, value in zip(self._fields, values, strict=True):

@@ -8,18 +8,20 @@ the covector-containment method is kept as the independent cross-check.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import Any
 
 from .matroid import CovectorSet, TopeSet
-from .signed_vector import SignedVector
+from .signed_vector import Immutable, SignedVector
 
 TOPE_INCLUSION = "tope-inclusion"
 COVECTOR_CONTAINMENT = "covector-containment"
 
 
-class StrongMapVerdict(NamedTuple):
+class StrongMapVerdict(Immutable):
     """Outcome of a strong-map test; the witness is the first target covector
     (or tope) missing from the source when the map fails."""
+
+    __slots__ = _fields = ("holds", "method", "corank", "witness")
 
     holds: bool
     method: str

@@ -8,13 +8,15 @@ of every Python frame entered. The library's functions are collected from
 the modules: module-level functions, the functions behind ``functools.cache``
 wrappers (whose caches are cleared first, so a cached call enters the
 function again), and every method, property and cached property of a class
-defined there. Methods that Python generates for ``NamedTuple`` records are
-not in the source and are not counted.
+defined there.
 
-Two design guards sit next to the walk. Every ``Immutable`` subclass takes
-its ``__eq__`` and ``__hash__`` from ``Immutable``, which compares
-``_key()``, except ``SignedVector``, the type the pipeline hashes, which
-keeps its own for speed. And the packed pattern fields stay in two modules:
+Design guards sit next to the walk. Every class in ``src/omcert`` is a plain
+``Immutable`` or ``Exception`` subclass, so no class is generated at import
+(a ``NamedTuple``, ``namedtuple`` or dataclass, a class decorator or a
+metaclass), which every command-line run would pay for. Every ``Immutable``
+subclass takes its ``__eq__`` and ``__hash__`` from ``Immutable``, which
+compares ``_key()``, except ``SignedVector``, the type the pipeline hashes,
+which keeps its own for speed. And the packed pattern fields stay in two modules:
 no module other than ``matroid``, which computes them, and ``search``, whose
 kernel ORs them, imports ``pattern_bytes``. No module imports an underscore
 name from another: what one module shares with another is public.
@@ -151,6 +153,18 @@ def test_every_library_function_is_reached(tmp_path, capsys):
     capsys.readouterr()
     unreached = sorted(name for code, name in functions.items() if code not in entered)
     assert [name for name in unreached if name not in ALLOWED] == []
+
+
+def test_every_class_is_a_plain_immutable_or_exception():
+    generated = []
+    for module in library_modules():
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name, None)
+                plain = isinstance(cls, type) and type(cls) is type and not node.decorator_list
+                if not plain or issubclass(cls, tuple) or not issubclass(cls, (Immutable, Exception)):
+                    generated.append(f"{module.__name__}.{node.name}")
+    assert generated == []
 
 
 def test_value_types_take_equality_and_hash_from_immutable():

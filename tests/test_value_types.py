@@ -1,5 +1,5 @@
 """Value semantics of the immutable types: equality, hashing, repr, refused
-assignment and the construction checks."""
+assignment, the records' construction and the validated types' checks."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from omcert.cli import RunConfig
+from omcert.cli import Outcome, RunConfig
 from omcert.contradiction import (
     AssumptionRecord,
     ContradictionCertificate,
@@ -28,7 +28,7 @@ from omcert.matroid import (
     covectors_from_topes,
 )
 from omcert.search import SaturationRun, SearchCertificate, SearchInstance, SurvivorRecord
-from omcert.signed_vector import SignedVector
+from omcert.signed_vector import Immutable, SignedVector
 from omcert.strong_map import StrongMapVerdict
 
 sv = SignedVector.parse
@@ -154,7 +154,13 @@ def instances() -> list[tuple[object, str]]:
         (DirectSearchOutcome(status="none-found", nodes=1, witness=None), "status"),
         (verdict, "holds"),
         (RunConfig(command="all"), "output_path"),
+        (Outcome(doc={"n": 6}, lines=["n=6"], ok=True), "lines"),
     ]
+
+
+def records() -> list[object]:
+    """The values whose class takes ``Immutable``'s constructor."""
+    return [value for value, _ in instances() if type(value).__init__ is Immutable.__init__]
 
 
 def test_every_converted_type_is_covered():
@@ -163,8 +169,56 @@ def test_every_converted_type_is_covered():
         SignedVector, Chirotope, TopeSet, CovectorSet, SurvivorRecord, UniformTopeReport,
         CovectorAxiomReport, SearchInstance, SearchCertificate, SaturationRun,
         RestrictionCheck, AssumptionRecord, ContradictionCertificate, DirectSearchOutcome,
-        StrongMapVerdict, RunConfig,
+        StrongMapVerdict, RunConfig, Outcome,
     }
+    assert len(records()) == 12
+
+
+@pytest.mark.parametrize(
+    "value, name", instances(), ids=[type(value).__name__ for value, _ in instances()]
+)
+def test_equal_only_within_one_class(value, name):
+    fields = tuple(getattr(value, field) for field in type(value)._fields)
+    assert value != fields and fields != value
+    assert value != value._key()
+
+
+@pytest.mark.parametrize(
+    "value, name", instances(), ids=[type(value).__name__ for value, _ in instances()]
+)
+def test_hash_is_the_key_hash(value, name):
+    try:
+        want = hash(value._key())
+    except TypeError:  # a key holding a list or a dict
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == want
+
+
+@pytest.mark.parametrize("value", records(), ids=[type(value).__name__ for value in records()])
+def test_record_repr_lists_the_fields(value):
+    fields = ", ".join(f"{field}={getattr(value, field)!r}" for field in type(value)._fields)
+    assert repr(value) == f"{type(value).__name__}({fields})"
+
+
+@pytest.mark.parametrize("value", records(), ids=[type(value).__name__ for value in records()])
+def test_record_construction(value):
+    cls, fields = type(value), type(value)._fields
+    values = [getattr(value, field) for field in fields]
+    by_name = dict(zip(fields, values))
+    assert cls(*values) == cls(**by_name) == cls(*values[:2], **dict(zip(fields[2:], values[2:]))) == value
+    with pytest.raises(TypeError, match=f"{cls.__name__} is missing field '{fields[0]}'"):
+        cls(**dict(zip(fields[1:], values[1:])))
+    with pytest.raises(TypeError, match=f"{cls.__name__} got unexpected fields 'extra'"):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError, match=f"{cls.__name__} takes {len(fields)} fields, got {len(fields) + 1}"):
+        cls(*values, None)
+
+
+def test_run_config_defaults():
+    assert RunConfig("all") == RunConfig("all", 6, 4, "alternating", None, "json")
+    assert RunConfig("topes", rank=2, family="m2") == RunConfig("topes", 6, 2, "m2", None, "json")
 
 
 @pytest.mark.parametrize(
