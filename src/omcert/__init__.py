@@ -39,7 +39,8 @@ from .matroid import (
     check_covector_axioms,
     check_uniform_tope_axioms,
     circuit_on_support,
-    covectors_from_topes,
+    covectors_of,
+    is_covector,
     pair_swap_chirotope,
     phi,
     restriction_tope_set,
@@ -90,9 +91,10 @@ __all__ = [
     "check_uniform_tope_axioms",
     "circuit_on_support",
     "circuits_conflict",
-    "covectors_from_topes",
+    "covectors_of",
     "direct_search_n8",
     "enumerate_survivors",
+    "is_covector",
     "is_strong_map_covectors",
     "is_strong_map_topes",
     "lift_through_restriction",

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any
 
 from .contradiction import (
     FULL_N,
@@ -65,7 +64,7 @@ def subset_key(subset: tuple[int, ...]) -> str:
     return ",".join(str(e) for e in subset)
 
 
-def _survivor_entry(s: SurvivorRecord) -> dict[str, Any]:
+def _survivor_entry(s: SurvivorRecord) -> dict[str, object]:
     return {
         "topes": list(s.tope_strings()),
         "vc_witnesses": {subset_key(q): str(w) for q, w in s.vc_witnesses},
@@ -74,7 +73,7 @@ def _survivor_entry(s: SurvivorRecord) -> dict[str, Any]:
     }
 
 
-def search_certificate_document(cert: SearchCertificate) -> dict[str, Any]:
+def search_certificate_document(cert: SearchCertificate) -> dict[str, object]:
     inst = cert.instance
     return {
         "version": CERTIFICATE_VERSION,
@@ -107,7 +106,7 @@ def search_certificate_document(cert: SearchCertificate) -> dict[str, Any]:
     }
 
 
-def contradiction_certificate_document(cert: ContradictionCertificate) -> dict[str, Any]:
+def contradiction_certificate_document(cert: ContradictionCertificate) -> dict[str, object]:
     doc = search_certificate_document(cert.search)
     return {
         "version": CERTIFICATE_VERSION,
@@ -162,7 +161,7 @@ def contradiction_certificate_document(cert: ContradictionCertificate) -> dict[s
     }
 
 
-def certificate_document(cert: SearchCertificate | ContradictionCertificate) -> dict[str, Any]:
+def certificate_document(cert: SearchCertificate | ContradictionCertificate) -> dict[str, object]:
     if isinstance(cert, ContradictionCertificate):
         return contradiction_certificate_document(cert)
     return search_certificate_document(cert)
@@ -193,7 +192,7 @@ def _path(path: tuple) -> str:
     return path[0] + "".join(f"[{k}]" if type(k) is int else f".{_path_key(k)}" for k in path[1:])
 
 
-def _diff(stated: Any, expected: Any, path: tuple) -> list[str]:
+def _diff(stated: object, expected: object, path: tuple) -> list[str]:
     """Every place where ``stated`` departs from ``expected``, below ``path``
     (a root string then keys and indices). JSON types must match (``true``
     is not 1 and ``6.0`` is not 6); missing and unexpected keys and array
@@ -228,7 +227,7 @@ def _diff(stated: Any, expected: Any, path: tuple) -> list[str]:
 _FLAVORS = {"lemma6": "a lemma6 search certificate", "all": "a full-pipeline (all) certificate"}
 
 
-def _checked(doc: Any, flavor: str | None) -> tuple[SearchCertificate | None, list[str]]:
+def _checked(doc: object, flavor: str | None) -> tuple[SearchCertificate | None, list[str]]:
     """The one checking path: the regenerated search certificate and the
     problems of ``doc`` read as a ``flavor`` document (None: the flavor it
     states, else ``lemma6``). The document is valid only when the problem
@@ -261,12 +260,12 @@ def _checked(doc: Any, flavor: str | None) -> tuple[SearchCertificate | None, li
     return search, problems
 
 
-def validate_search_document(doc: dict[str, Any]) -> list[str]:
+def validate_search_document(doc: dict[str, object]) -> list[str]:
     """Problems of a ``lemma6`` search certificate document."""
     return _checked(doc, "lemma6")[1]
 
 
-def search_certificate_from_document(doc: dict[str, Any]) -> SearchCertificate:
+def search_certificate_from_document(doc: dict[str, object]) -> SearchCertificate:
     """The regenerated search certificate of a valid ``lemma6`` document.
     Raises VerificationError, one problem per line, if the document is invalid."""
     search, problems = _checked(doc, "lemma6")
@@ -275,11 +274,11 @@ def search_certificate_from_document(doc: dict[str, Any]) -> SearchCertificate:
     return search
 
 
-def validate_contradiction_document(doc: dict[str, Any]) -> list[str]:
+def validate_contradiction_document(doc: dict[str, object]) -> list[str]:
     """Problems of a full-pipeline (``all``) certificate document."""
     return _checked(doc, "all")[1]
 
 
-def validate_certificate_document(doc: dict[str, Any]) -> list[str]:
+def validate_certificate_document(doc: dict[str, object]) -> list[str]:
     """Problems of a document of the flavor it states, ``lemma6`` if none."""
     return _checked(doc, None)[1]

@@ -17,7 +17,6 @@ import json
 import math
 import re
 import sys
-from typing import Any, NoReturn
 
 from .certificate import (
     contradiction_certificate_document,
@@ -35,7 +34,7 @@ from .matroid import (
     canonical_tope_count,
     check_covector_axioms,
     check_uniform_tope_axioms,
-    covectors_from_topes,
+    covectors_of,
     pair_swap_chirotope,
     topes_of,
     uniform_covector_count,
@@ -87,9 +86,10 @@ def _cmd_topes(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_axioms(cfg: RunConfig) -> Outcome:
-    topes = topes_of(_family_chirotope(cfg))
+    chi = _family_chirotope(cfg)
+    topes = topes_of(chi)
     tope_report = check_uniform_tope_axioms(topes)
-    covector_report = check_covector_axioms(covectors_from_topes(topes))
+    covector_report = check_covector_axioms(covectors_of(chi))
     doc = {
         "family": cfg.family,
         "n": topes.n,
@@ -112,30 +112,23 @@ def _cmd_axioms(cfg: RunConfig) -> Outcome:
 
 
 def _cmd_strongmap(cfg: RunConfig) -> Outcome:
-    source = topes_of(alternating_chirotope(cfg.n, cfg.rank))
-    target = topes_of(pair_swap_chirotope(cfg.n))
-    tope_verdict = is_strong_map_topes(source, target)
-    covector_verdict = None
-    if cfg.n <= COVECTOR_LIMIT:
-        covector_verdict = is_strong_map_covectors(
-            covectors_from_topes(source), covectors_from_topes(target)
-        )
-    ok = tope_verdict.holds and (covector_verdict is None or covector_verdict.holds)
+    source, target = alternating_chirotope(cfg.n, cfg.rank), pair_swap_chirotope(cfg.n)
+    tope_verdict = is_strong_map_topes(topes_of(source), topes_of(target))
+    covector_verdict = is_strong_map_covectors(source, target)
     doc = {
         "n": cfg.n,
         "source": {"family": "alternating", "rank": cfg.rank},
         "target": {"family": "m2", "rank": 2},
         "tope_inclusion": {"holds": tope_verdict.holds, "corank": tope_verdict.corank},
+        "covector_containment": {"holds": covector_verdict.holds, "corank": covector_verdict.corank},
+        "methods_agree": covector_verdict.holds == tope_verdict.holds,
     }
     lines = [
         f"strong map alternating(n={cfg.n}, rank={cfg.rank}) -> m2(n={cfg.n})",
         f"tope inclusion: {'holds' if tope_verdict.holds else 'FAILS'} (corank {tope_verdict.corank})",
+        f"covector containment: {'holds' if covector_verdict.holds else 'FAILS'}",
     ]
-    if covector_verdict is not None:
-        doc["covector_containment"] = {"holds": covector_verdict.holds, "corank": covector_verdict.corank}
-        doc["methods_agree"] = covector_verdict.holds == tope_verdict.holds
-        lines.append(f"covector containment: {'holds' if covector_verdict.holds else 'FAILS'}")
-    return Outcome(doc, lines, ok)
+    return Outcome(doc, lines, tope_verdict.holds and covector_verdict.holds)
 
 
 def _cmd_lemma6(cfg: RunConfig) -> Outcome:
@@ -266,7 +259,8 @@ def _usage(command: str | None) -> str:
     return f"usage: omcert {command} [-h] {options}"
 
 
-def _print_help(command: str | None) -> NoReturn:
+def _print_help(command: str | None) -> None:
+    """Print the help of omcert or of one command and exit 0."""
     if command is None:
         head, rows = f"{_DESCRIPTION}\n\ncommands:", [(c, h) for c, (h, _) in _COMMANDS.items()]
     else:
@@ -277,13 +271,14 @@ def _print_help(command: str | None) -> NoReturn:
     raise SystemExit(0)
 
 
-def _usage_error(command: str | None, message: str) -> NoReturn:
+def _usage_error(command: str | None, message: str) -> None:
+    """Print the usage line and the error and exit 2."""
     prog = "omcert" if command is None else f"omcert {command}"
     print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
     raise SystemExit(2)
 
 
-def _config_from_args(command: str, args: dict[str, Any]) -> RunConfig:
+def _config_from_args(command: str, args: dict[str, object]) -> RunConfig:
     family, n, rank = args.get("family", "alternating"), args.get("n", 6), args.get("rank")
     # strongmap's target is always the pair-swap instance, family m2
     if n % 2 and (family == "m2" or command == "strongmap"):
@@ -299,14 +294,15 @@ def _config_from_args(command: str, args: dict[str, Any]) -> RunConfig:
         _usage_error(command, f"n must be within 1..32, got {n}")
     if not 1 <= rank <= n:
         _usage_error(command, f"rank must be within 1..n, got rank={rank}, n={n}")
-    # refuse up front what the tope cover or covector enumeration would refuse later
+    # refuse up front what the tope cover would refuse later, and axiom checks that would run for minutes
     completions = math.comb(n, rank - 1) << (rank - 1)
     if completions > COVER_BOUND:
         why = f"its tope cover visits {completions} completions, more than {COVER_BOUND}"
         _usage_error(command, f"n={n}, rank={rank} is too large: {why}")
     if command == "axioms":
         if n > COVECTOR_LIMIT:
-            _usage_error(command, f"n={n} is too large: covectors are enumerated up to n={COVECTOR_LIMIT}")
+            why = "covector elimination is searched over 3**(|S|-1) vectors per separation set S"
+            _usage_error(command, f"n={n} is too large: {why}, up to n={COVECTOR_LIMIT}")
         covectors = uniform_covector_count(n, rank)
         if covectors > COVECTOR_BOUND:
             why = f"its {covectors} covectors are more than the {COVECTOR_BOUND} the axiom check takes"
@@ -325,7 +321,7 @@ def parse_args(argv: list[str] | None = None) -> tuple[RunConfig, str | None]:
             _print_help(None)
         _usage_error(None, f"invalid command {argv[0]!r}" if argv else "a command is required")
     command, tokens = argv[0], iter(argv[1:])
-    args: dict[str, Any] = {}
+    args: dict[str, object] = {}
     unknown = []
     for token in tokens:
         if token in ("-h", "--help"):

@@ -2,15 +2,18 @@
 
 A strong map source -> target exists iff every covector of the target is a
 covector of the source. For a uniform target this reduces to tope inclusion
-(target topes inside source topes), which is the criterion the searches use;
-the covector-containment method is kept as the independent cross-check.
+(target topes inside source topes), which is the criterion the searches use.
+Covector containment is the independent cross-check, on uniform chirotopes:
+it lists the target's covectors by the conformal cover of its cocircuits and
+tests each against the source's cocircuits, so it never lists the source's.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from collections.abc import Callable
+from functools import partial
 
-from .matroid import CovectorSet, TopeSet
+from .matroid import Chirotope, TopeSet, covectors_of, is_covector
 from .signed_vector import Immutable, SignedVector
 
 TOPE_INCLUSION = "tope-inclusion"
@@ -31,19 +34,22 @@ class StrongMapVerdict(Immutable):
 
 def is_strong_map_topes(source: TopeSet, target: TopeSet) -> StrongMapVerdict:
     """Tope-inclusion criterion: valid when the target is uniform (caller asserts)."""
-    return _verdict(TOPE_INCLUSION, source, target, source.topes, target.topes)
+    return _verdict(TOPE_INCLUSION, source, target, target.topes, source.topes.__contains__)
 
 
-def is_strong_map_covectors(source: CovectorSet, target: CovectorSet) -> StrongMapVerdict:
-    """Covector containment: every target covector must be a source covector."""
-    return _verdict(COVECTOR_CONTAINMENT, source, target, source.covectors, target.covectors)
+def is_strong_map_covectors(source: Chirotope, target: Chirotope) -> StrongMapVerdict:
+    """Covector containment: every target covector must be a source covector. Uniform chirotopes only."""
+    have = partial(is_covector, cocircuits=source.cocircuits())
+    return _verdict(COVECTOR_CONTAINMENT, source, target, covectors_of(target).covectors, have)
 
 
-def _verdict(method: str, source: Any, target: Any, have: frozenset, want: frozenset) -> StrongMapVerdict:
-    """Whether ``want`` (the target's vectors) lies inside ``have`` (the source's)."""
+def _verdict(
+    method: str, source: TopeSet | Chirotope, target: TopeSet | Chirotope, want: frozenset, have: Callable
+) -> StrongMapVerdict:
+    """Whether every vector in ``want`` (the target's) passes ``have`` (is the source's)."""
     if source.n != target.n:
         raise ValueError(f"ground-set mismatch: {source.n} vs {target.n}")
-    missing = sorted((v for v in want if v not in have), key=SignedVector.order_key)
+    missing = sorted((v for v in want if not have(v)), key=SignedVector.order_key)
     return StrongMapVerdict(
         holds=not missing,
         method=method,

@@ -3,11 +3,13 @@
 The sign-vector relations (``compose``, ``conforms``, ``perpendicular``,
 ``full_support_extensions``) follow their textbook definitions. On top of
 them, ``is_covector_by_extension`` decides covector membership by full-support
-completion, and ``alternating_topes_direct`` lists the alternating instance's
-topes by the sign-change rule, and ``pattern_index`` numbers a vector's
-canonical pattern on one subset, element by element; the tests compare the
-library's cocircuit, tope, covector, circuit and packed pattern computations
-against them. The library itself calls none of these.
+completion, ``covectors_from_topes`` lists the covectors of a tope set by
+composition with every tope (the survivors have no chirotope, so their
+covectors come from here), ``alternating_topes_direct`` lists the alternating
+instance's topes by the sign-change rule, and ``pattern_index`` numbers a
+vector's canonical pattern on one subset, element by element; the tests
+compare the library's cocircuit, tope, covector, circuit and packed pattern
+computations against them. The library itself calls none of these.
 
 ``parse`` is the argparse command line that ``omcert.cli`` had before its
 table-driven parser; the two must agree on every run configuration and
@@ -19,7 +21,7 @@ from __future__ import annotations
 import argparse
 
 from omcert.cli import RunConfig
-from omcert.matroid import TopeSet
+from omcert.matroid import CovectorSet, TopeSet
 from omcert.signed_vector import SignedVector
 
 # refuse enumerating more than 2**20 full-support completions
@@ -82,6 +84,41 @@ def is_covector_by_extension(x: SignedVector, topes: TopeSet) -> bool:
     if x.n != topes.n:
         raise ValueError(f"ground-set mismatch: {x.n} vs {topes.n}")
     return all(ext.canonical() in topes.topes for ext in full_support_extensions(x))
+
+
+def covectors_from_topes(topes: TopeSet) -> CovectorSet:
+    """All sign vectors X with X o T a tope for every tope T (both signs of T).
+
+    This is the standard tope-based membership test; the caller is
+    responsible for passing a genuine oriented-matroid tope set. It tries
+    all 3**n sign vectors.
+    """
+    n = topes.n
+    signed = set()
+    for t in topes.topes:
+        signed.add((t.pos, t.neg))
+        signed.add((t.neg, t.pos))
+    tope_list = list(signed)
+
+    full = (1 << n) - 1
+    covs = set()
+    for pos in range(full + 1):
+        rest = full & ~pos
+        neg = rest
+        while True:
+            supp = pos | neg
+            ok = True
+            for tp, tn in tope_list:
+                free = ~supp
+                if (pos | (tp & free), neg | (tn & free)) not in signed:
+                    ok = False
+                    break
+            if ok:
+                covs.add(SignedVector(n, pos, neg))
+            if neg == 0:
+                break
+            neg = (neg - 1) & rest
+    return CovectorSet(n, topes.r, frozenset(covs))
 
 
 def pattern_index(neg: int, subset: tuple[int, ...]) -> int:

@@ -42,6 +42,19 @@ def test_import_leaves_out_dataclasses_and_inspect(tmp_path):
     assert not ran & {"argparse", "gettext", "locale", "dataclasses", "inspect"}
 
 
+def test_import_leaves_out_typing_and_contextlib():
+    # annotations are strings, so no module imports typing at run time; under
+    # -I -S nothing else loads it, nor the contextlib it pulls in
+    code = f"import sys; sys.path.insert(0, {str(SRC)!r}); import omcert.cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "omcert.cli" in loaded
+    assert not loaded & {"typing", "contextlib"}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -97,6 +110,25 @@ class TestStrongMap:
         doc = json.loads(out)
         assert doc["tope_inclusion"]["holds"]
         assert doc["covector_containment"]["holds"]
+        assert doc["methods_agree"]
+
+    @pytest.mark.parametrize("n, rank", [(10, 9), (12, 4), (32, 4)])
+    def test_both_methods_at_every_size(self, capsys, n, rank):
+        # the covector cross-check lists only the rank-2 target's covectors,
+        # so it runs past n = 10 and at high rank
+        code, out, _ = run_cli(capsys, "strongmap", "--n", str(n), "--rank", str(rank))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["tope_inclusion"] == {"holds": True, "corank": rank - 2}
+        assert doc["covector_containment"] == {"holds": True, "corank": rank - 2}
+        assert doc["methods_agree"]
+
+    def test_failing_map_fails_by_both_methods(self, capsys):
+        # alt(6, 1) has the one tope ++++++, so it lacks the pair-swap topes
+        code, out, _ = run_cli(capsys, "strongmap", "--n", "6", "--rank", "1")
+        assert code == 1
+        doc = json.loads(out)
+        assert not doc["tope_inclusion"]["holds"] and not doc["covector_containment"]["holds"]
         assert doc["methods_agree"]
 
 
@@ -366,11 +398,12 @@ class TestOversizedInstances:
 
 
 class TestCovectorLimit:
-    """``axioms`` enumerates covectors, 3**n candidates, only up to
-    matroid.COVECTOR_LIMIT = 10, and checks their axioms on every pair only up
-    to matroid.COVECTOR_BOUND = 1,000 covectors; past either it is a usage
-    error before anything is built. ``strongmap`` cross-checks by covectors up
-    to n = 10 and by topes alone past it; ``topes`` enumerates no covectors."""
+    """``axioms`` checks covector elimination, which searches 3**(|S|-1)
+    vectors per separation set S, only up to matroid.COVECTOR_LIMIT = 10
+    elements, and checks the axioms on every pair only up to
+    matroid.COVECTOR_BOUND = 1,000 covectors; past either it is a usage error
+    before anything is built. ``strongmap`` cross-checks by covectors at every
+    size; ``topes`` lists no covectors."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -383,7 +416,8 @@ class TestCovectorLimit:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: omcert axioms ")
-        assert "covectors are enumerated up to n=10" in err
+        assert "is too large: covector elimination is searched over 3**(|S|-1) vectors" in err
+        assert "per separation set S, up to n=10" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -398,6 +432,11 @@ class TestCovectorLimit:
     def test_within_the_limit_or_other_commands_parse(self, argv):
         cfg, _ = parse_args(argv)
         assert (cfg.command, cfg.n) == (argv[0], int(argv[2]))
+
+    def test_strongmap_past_the_limit_reports_covectors(self, capsys):
+        code, out, _ = run_cli(capsys, "strongmap", "--n", "12", "--format", "text")
+        assert code == 0
+        assert out.splitlines()[1:] == ["tope inclusion: holds (corank 2)", "covector containment: holds"]
 
     @pytest.mark.parametrize("n, rank, count", [(10, 9, 57003), (8, 5, 2467)])
     def test_too_many_covectors_refused(self, capsys, n, rank, count):

@@ -14,7 +14,8 @@ from omcert.matroid import (
     check_covector_axioms,
     check_uniform_tope_axioms,
     circuit_on_support,
-    covectors_from_topes,
+    covectors_of,
+    is_covector,
     pair_swap_chirotope,
     pattern_bytes,
     phi,
@@ -24,7 +25,14 @@ from omcert.matroid import (
     uniform_covector_count,
 )
 from omcert.signed_vector import SignedVector
-from reference import alternating_topes_direct, compose, conforms, pattern_index, perpendicular
+from reference import (
+    alternating_topes_direct,
+    compose,
+    conforms,
+    covectors_from_topes,
+    pattern_index,
+    perpendicular,
+)
 
 sv = SignedVector.parse
 
@@ -305,24 +313,52 @@ class TestTopeGeneration:
 
 
 class TestCovectors:
-    def test_counts_match_face_oracle(self, alt64, swap6, alt84):
-        assert len(covectors_from_topes(alt64)) == uniform_covector_count(6, 4) == 345
-        assert len(covectors_from_topes(swap6)) == uniform_covector_count(6, 2) == 25
-        assert len(covectors_from_topes(alt84)) == uniform_covector_count(8, 4) == 929
-        alt42 = topes_of(alternating_chirotope(4, 2))
-        assert len(covectors_from_topes(alt42)) == uniform_covector_count(4, 2) == 17
+    def test_counts_match_face_oracle(self):
+        for chi, count in (
+            (alternating_chirotope(6, 4), 345),
+            (pair_swap_chirotope(6), 25),
+            (alternating_chirotope(8, 4), 929),
+            (alternating_chirotope(4, 2), 17),
+        ):
+            assert len(covectors_of(chi)) == uniform_covector_count(chi.n, chi.r) == count
         # at full rank every sign vector is a covector
         assert [uniform_covector_count(n, n) for n in range(1, 9)] == [3**n for n in range(1, 9)]
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_cover_matches_tope_composition_alternating(self, n):
+        # the cocircuit cover against the reference's 3**n composition test, at every rank
+        for r in range(1, n + 1):
+            chi = alternating_chirotope(n, r)
+            cov = covectors_of(chi)
+            assert cov == covectors_from_topes(topes_of(chi))
+            assert len(cov) == uniform_covector_count(n, r)
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 8))
+    def test_cover_matches_tope_composition_pair_swap(self, n):
+        chi = pair_swap_chirotope(n)
+        cov = covectors_of(chi)
+        assert cov == covectors_from_topes(topes_of(chi))
+        assert len(cov) == uniform_covector_count(n, 2)
+
+    def test_membership_matches_cover(self):
+        # the strong-map cross-check's membership test, on all 3**6 sign vectors
+        vectors = [sv("".join(signs)) for signs in product("+-0", repeat=6)]
+        for chi in (alternating_chirotope(6, 4), pair_swap_chirotope(6)):
+            cocircuits = chi.cocircuits()
+            assert {x for x in vectors if is_covector(x, cocircuits)} == covectors_of(chi).covectors
+
     def test_contains_zero_topes_opposites(self, swap6):
-        cov = covectors_from_topes(swap6)
+        cov = covectors_of(pair_swap_chirotope(6))
         assert SignedVector(6, 0, 0) in cov
         for t in swap6.topes:
             assert t in cov and t.opposite() in cov
 
     def test_matches_composition_definition(self, alt64, swap6, search_certificate):
-        # X is a covector iff X composed with every tope (either sign) is a tope
-        for ts in (alt64, swap6, search_certificate.survivors[0].tope_set()):
+        # X is a covector iff X composed with every tope (either sign) is a tope;
+        # the reference enumeration and, where there is a chirotope, the cover
+        survivor = search_certificate.survivors[0].tope_set()
+        chirotopes = {alt64: alternating_chirotope(6, 4), swap6: pair_swap_chirotope(6)}
+        for ts in (alt64, swap6, survivor):
             signed = [*ts.topes, *(t.opposite() for t in ts.topes)]
             expected = {
                 x
@@ -331,23 +367,18 @@ class TestCovectors:
                 if all(compose(x, t).canonical() in ts.topes for t in signed)
             }
             assert covectors_from_topes(ts).covectors == expected
+            if ts in chirotopes:
+                assert covectors_of(chirotopes[ts]).covectors == expected
 
-    def test_not_a_covector(self, alt64):
+    def test_not_a_covector(self):
         # its completion +-+--- has four sign changes, so it cannot extend to topes only
-        assert sv("+-+-00") not in covectors_from_topes(alt64)
+        chi = alternating_chirotope(6, 4)
+        assert sv("+-+-00") not in covectors_of(chi)
+        assert not is_covector(sv("+-+-00"), chi.cocircuits())
 
-    def test_enum_guard(self):
-        big = TopeSet(11, 1, frozenset({SignedVector(11, (1 << 11) - 1, 0)}))
-        with pytest.raises(ValueError):
-            covectors_from_topes(big)
-
-    def test_cocircuits_are_minimal_nonzero_covectors(self, alt64, swap6):
-        for chi, ts in (
-            (alternating_chirotope(6, 4), alt64),
-            (pair_swap_chirotope(6), swap6),
-            (alternating_chirotope(4, 2), topes_of(alternating_chirotope(4, 2))),
-        ):
-            cov = covectors_from_topes(ts).covectors
+    def test_cocircuits_are_minimal_nonzero_covectors(self):
+        for chi in (alternating_chirotope(6, 4), pair_swap_chirotope(6), alternating_chirotope(4, 2)):
+            cov = covectors_of(chi).covectors
             nonzero = [v for v in cov if v.support_mask]
             minimal = {
                 v.canonical()
@@ -358,9 +389,9 @@ class TestCovectors:
 
 
 class TestCovectorAxioms:
-    def test_generated_instances_pass(self, alt64, swap6):
-        for ts in (alt64, swap6, topes_of(alternating_chirotope(4, 2))):
-            report = check_covector_axioms(covectors_from_topes(ts))
+    def test_generated_instances_pass(self):
+        for chi in (alternating_chirotope(6, 4), pair_swap_chirotope(6), alternating_chirotope(4, 2)):
+            report = check_covector_axioms(covectors_of(chi))
             assert report.passed, report
 
     def test_missing_opposite_reported(self):
@@ -438,8 +469,8 @@ class TestCircuitOnSupport:
                 assert signs == [(-1) ** i for i in range(len(q))]
 
     def test_circuits_perpendicular_to_all_covectors(self, alt64, swap6):
-        for ts in (alt64, swap6):
-            cov = covectors_from_topes(ts)
+        for ts, chi in ((alt64, alternating_chirotope(6, 4)), (swap6, pair_swap_chirotope(6))):
+            cov = covectors_of(chi)
             for q in combinations(range(1, ts.n + 1), ts.r + 1):
                 circuit = circuit_on_support(ts, q)
                 assert all(perpendicular(circuit, v) for v in cov.covectors)

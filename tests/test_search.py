@@ -13,7 +13,6 @@ from omcert.matroid import (
     check_covector_axioms,
     check_uniform_tope_axioms,
     circuit_on_support,
-    covectors_from_topes,
     pattern_bytes,
     restriction_tope_set,
 )
@@ -34,7 +33,7 @@ from omcert.search import (
 )
 from omcert.signed_vector import SignedVector
 from omcert.strong_map import is_strong_map_topes
-from reference import alternating_topes_direct, perpendicular
+from reference import alternating_topes_direct, covectors_from_topes, perpendicular
 
 sv = SignedVector.parse
 

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from omcert.matroid import covectors_from_topes
+from omcert.matroid import alternating_chirotope, pair_swap_chirotope, topes_of
 from omcert.signed_vector import SignedVector
 from omcert.strong_map import is_strong_map_covectors, is_strong_map_topes
-from reference import is_covector_by_extension
+from reference import covectors_from_topes, is_covector_by_extension
 
 sv = SignedVector.parse
 
@@ -36,37 +36,54 @@ class TestTopeInclusion:
 
 class TestCovectorContainment:
     def test_n6_agrees_with_topes(self, alt64, swap6):
-        cov_src = covectors_from_topes(alt64)
-        cov_tgt = covectors_from_topes(swap6)
-        verdict = is_strong_map_covectors(cov_src, cov_tgt)
-        assert verdict.holds and verdict.corank == 2
+        verdict = is_strong_map_covectors(alternating_chirotope(6, 4), pair_swap_chirotope(6))
+        assert verdict.holds and verdict.corank == 2 and verdict.witness is None
         assert verdict.holds == is_strong_map_topes(alt64, swap6).holds
 
-    def test_reflexive(self, swap6):
-        cov = covectors_from_topes(swap6)
-        verdict = is_strong_map_covectors(cov, cov)
+    def test_reflexive(self):
+        chi = pair_swap_chirotope(6)
+        verdict = is_strong_map_covectors(chi, chi)
         assert verdict.holds and verdict.corank == 0
 
-    def test_reverse_direction_fails(self, alt64, swap6):
-        verdict = is_strong_map_covectors(
-            covectors_from_topes(swap6), covectors_from_topes(alt64)
-        )
-        assert not verdict.holds and verdict.witness is not None
+    def test_reverse_direction_fails(self):
+        source, target = pair_swap_chirotope(6), alternating_chirotope(6, 4)
+        verdict = is_strong_map_covectors(source, target)
+        assert not verdict.holds and verdict.corank == -2
+        # the witness is the first target covector missing from the source, in the fixed order
+        wanted, had = (covectors_from_topes(topes_of(chi)).covectors for chi in (target, source))
+        missing = wanted - had
+        assert verdict.witness == min(missing, key=SignedVector.order_key)
+
+    def test_ground_set_mismatch(self):
+        with pytest.raises(ValueError):
+            is_strong_map_covectors(alternating_chirotope(6, 4), pair_swap_chirotope(8))
 
 
 class TestMethodAgreement:
+    def test_chirotope_pairs_agree(self):
+        # every ordered pair of alt(6, r), r = 1..6, and m2(6): covector
+        # containment, tope inclusion and the reference sets' containment agree
+        chirotopes = [alternating_chirotope(6, r) for r in range(1, 7)] + [pair_swap_chirotope(6)]
+        topes = [topes_of(chi) for chi in chirotopes]
+        covector_sets = [covectors_from_topes(ts).covectors for ts in topes]
+        outcomes = set()
+        for i, j in permutations(range(len(chirotopes)), 2):
+            cov_verdict = is_strong_map_covectors(chirotopes[i], chirotopes[j])
+            assert cov_verdict.holds == is_strong_map_topes(topes[i], topes[j]).holds, (i, j)
+            assert cov_verdict.holds == (covector_sets[j] <= covector_sets[i]), (i, j)
+            outcomes.add(cov_verdict.holds)
+        assert outcomes == {True, False}
+
     def test_all_instance_pairs_agree(self, alt64, swap6, search_certificate):
-        # tope inclusion and covector containment reach the same verdict for
-        # every ordered pair of uniform instances, holding or not
+        # tope inclusion and covector containment of the reference sets reach
+        # the same verdict for every ordered pair of uniform instances, holding
+        # or not; the survivors have no chirotope, so their covectors come from
+        # the reference enumeration
         instances = [alt64, swap6] + [s.tope_set() for s in search_certificate.survivors]
-        covector_sets = [covectors_from_topes(ts) for ts in instances]
-        for i, (src_t, src_c) in enumerate(zip(instances, covector_sets)):
-            for j, (tgt_t, tgt_c) in enumerate(zip(instances, covector_sets)):
-                if i == j:
-                    continue
-                tope_verdict = is_strong_map_topes(src_t, tgt_t)
-                cov_verdict = is_strong_map_covectors(src_c, tgt_c)
-                assert tope_verdict.holds == cov_verdict.holds, (i, j)
+        covector_sets = [covectors_from_topes(ts).covectors for ts in instances]
+        for i, j in permutations(range(len(instances)), 2):
+            tope_verdict = is_strong_map_topes(instances[i], instances[j])
+            assert tope_verdict.holds == (covector_sets[j] <= covector_sets[i]), (i, j)
 
 
 class TestCovectorByExtension:

@@ -25,7 +25,7 @@ from omcert.matroid import (
     alternating_chirotope,
     check_covector_axioms,
     check_uniform_tope_axioms,
-    covectors_from_topes,
+    covectors_of,
 )
 from omcert.search import SaturationRun, SearchCertificate, SearchInstance, SurvivorRecord
 from omcert.signed_vector import Immutable, SignedVector
@@ -141,10 +141,10 @@ def instances() -> list[tuple[object, str]]:
         (sv("+-0"), "pos"),
         (alternating_chirotope(4, 2), "values"),
         (topes, "topes"),
-        (covectors_from_topes(topes), "covectors"),
+        (covectors_of(alternating_chirotope(3, 2)), "covectors"),
         (survivor(), "circuit_table"),
         (check_uniform_tope_axioms(topes), "witnesses"),
-        (check_covector_axioms(covectors_from_topes(topes)), "vector_count"),
+        (check_covector_axioms(covectors_of(alternating_chirotope(3, 2))), "vector_count"),
         (instance, "pool"),
         (search, "survivors"),
         (SaturationRun(picks=((0,),), nodes=1, credited=1, exhausted=False), "nodes"),
