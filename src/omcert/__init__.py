@@ -31,7 +31,6 @@ from .certificate import (
 from .matroid import (
     Chirotope,
     CovectorAxiomReport,
-    CovectorSet,
     TopeSet,
     UniformTopeReport,
     alternating_chirotope,
@@ -43,7 +42,6 @@ from .matroid import (
     is_covector,
     pair_swap_chirotope,
     phi,
-    restriction_tope_set,
     topes_from_cocircuits,
     topes_of,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "Chirotope",
     "ContradictionCertificate",
     "CovectorAxiomReport",
-    "CovectorSet",
     "DirectSearchOutcome",
     "RestrictionCheck",
     "SearchCertificate",
@@ -100,7 +97,6 @@ __all__ = [
     "lift_through_restriction",
     "pair_swap_chirotope",
     "phi",
-    "restriction_tope_set",
     "search_certificate_from_document",
     "serialize_certificate",
     "sign_string_key",

@@ -27,7 +27,6 @@ from .certificate import (
 from .contradiction import build_contradiction_certificate
 from .matroid import (
     COVECTOR_BOUND,
-    COVECTOR_LIMIT,
     COVER_BOUND,
     Chirotope,
     alternating_chirotope,
@@ -300,9 +299,6 @@ def _config_from_args(command: str, args: dict[str, object]) -> RunConfig:
         why = f"its tope cover visits {completions} completions, more than {COVER_BOUND}"
         _usage_error(command, f"n={n}, rank={rank} is too large: {why}")
     if command == "axioms":
-        if n > COVECTOR_LIMIT:
-            why = "covector elimination is searched over 3**(|S|-1) vectors per separation set S"
-            _usage_error(command, f"n={n} is too large: {why}, up to n={COVECTOR_LIMIT}")
         covectors = uniform_covector_count(n, rank)
         if covectors > COVECTOR_BOUND:
             why = f"its {covectors} covectors are more than the {COVECTOR_BOUND} the axiom check takes"

@@ -15,10 +15,12 @@ Only uniform chirotopes are supported by the cocircuit reader; everything
 downstream enumerates explicitly, so ground sets are expected to stay small
 (n <= 8 for the shipped instances). The guards sit well above that: the tope
 cover stops after ``COVER_BOUND`` completions, and the command line refuses a
-larger cover, or a covector axiom check past ``COVECTOR_LIMIT`` elements or
-``COVECTOR_BOUND`` covectors, before building anything.
+larger cover, or a covector axiom check on more than ``COVECTOR_BOUND``
+covectors, before building anything. Covectors are a plain frozenset of sign
+vectors; the axiom check reads covector elimination off one index per
+separation set, so its cost is quadratic in the covector count.
 
-``Chirotope``, ``TopeSet`` and ``CovectorSet`` are immutable value types on
+``Chirotope`` and ``TopeSet`` are immutable value types on
 ``signed_vector.Immutable``: a hand-written ``__init__`` runs the checks, and
 equality, hashing and repr come from ``Immutable``'s key, the fields (taken up
 to global sign for a chirotope). The axiom reports are records on the same
@@ -34,15 +36,12 @@ from itertools import combinations
 
 from .signed_vector import Immutable, SignedVector, increasing_subset
 
-# largest ground set the command line's covector axiom check takes: its elimination search tries
-# 3**(|S|-1) vectors per separation set S (rank 2: 0.40 s at n = 10, 1.07, 3.7, 16 and 47 s at n = 11..14)
-COVECTOR_LIMIT = 10
-
 # most completions the tope cover visits; rank r on n elements needs C(n, r-1) * 2**(r-1)
 COVER_BOUND = 200_000
 
-# most covectors the command line's axiom check takes on: it visits every pair, so
-# 929 covectors (alternating n=8, rank 4) take 1.3-2.4 s and 2,467 about 12 s (2 cores)
+# most covectors the command line's axiom check takes on: it visits every pair, so 929
+# covectors (alternating n=8, rank 4) take 0.5-0.8 s, 963 (n=16, rank 3) 1.2-1.5 s and
+# 2,467 (n=8, rank 5) 2.7-3.5 s (one core of a shared 2-core machine)
 COVECTOR_BOUND = 1_000
 
 # cap on stored axiom violations; counts past the cap are not recorded
@@ -296,26 +295,6 @@ class TopeSet(Immutable):
         return tuple(packed >> (width * i) & ones for i in range(count))
 
 
-class CovectorSet(Immutable):
-    """All covectors of an oriented matroid: both signs stored, zero included.
-    The key is (n, r, covectors)."""
-
-    __slots__ = ("n", "r", "covectors")
-    _fields = __slots__
-
-    def __init__(self, n: int, r: int, covectors: frozenset[SignedVector]) -> None:
-        for v in covectors:
-            if v.n != n:
-                raise ValueError(f"covector {v} lives on {v.n} elements, expected {n}")
-        self._set_fields(n, r, covectors)
-
-    def __len__(self) -> int:
-        return len(self.covectors)
-
-    def __contains__(self, v: SignedVector) -> bool:
-        return v in self.covectors
-
-
 def topes_from_cocircuits(cocircuits: Iterable[SignedVector], n: int) -> TopeSet:
     """Topes as the full-support vectors covered by their conformal cocircuits.
 
@@ -378,7 +357,7 @@ def topes_of(chi: Chirotope) -> TopeSet:
     return topes_from_cocircuits(chi.cocircuits(), chi.n)
 
 
-def covectors_of(chi: Chirotope) -> CovectorSet:
+def covectors_of(chi: Chirotope) -> frozenset[SignedVector]:
     """Covectors of a uniform chirotope: by conformal decomposition (see
     ``topes_from_cocircuits``), X is a covector exactly when the signed
     cocircuits conformal to X cover its support. Each signed cocircuit ORs its
@@ -395,7 +374,7 @@ def covectors_of(chi: Chirotope) -> CovectorSet:
             for k in keys:
                 cover[k] = cover.get(k, 0) | cp | cn
     covectors = {SignedVector(n, k & full, k >> n) for k, hit in cover.items() if hit == (k & full) | k >> n}
-    return CovectorSet(n, chi.r, frozenset(covectors | {SignedVector(n, 0, 0)}))
+    return frozenset(covectors | {SignedVector(n, 0, 0)})
 
 
 def is_covector(x: SignedVector, cocircuits: Iterable[SignedVector]) -> bool:
@@ -437,10 +416,18 @@ class CovectorAxiomReport(Immutable):
         )
 
 
-def check_covector_axioms(covectors: CovectorSet | Iterable[SignedVector]) -> CovectorAxiomReport:
+def check_covector_axioms(covectors: Iterable[SignedVector]) -> CovectorAxiomReport:
     """Check: zero present; closed under opposite; closed under composition;
-    covector elimination. Violations are report content, not exceptions."""
-    vecs = list(covectors.covectors if isinstance(covectors, CovectorSet) else covectors)
+    covector elimination. Violations are report content, not exceptions.
+
+    Elimination asks, for members X, Y and each e in their separation set S,
+    for a member Z with Z(e) = 0 that agrees with X o Y outside S. So for
+    each S met, an index built on first use maps a member's signs outside S
+    to the OR of the elements of S where some member with those signs is 0;
+    it holds only members with a zero in S. A pair then reads one entry, and
+    each element of S missing from it is a violation.
+    """
+    vecs = list(covectors)
     if not vecs:
         raise ValueError("empty input")
     n = vecs[0].n
@@ -457,7 +444,7 @@ def check_covector_axioms(covectors: CovectorSet | Iterable[SignedVector]) -> Co
 
     comp_viol: list[tuple[SignedVector, SignedVector]] = []
     elim_viol: list[tuple[SignedVector, SignedVector, int]] = []
-    elim_cache: dict[tuple[int, int, int, int], bool] = {}
+    zeros_in: dict[int, dict[int, int]] = {}  # S -> (signs outside S, pos | neg << n) -> zeros in S
 
     for xp, xn in pair_list:
         xsupp = xp | xn
@@ -470,21 +457,19 @@ def check_covector_axioms(covectors: CovectorSet | Iterable[SignedVector]) -> Co
             smask = (xp & yn) | (xn & yp)
             if not smask:
                 continue
-            base_p = wp & ~smask
-            base_n = wn & ~smask
-            rest = smask
-            while rest:
-                ebit = rest & -rest
-                rest ^= ebit
-                key = (smask, ebit, base_p, base_n)
-                found = elim_cache.get(key)
-                if found is None:
-                    found = _elimination_exists(pairs, base_p, base_n, smask & ~ebit)
-                    elim_cache[key] = found
-                if not found and len(elim_viol) < _VIOLATION_CAP:
-                    elim_viol.append(
-                        (SignedVector(n, xp, xn), SignedVector(n, yp, yn), ebit.bit_length())
-                    )
+            index = zeros_in.get(smask)
+            if index is None:
+                index = zeros_in[smask] = {}
+                for zp, zn in pair_list:
+                    zeros = smask & ~(zp | zn)
+                    if zeros:
+                        key = (zp & ~smask) | (zn & ~smask) << n
+                        index[key] = index.get(key, 0) | zeros
+            missing = smask & ~index.get((wp & ~smask) | (wn & ~smask) << n, 0)
+            while missing and len(elim_viol) < _VIOLATION_CAP:
+                ebit = missing & -missing
+                missing ^= ebit
+                elim_viol.append((SignedVector(n, xp, xn), SignedVector(n, yp, yn), ebit.bit_length()))
     return CovectorAxiomReport(
         vector_count=len(pairs),
         has_zero=has_zero,
@@ -492,32 +477,6 @@ def check_covector_axioms(covectors: CovectorSet | Iterable[SignedVector]) -> Co
         composition_violations=tuple(comp_viol),
         elimination_violations=tuple(elim_viol),
     )
-
-
-def _elimination_exists(pairs: set[tuple[int, int]], base_p: int, base_n: int, free_mask: int) -> bool:
-    """Is there a member agreeing with (base_p, base_n) outside free_mask and zero elsewhere on it?
-
-    Free positions may carry any sign, so candidates are enumerated as a
-    ternary counter over the free bits.
-    """
-    bits = []
-    m = free_mask
-    while m:
-        b = m & -m
-        bits.append(b)
-        m ^= b
-    stack = [(base_p, base_n, 0)]
-    while stack:
-        p, q, i = stack.pop()
-        if i == len(bits):
-            if (p, q) in pairs:
-                return True
-            continue
-        b = bits[i]
-        stack.append((p, q, i + 1))
-        stack.append((p | b, q, i + 1))
-        stack.append((p, q | b, i + 1))
-    return False
 
 
 class UniformTopeReport(Immutable):
@@ -628,11 +587,3 @@ def circuit_on_support(topes: TopeSet, subset: tuple[int, ...] | list[int]) -> S
     if avoided & (avoided - 1):
         raise ValueError(f"{avoided.bit_count()} patterns on {q} avoid every tope; rank or count metadata is wrong")
     return _pattern_vector(topes.n, q, avoided.bit_length() - 1)
-
-
-def restriction_tope_set(topes: TopeSet, keep: tuple[int, ...] | list[int]) -> TopeSet:
-    """Canonical dedup of tope restrictions: the tope set of the deletion."""
-    keep = tuple(keep)
-    restricted = frozenset(t.restrict(keep).canonical() for t in topes.topes)
-    r = min(topes.r, len(keep))
-    return TopeSet(len(keep), r, restricted)

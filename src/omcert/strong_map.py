@@ -40,7 +40,7 @@ def is_strong_map_topes(source: TopeSet, target: TopeSet) -> StrongMapVerdict:
 def is_strong_map_covectors(source: Chirotope, target: Chirotope) -> StrongMapVerdict:
     """Covector containment: every target covector must be a source covector. Uniform chirotopes only."""
     have = partial(is_covector, cocircuits=source.cocircuits())
-    return _verdict(COVECTOR_CONTAINMENT, source, target, covectors_of(target).covectors, have)
+    return _verdict(COVECTOR_CONTAINMENT, source, target, covectors_of(target), have)
 
 
 def _verdict(

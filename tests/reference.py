@@ -5,11 +5,14 @@ The sign-vector relations (``compose``, ``conforms``, ``perpendicular``,
 them, ``is_covector_by_extension`` decides covector membership by full-support
 completion, ``covectors_from_topes`` lists the covectors of a tope set by
 composition with every tope (the survivors have no chirotope, so their
-covectors come from here), ``alternating_topes_direct`` lists the alternating
-instance's topes by the sign-change rule, and ``pattern_index`` numbers a
-vector's canonical pattern on one subset, element by element; the tests
-compare the library's cocircuit, tope, covector, circuit and packed pattern
-computations against them. The library itself calls none of these.
+covectors come from here), ``elimination_failures`` checks covector
+elimination by scanning every member for each pair and element,
+``alternating_topes_direct`` lists the alternating instance's topes by the
+sign-change rule, ``restriction_tope_set`` builds a deletion's tope set from
+restricted topes, and ``pattern_index`` numbers a vector's canonical pattern
+on one subset, element by element; the tests compare the library's
+cocircuit, tope, covector, axiom, circuit and packed pattern computations
+against them. The library itself calls none of these.
 
 ``parse`` is the argparse command line that ``omcert.cli`` had before its
 table-driven parser; the two must agree on every run configuration and
@@ -21,7 +24,7 @@ from __future__ import annotations
 import argparse
 
 from omcert.cli import RunConfig
-from omcert.matroid import CovectorSet, TopeSet
+from omcert.matroid import TopeSet
 from omcert.signed_vector import SignedVector
 
 # refuse enumerating more than 2**20 full-support completions
@@ -86,7 +89,7 @@ def is_covector_by_extension(x: SignedVector, topes: TopeSet) -> bool:
     return all(ext.canonical() in topes.topes for ext in full_support_extensions(x))
 
 
-def covectors_from_topes(topes: TopeSet) -> CovectorSet:
+def covectors_from_topes(topes: TopeSet) -> frozenset[SignedVector]:
     """All sign vectors X with X o T a tope for every tope T (both signs of T).
 
     This is the standard tope-based membership test; the caller is
@@ -118,7 +121,30 @@ def covectors_from_topes(topes: TopeSet) -> CovectorSet:
             if neg == 0:
                 break
             neg = (neg - 1) & rest
-    return CovectorSet(n, topes.r, frozenset(covs))
+    return frozenset(covs)
+
+
+def elimination_failures(covectors: frozenset[SignedVector]) -> list[tuple[SignedVector, SignedVector, int]]:
+    """Covector elimination by its definition: for members X, Y and each e
+    in their separation set S, some member Z has Z(e) = 0 and agrees with
+    X o Y at every element outside S. Every (X, Y, e) with no such Z, in
+    the order of ``check_covector_axioms``: pairs by (pos, neg), then e
+    ascending. Every member is scanned for each triple."""
+    members = sorted(covectors, key=lambda v: (v.pos, v.neg))
+    signs = [(z.pos, z.neg) for z in members]
+    failures = []
+    for x in members:
+        for y in members:
+            w = compose(x, y)
+            outside = ~((x.pos & y.neg) | (x.neg & y.pos))
+            wp, wn = w.pos & outside, w.neg & outside
+            for e in range(1, x.n + 1):
+                bit = 1 << (e - 1)
+                if not outside & bit and not any(
+                    not (zp | zn) & bit and zp & outside == wp and zn & outside == wn for zp, zn in signs
+                ):
+                    failures.append((x, y, e))
+    return failures
 
 
 def pattern_index(neg: int, subset: tuple[int, ...]) -> int:
@@ -152,6 +178,14 @@ def alternating_topes_direct(n: int, r: int) -> TopeSet:
         if changes <= r - 1:
             topes.add(SignedVector.parse("".join(signs)))
     return TopeSet(n, r, frozenset(topes))
+
+
+def restriction_tope_set(topes: TopeSet, keep: tuple[int, ...] | list[int]) -> TopeSet:
+    """Canonical dedup of tope restrictions: the tope set of the deletion."""
+    keep = tuple(keep)
+    restricted = frozenset(t.restrict(keep).canonical() for t in topes.topes)
+    r = min(topes.r, len(keep))
+    return TopeSet(len(keep), r, restricted)
 
 
 def build_parser() -> argparse.ArgumentParser:

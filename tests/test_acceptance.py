@@ -95,12 +95,12 @@ def test_criterion_4_strong_map_premise(alt64, swap6, alt84, swap8, search_certi
 
     # the survivors have no chirotope: their sandwich maps are checked by
     # containment of the reference covector sets
-    cov_alt64 = covectors_from_topes(alt64).covectors
-    cov_swap6 = covectors_from_topes(swap6).covectors
+    cov_alt64 = covectors_from_topes(alt64)
+    cov_swap6 = covectors_from_topes(swap6)
     agreements = 0
     for survivor in search_certificate.survivors:
         ts = survivor.tope_set()
-        cov_s = covectors_from_topes(ts).covectors
+        cov_s = covectors_from_topes(ts)
         down = is_strong_map_topes(alt64, ts).holds, cov_s <= cov_alt64
         up = is_strong_map_topes(ts, swap6).holds, cov_swap6 <= cov_s
         for tope_holds, cov_holds in (down, up):
@@ -163,11 +163,11 @@ def test_criterion_6_property_suites(alt64, swap6, search_certificate):
         for q in combinations(range(1, ts.n + 1), ts.r + 1):
             circuit = circuit_on_support(ts, q)
             ok = ok and all(perpendicular(circuit, t) for t in ts.topes)
-            ok = ok and all(perpendicular(circuit, v) for v in cov.covectors)
+            ok = ok and all(perpendicular(circuit, v) for v in cov)
 
     # cocircuits equal the minimal nonzero covectors
     for chi, (_, cov) in zip(chirotopes, covector_sets):
-        nonzero = [v for v in cov.covectors if v.support_mask]
+        nonzero = [v for v in cov if v.support_mask]
         minimal = {
             v.canonical() for v in nonzero if not any(w != v and conforms(w, v) for w in nonzero)
         }

@@ -398,26 +398,31 @@ class TestOversizedInstances:
 
 
 class TestCovectorLimit:
-    """``axioms`` checks covector elimination, which searches 3**(|S|-1)
-    vectors per separation set S, only up to matroid.COVECTOR_LIMIT = 10
-    elements, and checks the axioms on every pair only up to
-    matroid.COVECTOR_BOUND = 1,000 covectors; past either it is a usage error
-    before anything is built. ``strongmap`` cross-checks by covectors at every
-    size; ``topes`` lists no covectors."""
+    """``axioms`` checks the covector axioms on every pair of covectors, so it
+    takes at most matroid.COVECTOR_BOUND = 1,000 of them; past that it is a
+    usage error before anything is built. Elimination reads one index per
+    separation set, so the ground set has no limit of its own. ``strongmap``
+    cross-checks by covectors at every size; ``topes`` lists no covectors."""
 
     @pytest.mark.parametrize(
         "argv",
         [["axioms", "--n", "11", "--rank", "3"], ["axioms", "--family", "m2", "--n", "12"]],
         ids=" ".join,
     )
-    def test_refused_before_building(self, capsys, argv):
+    def test_past_ten_elements_pass(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "text")
+        assert code == 0
+        assert out.splitlines()[-1] == "covector axioms: pass"
+
+    def test_bound_follows_the_covector_count(self, capsys):
+        # alternating rank 3: 963 covectors at n = 16 are within the bound, 1,091 at n = 17 are not
+        assert parse_args(["axioms", "--n", "16", "--rank", "3"])[0].n == 16
         with pytest.raises(SystemExit) as exc:
-            parse_args(argv)
+            parse_args(["axioms", "--n", "17", "--rank", "3"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: omcert axioms ")
-        assert "is too large: covector elimination is searched over 3**(|S|-1) vectors" in err
-        assert "per separation set S, up to n=10" in err
+        assert "n=17, rank=3 is too large: its 1091 covectors are more than the 1000" in err
 
     @pytest.mark.parametrize(
         "argv",

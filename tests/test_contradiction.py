@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omcert.contradiction
-import omcert.matroid
 from omcert.certificate import serialize_certificate, validate_contradiction_document
 from omcert.contradiction import (
     CONFLICT_SUPPORT,
@@ -21,10 +20,10 @@ from omcert.contradiction import (
     lift_through_restriction,
     verify_premise,
 )
-from omcert.matroid import TopeSet, circuit_table, restriction_tope_set
+from omcert.matroid import TopeSet, circuit_table
 from omcert.search import SurvivorRecord
 from omcert.signed_vector import SignedVector
-from reference import alternating_topes_direct
+from reference import alternating_topes_direct, restriction_tope_set
 
 sv = SignedVector.parse
 
@@ -223,7 +222,6 @@ class TestDeletionCheck:
         def refuse(*args, **kwargs):
             raise AssertionError("the per-deletion object path ran")
 
-        monkeypatch.setattr(omcert.matroid, "restriction_tope_set", refuse)
         monkeypatch.setattr(SignedVector, "restrict", refuse)
         cert = build_contradiction_certificate(search_cert=search_certificate)
         assert cert.verdict == "nonfactorizable"
@@ -244,9 +242,8 @@ class TestDirectSearch:
 
     @pytest.mark.slow
     def test_full_exhaustion_finds_nothing(self):
-        # independent oracle for the whole result: the kernel tries
-        # 177,833,728 nodes (77-103 s on one core, 1.7-2.3 million nodes/s) and
-        # exhausts the space
+        # independent oracle for the whole result: within the budget the
+        # kernel exhausts the space and finds no witness
         outcome = direct_search_n8(budget=250_000_000)
         assert outcome.status == "none-found"
         assert outcome.witness is None

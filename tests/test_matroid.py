@@ -4,10 +4,13 @@ import math
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import omcert.matroid
 from omcert.matroid import (
     Chirotope,
+    CovectorAxiomReport,
     TopeSet,
     alternating_chirotope,
     canonical_tope_count,
@@ -19,7 +22,6 @@ from omcert.matroid import (
     pair_swap_chirotope,
     pattern_bytes,
     phi,
-    restriction_tope_set,
     topes_from_cocircuits,
     topes_of,
     uniform_covector_count,
@@ -30,8 +32,10 @@ from reference import (
     compose,
     conforms,
     covectors_from_topes,
+    elimination_failures,
     pattern_index,
     perpendicular,
+    restriction_tope_set,
 )
 
 sv = SignedVector.parse
@@ -345,7 +349,7 @@ class TestCovectors:
         vectors = [sv("".join(signs)) for signs in product("+-0", repeat=6)]
         for chi in (alternating_chirotope(6, 4), pair_swap_chirotope(6)):
             cocircuits = chi.cocircuits()
-            assert {x for x in vectors if is_covector(x, cocircuits)} == covectors_of(chi).covectors
+            assert {x for x in vectors if is_covector(x, cocircuits)} == covectors_of(chi)
 
     def test_contains_zero_topes_opposites(self, swap6):
         cov = covectors_of(pair_swap_chirotope(6))
@@ -366,9 +370,9 @@ class TestCovectors:
                 for x in [sv("".join(signs))]
                 if all(compose(x, t).canonical() in ts.topes for t in signed)
             }
-            assert covectors_from_topes(ts).covectors == expected
+            assert covectors_from_topes(ts) == expected
             if ts in chirotopes:
-                assert covectors_of(chirotopes[ts]).covectors == expected
+                assert covectors_of(chirotopes[ts]) == expected
 
     def test_not_a_covector(self):
         # its completion +-+--- has four sign changes, so it cannot extend to topes only
@@ -378,7 +382,7 @@ class TestCovectors:
 
     def test_cocircuits_are_minimal_nonzero_covectors(self):
         for chi in (alternating_chirotope(6, 4), pair_swap_chirotope(6), alternating_chirotope(4, 2)):
-            cov = covectors_of(chi).covectors
+            cov = covectors_of(chi)
             nonzero = [v for v in cov if v.support_mask]
             minimal = {
                 v.canonical()
@@ -386,6 +390,39 @@ class TestCovectors:
                 if not any(w != v and conforms(w, v) for w in nonzero)
             }
             assert minimal == chi.cocircuits()
+
+
+def covector_instances() -> dict[str, list[SignedVector]]:
+    """The sorted covectors of alt(n, r) for n <= 6 and of m2(n), each with
+    at most 125 covectors, so the definition's scan stays fast."""
+    chirotopes = {f"alt({n},{r})": alternating_chirotope(n, r) for n in range(1, 7) for r in range(1, n + 1)}
+    chirotopes |= {f"m2({n})": pair_swap_chirotope(n) for n in range(2, 9, 2)}
+    return {
+        name: sorted(covectors_of(chi), key=lambda v: (v.pos, v.neg))
+        for name, chi in chirotopes.items()
+        if uniform_covector_count(chi.n, chi.r) <= 125
+    }
+
+
+COVECTOR_INSTANCES = covector_instances()
+
+
+def assert_axioms_match_definition(vectors: set[SignedVector]) -> None:
+    """The whole report against the axioms read straight off their definitions."""
+    if not vectors:
+        with pytest.raises(ValueError, match="empty input"):
+            check_covector_axioms(vectors)
+        return
+    members = sorted(vectors, key=lambda v: (v.pos, v.neg))
+    cap = omcert.matroid._VIOLATION_CAP
+    expected = CovectorAxiomReport(
+        vector_count=len(members),
+        has_zero=SignedVector(members[0].n, 0, 0) in vectors,
+        opposite_violations=tuple(v for v in members if v.opposite() not in vectors)[:cap],
+        composition_violations=tuple((x, y) for x in members for y in members if compose(x, y) not in vectors)[:cap],
+        elimination_violations=tuple(elimination_failures(frozenset(vectors))[:cap]),
+    )
+    assert check_covector_axioms(vectors) == expected
 
 
 class TestCovectorAxioms:
@@ -414,6 +451,34 @@ class TestCovectorAxioms:
         vectors = [SignedVector(2, 0, 0), sv("+0"), sv("-0"), sv("0+"), sv("0-")]
         report = check_covector_axioms(vectors)
         assert report.composition_violations
+
+    @settings(max_examples=60, deadline=None)
+    @example(n=4, masks=[(0, 0), (1, 2), (2, 1), (3, 0), (0, 3)])
+    @given(
+        n=st.integers(1, 4),
+        masks=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=40),
+    )
+    def test_random_sets_match_definition(self, n, masks):
+        full = (1 << n) - 1
+        assert_axioms_match_definition({SignedVector(n, p & full, m & full & ~p) for p, m in masks})
+
+    @settings(max_examples=60, deadline=None)
+    @example(instance="alt(5,3)", dropped=list(range(0, 83, 3)), added=[])
+    @example(instance="alt(6,3)", dropped=list(range(0, 123, 4)), added=[])
+    @example(instance="m2(8)", dropped=[], added=[(0b1010, 0b0101), (1, 0)])
+    @given(
+        # alt(6,3), the one instance with over 100 covectors, only as an example
+        # above: the definition's scan takes 0.2-0.4 s on it
+        instance=st.sampled_from(sorted(name for name, cov in COVECTOR_INSTANCES.items() if len(cov) < 100)),
+        dropped=st.lists(st.integers(0, 124), max_size=30),
+        added=st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)), max_size=4),
+    )
+    def test_edited_covector_sets_match_definition(self, instance, dropped, added):
+        # the covectors of an instance with some dropped and some sign vectors added
+        members = COVECTOR_INSTANCES[instance]
+        n, full = members[0].n, (1 << members[0].n) - 1
+        kept = {v for i, v in enumerate(members) if i not in dropped}
+        assert_axioms_match_definition(kept | {SignedVector(n, p & full, m & full & ~p) for p, m in added})
 
 
 class TestUniformTopeAxioms:
@@ -473,7 +538,7 @@ class TestCircuitOnSupport:
             cov = covectors_of(chi)
             for q in combinations(range(1, ts.n + 1), ts.r + 1):
                 circuit = circuit_on_support(ts, q)
-                assert all(perpendicular(circuit, v) for v in cov.covectors)
+                assert all(perpendicular(circuit, v) for v in cov)
 
     def test_no_admissible_pattern(self):
         # all 8 canonical full-support vectors on 4 elements hit every pattern

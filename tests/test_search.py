@@ -14,7 +14,6 @@ from omcert.matroid import (
     check_uniform_tope_axioms,
     circuit_on_support,
     pattern_bytes,
-    restriction_tope_set,
 )
 from omcert.search import (
     CIRCUIT_SUPPORTS,
@@ -33,7 +32,7 @@ from omcert.search import (
 )
 from omcert.signed_vector import SignedVector
 from omcert.strong_map import is_strong_map_topes
-from reference import alternating_topes_direct, covectors_from_topes, perpendicular
+from reference import alternating_topes_direct, covectors_from_topes, perpendicular, restriction_tope_set
 
 sv = SignedVector.parse
 

@@ -50,7 +50,7 @@ class TestCovectorContainment:
         verdict = is_strong_map_covectors(source, target)
         assert not verdict.holds and verdict.corank == -2
         # the witness is the first target covector missing from the source, in the fixed order
-        wanted, had = (covectors_from_topes(topes_of(chi)).covectors for chi in (target, source))
+        wanted, had = (covectors_from_topes(topes_of(chi)) for chi in (target, source))
         missing = wanted - had
         assert verdict.witness == min(missing, key=SignedVector.order_key)
 
@@ -65,7 +65,7 @@ class TestMethodAgreement:
         # containment, tope inclusion and the reference sets' containment agree
         chirotopes = [alternating_chirotope(6, r) for r in range(1, 7)] + [pair_swap_chirotope(6)]
         topes = [topes_of(chi) for chi in chirotopes]
-        covector_sets = [covectors_from_topes(ts).covectors for ts in topes]
+        covector_sets = [covectors_from_topes(ts) for ts in topes]
         outcomes = set()
         for i, j in permutations(range(len(chirotopes)), 2):
             cov_verdict = is_strong_map_covectors(chirotopes[i], chirotopes[j])
@@ -80,7 +80,7 @@ class TestMethodAgreement:
         # or not; the survivors have no chirotope, so their covectors come from
         # the reference enumeration
         instances = [alt64, swap6] + [s.tope_set() for s in search_certificate.survivors]
-        covector_sets = [covectors_from_topes(ts).covectors for ts in instances]
+        covector_sets = [covectors_from_topes(ts) for ts in instances]
         for i, j in permutations(range(len(instances)), 2):
             tope_verdict = is_strong_map_topes(instances[i], instances[j])
             assert tope_verdict.holds == (covector_sets[j] <= covector_sets[i]), (i, j)

@@ -48,11 +48,8 @@ ALLOWED = {
     "signed_vector.Immutable.__setattr__": "refuses assignment; the pipeline assigns no field",
     "signed_vector.Immutable.__delattr__": "refuses deletion; the pipeline deletes no field",
     "signed_vector.SignedVector.__repr__": "repr protocol, for debugging",
-    "signed_vector.SignedVector.restrict": "builds the deletions of restriction_tope_set, the oracle below",
+    "signed_vector.SignedVector.restrict": "builds the deletions of the oracle reference.restriction_tope_set",
     "matroid.TopeSet.__contains__": "container protocol; the pipeline tests the frozenset",
-    "matroid.CovectorSet.__len__": "container protocol; the reports count vectors themselves",
-    "matroid.CovectorSet.__contains__": "container protocol; the pipeline tests the frozenset",
-    "matroid.restriction_tope_set": "oracle of the deletion identity, test_contradiction's test_mask_fields_match_restricted_tope_sets",
     "search.SurvivorRecord._key": "key of equality and hashing; the pipeline compares no records",
     "search.SurvivorRecord.__repr__": "repr protocol, for debugging; hides the circuit table",
 }

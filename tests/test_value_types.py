@@ -19,7 +19,6 @@ from omcert.contradiction import (
 from omcert.matroid import (
     Chirotope,
     CovectorAxiomReport,
-    CovectorSet,
     TopeSet,
     UniformTopeReport,
     alternating_chirotope,
@@ -104,16 +103,14 @@ class TestValidatedTypes:
         assert a.hit_patterns is a.hit_patterns  # computed once
         assert a == b and hash(a) == hash(b)
 
-    def test_covector_set_equality_and_repr(self):
-        vectors = frozenset({sv("00"), sv("+-"), sv("-+")})
-        a = CovectorSet(2, 1, vectors)
-        assert a == CovectorSet(2, 1, vectors) and hash(a) == hash((2, 1, vectors))
-        assert a != CovectorSet(2, 2, vectors)
-        assert repr(a) == f"CovectorSet(n=2, r=1, covectors={vectors!r})"
-
     def test_types_with_the_same_fields_differ(self):
-        topes = tope_set().topes
-        assert TopeSet(3, 2, topes) != CovectorSet(3, 2, topes)
+        class Twin(Immutable):
+            __slots__ = _fields = TopeSet._fields
+
+        a = tope_set()
+        twin = Twin(a.n, a.r, a.topes)
+        assert a._key() == twin._key() and hash(a) == hash(twin)
+        assert a != twin and twin != a
 
     def test_chirotope_repr(self):
         assert repr(Chirotope(3, 2, (1, -1, 1))) == "Chirotope(n=3, r=2, values=(1, -1, 1))"
@@ -141,7 +138,6 @@ def instances() -> list[tuple[object, str]]:
         (sv("+-0"), "pos"),
         (alternating_chirotope(4, 2), "values"),
         (topes, "topes"),
-        (covectors_of(alternating_chirotope(3, 2)), "covectors"),
         (survivor(), "circuit_table"),
         (check_uniform_tope_axioms(topes), "witnesses"),
         (check_covector_axioms(covectors_of(alternating_chirotope(3, 2))), "vector_count"),
@@ -166,7 +162,7 @@ def records() -> list[object]:
 def test_every_converted_type_is_covered():
     covered = {type(value) for value, _ in instances()}
     assert covered == {
-        SignedVector, Chirotope, TopeSet, CovectorSet, SurvivorRecord, UniformTopeReport,
+        SignedVector, Chirotope, TopeSet, SurvivorRecord, UniformTopeReport,
         CovectorAxiomReport, SearchInstance, SearchCertificate, SaturationRun,
         RestrictionCheck, AssumptionRecord, ContradictionCertificate, DirectSearchOutcome,
         StrongMapVerdict, RunConfig, Outcome,
@@ -260,7 +256,6 @@ def test_copies_and_pickles_are_equal(value, name):
         (lambda: TopeSet(3, 2, frozenset({sv("++")})), r"tope \+\+ lives on 2 elements, expected 3"),
         (lambda: TopeSet(3, 2, frozenset({sv("++0")})), r"tope \+\+0 lacks full support"),
         (lambda: TopeSet(3, 2, frozenset({sv("-++")})), r"tope -\+\+ is not canonical"),
-        (lambda: CovectorSet(3, 2, frozenset({sv("+0")})), r"covector \+0 lives on 2 elements, expected 3"),
     ],
 )
 def test_construction_checks(build, message):
