@@ -284,11 +284,11 @@ def direct_search_n8(budget: int) -> DirectSearchOutcome:
     source topes with the saturation kernel, at most ``budget`` nodes.
 
     A node is one candidate tope tried on top of a prefix. The whole space
-    is 177,833,728 nodes, which the kernel exhausts in 48-61 s on one core
-    of a shared 2-core machine, 2.9-3.7 million nodes per second as the
-    machine's load varied. A node its parent's critical bits prune costs one
-    bound test, one AND and one increment, or nothing when its parent
-    resumes past it after an ascent (``pytest -m slow``: 48.3 s and 55.3 s,
+    is 177,833,728 nodes, which the kernel exhausts in 46-48 s on one core
+    of a shared 2-core machine, 3.8-3.9 million nodes per second. A node its
+    parent's critical bits prune costs one bound test, one AND and one
+    increment, or nothing when its parent resumes past it after an ascent;
+    nothing is counted per node (``pytest -m slow``: 46.4 s and 47.5 s,
     Python 3.11.7).
     """
     if budget <= 0:

@@ -23,11 +23,11 @@ They only grow along a branch, so a node tests its children against its
 parent's critical bits first and reads its own only when a child passes;
 after an ascent, the parent resumes where that first test stopped. Bytes
 only accumulate as topes are added, so a saturated prefix is pruned and
-the combinations below it are credited without being visited: the children
-tried between two descents are counted and credited as one run, from a table
-of binomials built once per run; all 184,756 are still counted. Survivors are
-re-verified through the ordinary axiom checker, which also yields the
-witnesses.
+the combinations below it are decided unvisited. The count of combinations
+decided is the lexicographic rank of where the search stops, taken once at
+the end: 184,756 by construction, checked by the tests' recursive reference.
+Survivors are re-verified through the ordinary axiom checker, which also
+yields the witnesses.
 
 The instance, the certificate, a kernel run and each survivor are value
 types on ``signed_vector.Immutable``. The first three are records, built by
@@ -197,7 +197,7 @@ class SaturationRun(Immutable):
 
     picks: tuple[tuple[int, ...], ...]  # unsaturated selections, lexicographic
     nodes: int  # children tried
-    credited: int  # selections decided, pruned subtrees included
+    credited: int  # selections decided: the lexicographic rank of the stop
     exhausted: bool  # the node budget ran out before the search finished
 
 
@@ -208,13 +208,11 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
     Pool indices are picked in increasing order, so selections are found in
     lexicographic order. A node is one child tried on top of an unsaturated
     prefix. A child that saturates a byte is pruned exactly, because pattern
-    bytes only accumulate along a branch, and its whole subtree of
-    comb(npool - i - 1, rem - 1) selections is credited, where ``rem =
-    choose - depth`` picks are still to make. ``budget`` caps the nodes tried
-    (``ValueError`` if negative), and a run that hits it stops with
-    ``exhausted`` set. The search is one loop: each level's pick, prefix mask
-    and critical mask are kept in preallocated lists, and the credit row and
-    the end of the child range move with the depth.
+    bytes only accumulate along a branch, with its whole subtree unvisited.
+    ``budget`` caps the nodes tried (``ValueError`` if negative), and a run
+    that hits it stops with ``exhausted`` set. The search is one loop: each
+    level's pick, prefix mask and critical mask are kept in preallocated
+    lists, and the end of the child range moves with the depth.
 
     The critical-bit test: every tope's ``pattern_bytes`` holds exactly one
     bit per byte, so a child saturates a byte exactly when that byte of the
@@ -222,7 +220,7 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
     translates each byte of a prefix mask into ``crit``, the bits a child
     must not add; a child saturates a byte iff its mask ANDed with ``crit``
     is nonzero. A byte the base alone saturates translates to 0xFF, so every
-    root child is tried, pruned and credited.
+    root child is tried and pruned.
 
     The parent's critical mask is reused. A child that passes a prefix's test
     adds no bit to a 7-bit byte, so its own critical mask contains the
@@ -231,57 +229,53 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
     child passes; that child is then tested again, against the node's mask.
     A node whose children all fail the parent's test never builds one.
 
-    Pruned children are counted in runs. The children a node tries between
-    two of its descents or selections, ``[seg, i)``, cost one bound test, one
-    AND and one increment each. The run is credited once,
-    ``tail[depth][seg] - tail[depth][i]`` with ``tail[depth][i] =
-    comb(npool - i, rem)``, which sums its subtrees by the hockey-stick
-    identity. The node count is ``off + i``: ``i`` steps once per child
-    tried, and ``off`` takes up its jump back on each ascent. The budget
-    becomes the run's bound ``stop``, the index at which ``off + i`` reaches
-    it, so a run halts at the same node as a test per node would.
+    Pruned children cost one bound test, one AND and one increment each,
+    and the loop counts nothing. The node count is ``off + i``: ``i`` steps
+    once per child tried, and ``off`` takes up its jump back on each ascent;
+    the budget is the bound ``stop`` at which ``off + i`` reaches it, so a
+    run halts at the same node as a test per node would. ``credited`` is
+    the rank of the stop ``(p_0, ..., p_{depth-1}, i)`` in lexicographic
+    order: level ``d``'s children from ``first_d`` (0, then ``p_{d-1} + 1``)
+    to ``p_d`` head comb(npool - first_d, choose - d) - comb(npool - p_d,
+    choose - d) selections (hockey-stick). A finished run stops at the
+    root's end and credits comb(npool, choose) by construction; the
+    independent count is the tests' reference, which credits each subtree.
 
     A run resumes after an ascent without a rescan. A child's first scan
-    tests the pool indices after the parent's pick, ``picks[depth] + 1`` on,
-    against the parent's critical mask, as the parent's run would after the
-    ascent, and its range, ending at ``end + 1``, covers the parent's;
-    ``nxt[depth]`` keeps the index where it stopped. On the ascent the
-    parent's run is still credited from ``picks[depth] + 1`` but resumes at
-    ``nxt[depth]``, clamped to the parent's new ``stop``: ``off`` only grows
-    along a run, so that ``stop`` is at most the child's and the clamp halts
-    at the same node. A child whose scan stopped on the budget never ascends.
+    tests the pool indices after the parent's pick against the parent's
+    critical mask, as the parent would after the ascent, and its range,
+    ending at ``end + 1``, covers the parent's; ``nxt[depth]`` keeps the
+    index where it stopped. On the ascent the parent resumes there, clamped
+    to its new ``stop``: ``off`` only grows along a branch, so that ``stop``
+    is at most the child's and the clamp halts at the same node. A child
+    whose scan stopped on the budget never ascends.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     mask, pool_masks = pattern_masks(instance)
     npool, choose, nbytes = len(pool_masks), instance.choose, len(instance.supports)
-    tail = [[math.comb(npool - i, choose - d) for i in range(npool + 1)] for d in range(choose)]
     limit = 1 << npool if budget is None else budget  # more nodes than the tree has
     from_bytes, table = int.from_bytes, CRITICAL
     found: list[tuple[int, ...]] = []
-    off = credited = 0
     picks, saved_mask, saved_crit, nxt = [0] * choose, [0] * choose, [0] * choose, [0] * choose
     crit = from_bytes(mask.to_bytes(nbytes, "little").translate(table), "little")
     last, depth, i = choose - 1, 0, 0
-    credit, end = tail[0], npool - choose + 1
-    seg, stop = i, min(end, limit)
+    off, end = 0, npool - choose + 1
+    stop = min(end, limit)
     while True:
         while i < stop and pool_masks[i] & crit:
             i += 1
-        credited += credit[seg] - credit[i]
         if i < stop:  # child i passes the node's own critical mask
             if depth == last:
                 found.append((*picks[:depth], i))
-                credited += 1
                 i += 1
-                seg = i
                 continue
             picks[depth], saved_mask[depth], saved_crit[depth] = i, mask, crit
             depth += 1
             mask |= pool_masks[i]
-            credit, end = tail[depth], end + 1
+            end += 1
             i += 1
-            seg, stop = i, limit - off
+            stop = limit - off
             if stop > end:
                 stop = end
             while i < stop and pool_masks[i] & crit:  # the parent's critical mask
@@ -293,9 +287,9 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
             break
         elif depth:
             depth -= 1
-            credit, end = tail[depth], end - 1
+            end -= 1
             off += i - picks[depth] - 1
-            seg, mask, crit = picks[depth] + 1, saved_mask[depth], saved_crit[depth]
+            mask, crit = saved_mask[depth], saved_crit[depth]
             i, stop = nxt[depth], limit - off
             if stop > end:
                 stop = end
@@ -303,6 +297,10 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
                 i = stop
         else:
             break
+    credited = first = 0  # the rank of the stop, (*picks[:depth], i)
+    for d, pick in enumerate((*picks[:depth], i)):
+        credited += math.comb(npool - first, choose - d) - math.comb(npool - pick, choose - d)
+        first = pick + 1
     return SaturationRun(tuple(found), off + i, credited, exhausted=i < end)
 
 

@@ -247,3 +247,4 @@ class TestDirectSearch:
         outcome = direct_search_n8(budget=250_000_000)
         assert outcome.status == "none-found"
         assert outcome.witness is None
+        assert outcome.nodes == 177_833_728
