@@ -42,7 +42,6 @@ from .matroid import (
     is_covector,
     pair_swap_chirotope,
     phi,
-    topes_from_cocircuits,
     topes_of,
 )
 from .search import (
@@ -100,7 +99,6 @@ __all__ = [
     "search_certificate_from_document",
     "serialize_certificate",
     "sign_string_key",
-    "topes_from_cocircuits",
     "topes_of",
     "validate_certificate_document",
     "validate_contradiction_document",

@@ -26,8 +26,6 @@ from .certificate import (
 )
 from .contradiction import build_contradiction_certificate
 from .matroid import (
-    COVECTOR_BOUND,
-    COVER_BOUND,
     Chirotope,
     alternating_chirotope,
     canonical_tope_count,
@@ -45,7 +43,6 @@ from .strong_map import is_strong_map_covectors, is_strong_map_topes
 
 class RunConfig(Immutable):
     __slots__ = _fields = ("command", "n", "rank", "family", "output_path", "format")
-    _defaults = {"n": 6, "rank": 4, "family": "alternating", "output_path": None, "format": "json"}
 
     command: str
     n: int
@@ -211,7 +208,7 @@ def run(cfg: RunConfig, certificate_path: str | None = None) -> int:
         payload = ("\n".join(outcome.lines) + "\n").encode("utf-8")
     else:
         payload = serialize_certificate(outcome.doc)
-    if cfg.output_path:
+    if cfg.output_path is not None:
         try:
             with open(cfg.output_path, "wb") as fh:
                 fh.write(payload)
@@ -277,6 +274,15 @@ def _usage_error(command: str | None, message: str) -> None:
     raise SystemExit(2)
 
 
+# most completions a tope cover may visit; rank r on n elements needs C(n, r-1) * 2**(r-1)
+COVER_BOUND = 200_000
+
+# most covectors the axiom check takes on: it visits every pair, so 929 covectors
+# (alternating n=8, rank 4) take 0.5-0.8 s, 963 (n=16, rank 3) 1.2-1.5 s and 2,467
+# (n=8, rank 5) 2.7-3.5 s (one core of a shared 2-core machine)
+COVECTOR_BOUND = 1_000
+
+
 def _config_from_args(command: str, args: dict[str, object]) -> RunConfig:
     family, n, rank = args.get("family", "alternating"), args.get("n", 6), args.get("rank")
     # strongmap's target is always the pair-swap instance, family m2
@@ -293,7 +299,7 @@ def _config_from_args(command: str, args: dict[str, object]) -> RunConfig:
         _usage_error(command, f"n must be within 1..32, got {n}")
     if not 1 <= rank <= n:
         _usage_error(command, f"rank must be within 1..n, got rank={rank}, n={n}")
-    # refuse up front what the tope cover would refuse later, and axiom checks that would run for minutes
+    # refuse tope covers and axiom checks that would run for minutes
     completions = math.comb(n, rank - 1) << (rank - 1)
     if completions > COVER_BOUND:
         why = f"its tope cover visits {completions} completions, more than {COVER_BOUND}"

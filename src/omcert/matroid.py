@@ -13,12 +13,12 @@ rank-2 chirotope induced by the permutation swapping adjacent pairs
 
 Only uniform chirotopes are supported by the cocircuit reader; everything
 downstream enumerates explicitly, so ground sets are expected to stay small
-(n <= 8 for the shipped instances). The guards sit well above that: the tope
-cover stops after ``COVER_BOUND`` completions, and the command line refuses a
-larger cover, or a covector axiom check on more than ``COVECTOR_BOUND``
-covectors, before building anything. Covectors are a plain frozenset of sign
-vectors; the axiom check reads covector elimination off one index per
-separation set, so its cost is quadratic in the covector count.
+(n <= 8 for the shipped instances). Topes and covectors are built only from a
+chirotope, whose fields fix the ground set and the rank. The size limits sit
+in the command line, which refuses a large tope cover or covector axiom check
+before building anything. Covectors are a plain frozenset of sign vectors;
+the axiom check reads covector elimination off one index per separation set,
+so its cost is quadratic in the covector count.
 
 ``Chirotope`` and ``TopeSet`` are immutable value types on
 ``signed_vector.Immutable``: a hand-written ``__init__`` runs the checks, and
@@ -35,14 +35,6 @@ from functools import cache, cached_property
 from itertools import combinations
 
 from .signed_vector import Immutable, SignedVector, increasing_subset
-
-# most completions the tope cover visits; rank r on n elements needs C(n, r-1) * 2**(r-1)
-COVER_BOUND = 200_000
-
-# most covectors the command line's axiom check takes on: it visits every pair, so 929
-# covectors (alternating n=8, rank 4) take 0.5-0.8 s, 963 (n=16, rank 3) 1.2-1.5 s and
-# 2,467 (n=8, rank 5) 2.7-3.5 s (one core of a shared 2-core machine)
-COVECTOR_BOUND = 1_000
 
 # cap on stored axiom violations; counts past the cap are not recorded
 _VIOLATION_CAP = 32
@@ -295,8 +287,9 @@ class TopeSet(Immutable):
         return tuple(packed >> (width * i) & ones for i in range(count))
 
 
-def topes_from_cocircuits(cocircuits: Iterable[SignedVector], n: int) -> TopeSet:
-    """Topes as the full-support vectors covered by their conformal cocircuits.
+def topes_of(chi: Chirotope) -> TopeSet:
+    """Tope set of a uniform chirotope: the full-support vectors covered by
+    their conformal cocircuits.
 
     Every covector of an oriented matroid is the composition of the
     cocircuits conformal to it (conformal decomposition, dualized: Björner,
@@ -305,61 +298,35 @@ def topes_from_cocircuits(cocircuits: Iterable[SignedVector], n: int) -> TopeSet
     cocircuits that agree with X on their support cover the ground set. Each
     signed cocircuit ORs its support into the cover of every canonical
     completion of its zero set; the topes are the completions covered
-    everywhere. The rank is read off the (uniform) cocircuit support size.
-    ``COVER_BOUND`` caps the completions visited, guarding against
-    malformed input with large zero sets.
+    everywhere. A rank-r chirotope on n elements has C(n, r-1) cocircuits,
+    each with r-1 zeros, so the cover visits C(n, r-1) * 2**(r-1) completions.
     """
-    signed: list[tuple[int, int]] = []
-    sizes = set()
-    for c in cocircuits:
-        if c.n != n:
-            raise ValueError(f"cocircuit {c} lives on {c.n} elements, expected {n}")
-        sizes.add(c.support_size())
-        signed.append((c.pos, c.neg))
-        signed.append((c.neg, c.pos))
-    if not signed:
-        raise ValueError("empty cocircuit set")
-    if len(sizes) != 1:
-        raise ValueError("mixed cocircuit support sizes; only uniform instances are supported")
-    r = n - sizes.pop() + 1
-    if not 1 <= r <= n:
-        raise ValueError("cocircuit support size inconsistent with any rank")
-
-    full = (1 << n) - 1
+    n, full = chi.n, (1 << chi.n) - 1
     cover: dict[int, int] = {}  # positive mask of a canonical completion -> covered elements
-    visited, bound = 0, COVER_BOUND
-    for cp, cn in signed:
-        if cn & 1:
-            continue  # every completion is negative at element 1, so not canonical
-        support = cp | cn
-        zero = full & ~support
-        free = zero & ~1  # element 1 stays positive
-        base = cp | (zero & 1)
-        neg = free
-        while True:  # every subset of the free elements as the negative part
-            pos = base | (free & ~neg)
-            cover[pos] = cover.get(pos, 0) | support
-            visited += 1
-            if visited > bound:
-                raise ValueError(f"conformal cover exceeded {bound} completions; malformed input?")
-            if not neg:
-                break
-            neg = (neg - 1) & free
-
+    for c in chi.cocircuits():
+        for cp, cn in ((c.pos, c.neg), (c.neg, c.pos)):
+            if cn & 1:
+                continue  # every completion is negative at element 1, so not canonical
+            support = cp | cn
+            zero = full & ~support
+            free = zero & ~1  # element 1 stays positive
+            base = cp | (zero & 1)
+            neg = free
+            while True:  # every subset of the free elements as the negative part
+                pos = base | (free & ~neg)
+                cover[pos] = cover.get(pos, 0) | support
+                if not neg:
+                    break
+                neg = (neg - 1) & free
     topes = frozenset(
         SignedVector(n, pos, full & ~pos) for pos, covered in cover.items() if covered == full
     )
-    return TopeSet(n, r, topes)
-
-
-def topes_of(chi: Chirotope) -> TopeSet:
-    """Tope set of a uniform chirotope via the conformal cover of its cocircuits."""
-    return topes_from_cocircuits(chi.cocircuits(), chi.n)
+    return TopeSet(n, chi.r, topes)
 
 
 def covectors_of(chi: Chirotope) -> frozenset[SignedVector]:
     """Covectors of a uniform chirotope: by conformal decomposition (see
-    ``topes_from_cocircuits``), X is a covector exactly when the signed
+    ``topes_of``), X is a covector exactly when the signed
     cocircuits conformal to X cover its support. Each signed cocircuit ORs its
     support into the cover of its 3**(r-1) conformal extensions, with +, - or
     0 on each of its zeros; the covectors are the zero vector and the

@@ -29,11 +29,8 @@ the end: 184,756 by construction, checked by the tests' recursive reference.
 Survivors are re-verified through the ordinary axiom checker, which also
 yields the witnesses.
 
-The instance, the certificate, a kernel run and each survivor are value
-types on ``signed_vector.Immutable``. The first three are records, built by
-``Immutable``'s constructor. ``SurvivorRecord`` writes its own: equality and
-hashing read ``Immutable``'s key, which here leaves out the circuit table,
-and its own repr hides the table.
+The instance, the certificate, a kernel run and each survivor are records
+on ``signed_vector.Immutable``, built by its constructor.
 """
 
 from __future__ import annotations
@@ -92,32 +89,17 @@ class SurvivorRecord(Immutable):
     ``circuit_table`` holds the circuit on every (rank+1)-subset in
     lexicographic order, None where zero or several patterns are avoided;
     ``circuits`` is its entries on the two forced supports. The table is
-    derived from the topes, so it is neither in the key, shown in the repr
-    nor serialized. To change one field, build a new record from the
-    old one's fields.
+    derived from the topes and is not serialized. To change one field,
+    build a new record from the old one's fields.
     """
 
-    __slots__ = ("topes", "vc_witnesses", "excluded_absent", "circuits", "circuit_table")
-    _fields = __slots__
+    __slots__ = _fields = ("topes", "vc_witnesses", "excluded_absent", "circuits", "circuit_table")
 
-    def __init__(
-        self,
-        topes: tuple[SignedVector, ...],
-        vc_witnesses: tuple[tuple[tuple[int, ...], SignedVector], ...],
-        excluded_absent: tuple[tuple[str, bool], ...],
-        circuits: tuple[tuple[tuple[int, ...], SignedVector], ...],
-        circuit_table: tuple[SignedVector | None, ...],
-    ) -> None:
-        self._set_fields(topes, vc_witnesses, excluded_absent, circuits, circuit_table)
-
-    def _key(self) -> tuple:
-        return self.topes, self.vc_witnesses, self.excluded_absent, self.circuits
-
-    def __repr__(self) -> str:
-        return (
-            f"SurvivorRecord(topes={self.topes!r}, vc_witnesses={self.vc_witnesses!r},"
-            f" excluded_absent={self.excluded_absent!r}, circuits={self.circuits!r})"
-        )
+    topes: tuple[SignedVector, ...]
+    vc_witnesses: tuple[tuple[tuple[int, ...], SignedVector], ...]
+    excluded_absent: tuple[tuple[str, bool], ...]
+    circuits: tuple[tuple[tuple[int, ...], SignedVector], ...]
+    circuit_table: tuple[SignedVector | None, ...]
 
     def circuit_map(self) -> dict[tuple[int, ...], SignedVector]:
         return dict(self.circuits)

@@ -6,7 +6,8 @@ time. Values are immutable and hashable; every operation returns a fresh
 value. Every value type of the package, ``SignedVector`` among them,
 subclasses ``Immutable``: plain slotted classes, because a command-line run
 is mostly interpreter start-up and generating classes at import time would
-add to it. A record takes ``Immutable``'s constructor; a validated type
+add to it. A record takes ``Immutable``'s constructor, with every field
+given; only a validated type (``SignedVector``, ``Chirotope``, ``TopeSet``)
 writes its own ``__init__``. Assigning to a field raises AttributeError.
 Equality, hashing and repr read ``Immutable``'s key, except on
 ``SignedVector``, the type the pipeline hashes, which keeps its own for speed.
@@ -49,17 +50,16 @@ class Immutable:
     """Base of every value type: a subclass names its fields in ``__slots__``
     and ``_fields`` and sets them once, in ``__init__``; assigning or deleting
     an attribute afterwards raises AttributeError. A record, a type without
-    checks, uses the constructor here: fields by position, then by name, any
-    missing one taken from the class's ``_defaults``. A validated type writes
-    its own ``__init__``, which runs its checks and sets the fields through
-    ``_set_fields``. Copies and pickles are rebuilt through ``__init__`` from
-    the fields named in ``_fields``, so they pass the same checks. Two values
-    are equal when they are of one class and their ``_key()`` tuples are
-    equal; the hash is the key's hash, and the repr lists the fields."""
+    checks, uses the constructor here: every field given once, by position,
+    then by name. A validated type writes its own ``__init__``, which runs
+    its checks and sets the fields through ``_set_fields``. Copies and
+    pickles are rebuilt through ``__init__`` from the fields named in
+    ``_fields``, so they pass the same checks. Two values are equal when they
+    are of one class and their ``_key()`` tuples are equal; the hash is the
+    key's hash, and the repr lists the fields."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields, name = self._fields, type(self).__name__
@@ -67,12 +67,12 @@ class Immutable:
             raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
         values = list(args)
         for field in fields[len(args):]:
-            if field in kwargs:
-                values.append(kwargs.pop(field))
-            elif field in self._defaults:
-                values.append(self._defaults[field])
-            else:
+            if field not in kwargs:
                 raise TypeError(f"{name} is missing field {field!r}")
+            values.append(kwargs.pop(field))
+        for field in kwargs:  # a field left here was given by position too
+            if field in fields:
+                raise TypeError(f"{name} got field {field!r} both by position and by name")
         if kwargs:
             raise TypeError(f"{name} got unexpected fields {', '.join(map(repr, kwargs))}")
         self._set_fields(*values)
@@ -178,9 +178,6 @@ class SignedVector(Immutable):
     @property
     def support_mask(self) -> int:
         return self.pos | self.neg
-
-    def support_size(self) -> int:
-        return self.support_mask.bit_count()
 
     def has_full_support(self) -> bool:
         return self.support_mask == (1 << self.n) - 1

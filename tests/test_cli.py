@@ -155,11 +155,12 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_unwritable_output(self, capsys, tmp_path, fmt):
-        path = tmp_path / "missing-dir" / "search.json"
-        code, out, err = run_cli(capsys, "lemma6", "--format", fmt, "--output", str(path))
-        assert code == 1
-        assert out == ""
-        assert "cannot write" in err
+        # an empty path is a path too: it is not written, and nothing goes to stdout
+        for path in (str(tmp_path / "missing-dir" / "search.json"), ""):
+            code, out, err = run_cli(capsys, "lemma6", "--format", fmt, "--output", path)
+            assert code == 1
+            assert out == ""
+            assert f"cannot write {path}: " in err
 
 
 class TestVerifyPipeline:
@@ -364,7 +365,7 @@ class TestUsageErrors:
         assert f"omcert {argv[0]}: error: " in err
 
 
-# Instances whose tope cover passes matroid.COVER_BOUND: C(n, rank-1) * 2**(rank-1)
+# Instances whose tope cover passes cli.COVER_BOUND: C(n, rank-1) * 2**(rank-1)
 # completions. They are usage errors, found before anything is built, and stay out
 # of COMMAND_ERRORS and PARSER_CORPUS: the argparse reference knows no instance size.
 OVERSIZED = [
@@ -399,7 +400,7 @@ class TestOversizedInstances:
 
 class TestCovectorLimit:
     """``axioms`` checks the covector axioms on every pair of covectors, so it
-    takes at most matroid.COVECTOR_BOUND = 1,000 of them; past that it is a
+    takes at most cli.COVECTOR_BOUND = 1,000 of them; past that it is a
     usage error before anything is built. Elimination reads one index per
     separation set, so the ground set has no limit of its own. ``strongmap``
     cross-checks by covectors at every size; ``topes`` lists no covectors."""

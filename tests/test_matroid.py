@@ -22,7 +22,6 @@ from omcert.matroid import (
     pair_swap_chirotope,
     pattern_bytes,
     phi,
-    topes_from_cocircuits,
     topes_of,
     uniform_covector_count,
 )
@@ -285,30 +284,20 @@ class TestTopeGeneration:
         strings = set(alternating_topes_direct(6, 4).strings)
         assert "+-+---" in strings and "+----+" in strings
 
-    def test_safety_bound(self, monkeypatch):
-        cocircuits = alternating_chirotope(6, 4).cocircuits()
-        monkeypatch.setattr(omcert.matroid, "COVER_BOUND", 10)
-        with pytest.raises(ValueError, match="exceeded 10 completions"):
-            topes_from_cocircuits(cocircuits, 6)
-
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_cover_visits_the_closed_form(self, monkeypatch, n):
+    def test_cover_visits_the_closed_form(self, n):
         # the command line refuses an instance by this count before building it
         for chi in [alternating_chirotope(n, r) for r in range(1, n + 1)] + (
             [] if n % 2 else [pair_swap_chirotope(n)]
         ):
-            completions = math.comb(n, chi.r - 1) << (chi.r - 1)
-            monkeypatch.setattr(omcert.matroid, "COVER_BOUND", completions)
+            completions = 0  # canonical completions of each signed cocircuit's zeros
+            for c in chi.cocircuits():
+                for v in (c, c.opposite()):
+                    if not v.neg & 1:  # else every completion is negative at element 1
+                        free = ~v.support_mask & ((1 << n) - 2)  # zeros other than element 1
+                        completions += 1 << free.bit_count()
+            assert completions == math.comb(n, chi.r - 1) << (chi.r - 1)
             assert len(topes_of(chi)) == canonical_tope_count(n, chi.r)
-            monkeypatch.setattr(omcert.matroid, "COVER_BOUND", completions - 1)
-            with pytest.raises(ValueError, match="conformal cover exceeded"):
-                topes_of(chi)
-
-    def test_bad_cocircuit_input(self):
-        with pytest.raises(ValueError):
-            topes_from_cocircuits([], 4)
-        with pytest.raises(ValueError):
-            topes_from_cocircuits([sv("+000"), sv("++00")], 4)
 
     def test_deletion_commutes_with_restriction(self, alt84, swap8, alt64, swap6):
         for kept in ((1, 2, 3, 4, 5, 6), (1, 2, 5, 6, 7, 8)):

@@ -16,7 +16,9 @@ Design guards sit next to the walk. Every class in ``src/omcert`` is a plain
 metaclass), which every command-line run would pay for. Every ``Immutable``
 subclass takes its ``__eq__`` and ``__hash__`` from ``Immutable``, which
 compares ``_key()``, except ``SignedVector``, the type the pipeline hashes,
-which keeps its own for speed. And the packed pattern fields stay in two modules:
+which keeps its own for speed. Only the validated types (``SignedVector``,
+``Chirotope``, ``TopeSet``) write an ``__init__``; every record takes
+``Immutable``'s, with every field given. And the packed pattern fields stay in two modules:
 no module other than ``matroid``, which computes them, and ``search``, whose
 kernel ORs them, imports ``pattern_bytes``. No module imports an underscore
 name from another: what one module shares with another is public.
@@ -50,8 +52,6 @@ ALLOWED = {
     "signed_vector.SignedVector.__repr__": "repr protocol, for debugging",
     "signed_vector.SignedVector.restrict": "builds the deletions of the oracle reference.restriction_tope_set",
     "matroid.TopeSet.__contains__": "container protocol; the pipeline tests the frozenset",
-    "search.SurvivorRecord._key": "key of equality and hashing; the pipeline compares no records",
-    "search.SurvivorRecord.__repr__": "repr protocol, for debugging; hides the circuit table",
 }
 
 
@@ -162,6 +162,19 @@ def test_every_class_is_a_plain_immutable_or_exception():
                 if not plain or issubclass(cls, tuple) or not issubclass(cls, (Immutable, Exception)):
                     generated.append(f"{module.__name__}.{node.name}")
     assert generated == []
+
+
+def test_only_validated_types_write_a_constructor():
+    own_init, defaults = set(), set()
+    for module in library_modules():
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, Immutable) and value is not Immutable:
+                if "__init__" in vars(value):
+                    own_init.add(value.__name__)
+                if hasattr(value, "_defaults"):
+                    defaults.add(value.__name__)
+    assert own_init == {"SignedVector", "Chirotope", "TopeSet"}
+    assert defaults == set()
 
 
 def test_value_types_take_equality_and_hash_from_immutable():

@@ -115,13 +115,6 @@ class TestValidatedTypes:
     def test_chirotope_repr(self):
         assert repr(Chirotope(3, 2, (1, -1, 1))) == "Chirotope(n=3, r=2, values=(1, -1, 1))"
 
-    def test_survivor_equality_ignores_circuit_table(self):
-        plain, other_table = survivor(), survivor(circuit_table=(None,))
-        assert plain == other_table and hash(plain) == hash(other_table)
-        assert plain != survivor(excluded_absent=(("+-", False),))
-        assert "circuit_table" not in repr(plain)
-        assert repr(plain).startswith("SurvivorRecord(topes=(SignedVector('++'),), vc_witnesses=")
-
 
 def instances() -> list[tuple[object, str]]:
     """One value of every immutable type, with one of its fields."""
@@ -149,7 +142,7 @@ def instances() -> list[tuple[object, str]]:
         (contradiction, "verdict"),
         (DirectSearchOutcome(status="none-found", nodes=1, witness=None), "status"),
         (verdict, "holds"),
-        (RunConfig(command="all"), "output_path"),
+        (RunConfig("all", 6, 4, "alternating", None, "json"), "output_path"),
         (Outcome(doc={"n": 6}, lines=["n=6"], ok=True), "lines"),
     ]
 
@@ -167,7 +160,7 @@ def test_every_converted_type_is_covered():
         RestrictionCheck, AssumptionRecord, ContradictionCertificate, DirectSearchOutcome,
         StrongMapVerdict, RunConfig, Outcome,
     }
-    assert len(records()) == 12
+    assert len(records()) == 13
 
 
 @pytest.mark.parametrize(
@@ -208,13 +201,10 @@ def test_record_construction(value):
         cls(**dict(zip(fields[1:], values[1:])))
     with pytest.raises(TypeError, match=f"{cls.__name__} got unexpected fields 'extra'"):
         cls(*values, extra=1)
+    with pytest.raises(TypeError, match=f"{cls.__name__} got field '{fields[0]}' both by position and by name"):
+        cls(*values, **{fields[0]: values[0]})
     with pytest.raises(TypeError, match=f"{cls.__name__} takes {len(fields)} fields, got {len(fields) + 1}"):
         cls(*values, None)
-
-
-def test_run_config_defaults():
-    assert RunConfig("all") == RunConfig("all", 6, 4, "alternating", None, "json")
-    assert RunConfig("topes", rank=2, family="m2") == RunConfig("topes", 6, 2, "m2", None, "json")
 
 
 @pytest.mark.parametrize(
