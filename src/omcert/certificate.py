@@ -66,7 +66,7 @@ def subset_key(subset: tuple[int, ...]) -> str:
 
 def _survivor_entry(s: SurvivorRecord) -> dict[str, object]:
     return {
-        "topes": list(s.tope_strings()),
+        "topes": [str(t) for t in s.topes],
         "vc_witnesses": {subset_key(q): str(w) for q, w in s.vc_witnesses},
         "excluded_check": {t: absent for t, absent in s.excluded_absent},
         "circuits": {subset_key(q): str(c) for q, c in s.circuits},

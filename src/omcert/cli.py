@@ -1,14 +1,17 @@
 """Command-line entry point: run any stage or the whole pipeline.
 
-Each command returns an ``Outcome``: its JSON document, its text lines and
+``parse_args`` reads every setting, ``--certificate`` among them, into one
+``RunConfig``, and ``run`` looks its command up in ``_HANDLERS``. Each
+command returns an ``Outcome``: its JSON document, its text lines and
 whether its checks held, or an exit code when it stops early (``verify-n8
 --certificate`` on a file that cannot be loaded or is invalid). ``run``
 alone picks the format, serializes, writes to ``--output`` or stdout, and
 maps the outcome to an exit code.
 
-Exit codes: 0 = verified, 1 = a mathematical check (or output write) failed,
-2 = usage error. JSON is the authoritative certificate format; text output
-is a derived human-readable summary.
+Exit codes: 0 = verified, 1 = a mathematical check failed or the output
+(file or stdout) could not be written, 2 = usage error. JSON is the
+authoritative certificate format; text output is a derived human-readable
+summary.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .strong_map import is_strong_map_covectors, is_strong_map_topes
 
 
 class RunConfig(Immutable):
-    __slots__ = _fields = ("command", "n", "rank", "family", "output_path", "format")
+    __slots__ = _fields = ("command", "n", "rank", "family", "output_path", "format", "certificate")
 
     command: str
     n: int
@@ -50,6 +53,7 @@ class RunConfig(Immutable):
     family: str
     output_path: str | None
     format: str
+    certificate: str | None
 
 
 # what a command found: its JSON document, its text lines and whether its checks held
@@ -146,19 +150,19 @@ def _cmd_lemma6(cfg: RunConfig) -> Outcome:
     return Outcome(doc, lines, verified)
 
 
-def _run_contradiction(certificate_path: str | None) -> Outcome | int:
-    """The n=8 stage on a fresh search, or on the search of a certificate
+def _run_contradiction(cfg: RunConfig) -> Outcome | int:
+    """The n=8 stage on a fresh search, or on the search of the certificate
     file once a fresh search reproduces it; exit code 1 if the file cannot
     be loaded or is invalid."""
-    if certificate_path is None:
+    if cfg.certificate is None:
         search_cert = enumerate_survivors(build_search_instance())
     else:
         try:
-            with open(certificate_path, "rb") as fh:
+            with open(cfg.certificate, "rb") as fh:
                 loaded = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:
             # ValueError: malformed JSON or undecodable bytes; RecursionError: too deeply nested
-            print(f"error: cannot load {certificate_path}: {exc}", file=sys.stderr)
+            print(f"error: cannot load {cfg.certificate}: {exc}", file=sys.stderr)
             return 1
         try:
             search_cert = search_certificate_from_document(loaded)
@@ -189,34 +193,33 @@ def _run_contradiction(certificate_path: str | None) -> Outcome | int:
     return Outcome(doc, lines, cert.verdict == "nonfactorizable")
 
 
-_HANDLERS = {"topes": _cmd_topes, "axioms": _cmd_axioms, "strongmap": _cmd_strongmap, "lemma6": _cmd_lemma6}
+_HANDLERS = {
+    "topes": _cmd_topes, "axioms": _cmd_axioms, "strongmap": _cmd_strongmap, "lemma6": _cmd_lemma6,
+    "verify-n8": _run_contradiction, "all": _run_contradiction,
+}
 
 
-def run(cfg: RunConfig, certificate_path: str | None = None) -> int:
+def run(cfg: RunConfig) -> int:
     """Run one command and emit its outcome in the configured format, to the
     output file or to stdout; the exit code."""
-    if cfg.command in ("verify-n8", "all"):
-        outcome = _run_contradiction(certificate_path)
-    elif cfg.command in _HANDLERS:
-        outcome = _HANDLERS[cfg.command](cfg)
-    else:
-        print(f"error: unknown command {cfg.command!r}", file=sys.stderr)
-        return 2
+    outcome = _HANDLERS[cfg.command](cfg)
     if isinstance(outcome, int):
         return outcome
     if cfg.format == "text":
         payload = ("\n".join(outcome.lines) + "\n").encode("utf-8")
     else:
         payload = serialize_certificate(outcome.doc)
-    if cfg.output_path is not None:
-        try:
+    try:
+        if cfg.output_path is None:
+            sys.stdout.write(payload.decode("utf-8"))
+            sys.stdout.flush()
+        else:
             with open(cfg.output_path, "wb") as fh:
                 fh.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write {cfg.output_path}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
+    except OSError as exc:
+        where = "stdout" if cfg.output_path is None else cfg.output_path
+        print(f"error: cannot write {where}: {exc}", file=sys.stderr)
+        return 1
     return 0 if outcome.ok else 1
 
 
@@ -311,12 +314,14 @@ def _config_from_args(command: str, args: dict[str, object]) -> RunConfig:
             _usage_error(command, f"n={n}, rank={rank} is too large: {why}")
     if args.get("threads", 1) < 1:
         _usage_error(command, f"threads must be >= 1, got {args['threads']}")
-    return RunConfig(command, n, rank, family, args.get("output"), args.get("format", "json"))
+    return RunConfig(
+        command, n, rank, family, args.get("output"), args.get("format", "json"), args.get("certificate")
+    )
 
 
-def parse_args(argv: list[str] | None = None) -> tuple[RunConfig, str | None]:
-    """The run configuration and certificate path of ``--opt value`` or
-    ``--opt=value`` options; the last of a repeated option wins."""
+def parse_args(argv: list[str] | None = None) -> RunConfig:
+    """The run configuration of ``--opt value`` or ``--opt=value`` options;
+    the last of a repeated option wins."""
     argv = sys.argv[1:] if argv is None else argv
     if not argv or argv[0] not in _COMMANDS:
         if argv and argv[0] in ("-h", "--help"):
@@ -347,13 +352,13 @@ def parse_args(argv: list[str] | None = None) -> tuple[RunConfig, str | None]:
         args[name[2:]] = value
     if unknown:
         _usage_error(command, "unrecognized arguments: " + " ".join(unknown))
-    return _config_from_args(command, args), args.get("certificate")
+    return _config_from_args(command, args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg, certificate_path = parse_args(argv)
+    cfg = parse_args(argv)
     try:
-        return run(cfg, certificate_path=certificate_path)
+        return run(cfg)
     except (ValueError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,6 @@ from __future__ import annotations
 from .matroid import alternating_chirotope, circuit_table, pair_swap_chirotope
 from .search import (
     SEARCH_N,
-    SEARCH_RANK,
     SOURCE_RANK,
     SearchCertificate,
     SurvivorRecord,
@@ -95,13 +94,13 @@ class ContradictionCertificate(Immutable):
     verdict: str
 
 
-def verify_premise(n: int = FULL_N) -> StrongMapVerdict:
-    """Tope-inclusion verdict for the strong map between the n-element instances."""
-    return is_strong_map_topes(source_topes(n), target_topes(n))
+def verify_premise() -> StrongMapVerdict:
+    """Tope-inclusion verdict for the strong map between the eight-element instances."""
+    return is_strong_map_topes(source_topes(FULL_N), target_topes(FULL_N))
 
 
-def lift_through_restriction(circuit: SignedVector, kept: tuple[int, ...], n: int) -> SignedVector:
-    """Place a restricted circuit's signs back at the kept positions of [n]."""
+def lift_through_restriction(circuit: SignedVector, kept: tuple[int, ...]) -> SignedVector:
+    """Place a restricted circuit's signs back at the kept positions of [8]."""
     pos = neg = 0
     for j, e in enumerate(kept):
         s = circuit.sign(j + 1)
@@ -109,7 +108,7 @@ def lift_through_restriction(circuit: SignedVector, kept: tuple[int, ...], n: in
             pos |= 1 << (e - 1)
         elif s < 0:
             neg |= 1 << (e - 1)
-    return SignedVector(n, pos, neg)
+    return SignedVector(FULL_N, pos, neg)
 
 
 def check_restriction(
@@ -127,7 +126,7 @@ def check_restriction(
     )
     target_ok = pair_swap_chirotope(FULL_N).restrict(kept) == pair_swap_chirotope(SEARCH_N)
 
-    lifts = [lift_through_restriction(c, kept, FULL_N) for c in conclusion_circuits]
+    lifts = [lift_through_restriction(c, kept) for c in conclusion_circuits]
     lifts = [lift for lift in lifts if lift.support_mask == CONFLICT_MASK]
     if len(lifts) != 1:
         raise VerificationError(

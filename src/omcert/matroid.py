@@ -265,9 +265,6 @@ class TopeSet(Immutable):
     def __len__(self) -> int:
         return len(self.topes)
 
-    def __contains__(self, v: SignedVector) -> bool:
-        return v in self.topes
-
     @cached_property
     def ordered(self) -> tuple[SignedVector, ...]:
         return tuple(sorted(self.topes, key=SignedVector.order_key))
@@ -450,10 +447,8 @@ class UniformTopeReport(Immutable):
     """Outcome of checking the uniform tope-set axioms (count plus, for every
     (r+1)-subset Q, a full pattern on Q avoided by every tope restriction)."""
 
-    __slots__ = _fields = ("n", "r", "expected_count", "actual_count", "witnesses", "missing")
+    __slots__ = _fields = ("expected_count", "actual_count", "witnesses", "missing")
 
-    n: int
-    r: int
     expected_count: int
     actual_count: int
     witnesses: tuple[tuple[tuple[int, ...], SignedVector], ...]
@@ -464,12 +459,8 @@ class UniformTopeReport(Immutable):
         return self.expected_count == self.actual_count
 
     @property
-    def vc_ok(self) -> bool:
-        return not self.missing
-
-    @property
     def passed(self) -> bool:
-        return self.count_ok and self.vc_ok
+        return self.count_ok and not self.missing
 
 
 @cache
@@ -512,8 +503,6 @@ def check_uniform_tope_axioms(topes: TopeSet) -> UniformTopeReport:
         else:
             missing.append(q)
     return UniformTopeReport(
-        n=topes.n,
-        r=topes.r,
         expected_count=expected,
         actual_count=len(topes),
         witnesses=tuple(witnesses),

@@ -101,12 +101,6 @@ class SurvivorRecord(Immutable):
     circuits: tuple[tuple[tuple[int, ...], SignedVector], ...]
     circuit_table: tuple[SignedVector | None, ...]
 
-    def circuit_map(self) -> dict[tuple[int, ...], SignedVector]:
-        return dict(self.circuits)
-
-    def tope_strings(self) -> tuple[str, ...]:
-        return tuple(str(t) for t in self.topes)
-
     def tope_set(self) -> TopeSet:
         return TopeSet(self.topes[0].n, SEARCH_RANK, frozenset(self.topes))
 
@@ -333,13 +327,13 @@ def verify_search_conclusions(cert: SearchCertificate) -> bool:
         q: SignedVector.parse(c) for q, c in zip(CIRCUIT_SUPPORTS, FORCED_CIRCUITS)
     }
     for idx, survivor in enumerate(cert.survivors):
-        strings = set(survivor.tope_strings())
+        strings = {str(t) for t in survivor.topes}
         for tope, absent in survivor.excluded_absent:
             if not absent or tope in strings:
                 raise VerificationError(f"survivor {idx}: excluded tope {tope} present")
-        circuit_map = survivor.circuit_map()
+        circuits = dict(survivor.circuits)
         for q, want in expected.items():
-            got = circuit_map.get(q)
+            got = circuits.get(q)
             if got != want:
                 raise VerificationError(
                     f"survivor {idx}: circuit on {q} is {got}, expected {want}"

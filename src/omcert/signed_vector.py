@@ -12,9 +12,9 @@ writes its own ``__init__``. Assigning to a field raises AttributeError.
 Equality, hashing and repr read ``Immutable``'s key, except on
 ``SignedVector``, the type the pipeline hashes, which keeps its own for speed.
 
-The string form over ``{+,-,0}`` (character i is the sign of element i) is
-the only interchange format. Whenever a deterministic listing of vectors is
-needed, strings are ordered under the fixed alphabet ``'+' < '-' < '0'``.
+The string form over ``{+,-,0}``, character i the sign of element i, is the
+only interchange format, and ``parse`` reads n off its length. Wherever a
+listing of vectors must be deterministic, strings are ordered ``'+' < '-' < '0'``.
 """
 
 from __future__ import annotations
@@ -143,12 +143,9 @@ class SignedVector(Immutable):
     # ------------------------------------------------------------------
 
     @staticmethod
-    def parse(text: str, n: int | None = None) -> SignedVector:
-        """Parse a string over {+,-,0}; character i is the sign of element i."""
-        if n is None:
-            n = len(text)
-        if len(text) != n:
-            raise ValueError(f"expected {n} characters, got {len(text)}")
+    def parse(text: str) -> SignedVector:
+        """Parse a string over {+,-,0}; character i is the sign of element i of 1..len(text)."""
+        n = len(text)
         _check_n(n)
         pos = neg = 0
         for i, ch in enumerate(text):
@@ -219,24 +216,3 @@ class SignedVector(Immutable):
     def canonical(self) -> SignedVector:
         """The member of {X, -X} whose first nonzero sign is positive."""
         return self if self.is_canonical() else self.opposite()
-
-    # ------------------------------------------------------------------
-    # restriction
-    # ------------------------------------------------------------------
-
-    def restrict(self, keep: tuple[int, ...] | list[int]) -> SignedVector:
-        """Positional selection: element j of the result is the sign at the j-th kept element.
-
-        ``keep`` must be nonempty and strictly increasing within 1..n.
-        """
-        keep = increasing_subset(keep, self.n, "keep")
-        if not keep:
-            raise ValueError("keep must be nonempty")
-        pos = neg = 0
-        for j, e in enumerate(keep):
-            bit = 1 << (e - 1)
-            if self.pos & bit:
-                pos |= 1 << j
-            elif self.neg & bit:
-                neg |= 1 << j
-        return SignedVector(len(keep), pos, neg)

@@ -33,8 +33,11 @@ class StrongMapVerdict(Immutable):
 
 
 def is_strong_map_topes(source: TopeSet, target: TopeSet) -> StrongMapVerdict:
-    """Tope-inclusion criterion: valid when the target is uniform (caller asserts)."""
-    return _verdict(TOPE_INCLUSION, source, target, target.topes, source.topes.__contains__)
+    """Tope inclusion. It stands in for covector containment only on a uniform target
+    ({+++, ++-} lies in alt(3,2)'s topes, but its covectors 00+, 00- are not alt(3,2)'s);
+    the pipeline's targets come from ``topes_of``, which accepts only uniform
+    chirotopes (``Chirotope.cocircuits`` raises otherwise)."""
+    return _verdict(TOPE_INCLUSION, source, target, target.topes, lambda v: v in source.topes)
 
 
 def is_strong_map_covectors(source: Chirotope, target: Chirotope) -> StrongMapVerdict:

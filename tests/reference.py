@@ -8,15 +8,17 @@ composition with every tope (the survivors have no chirotope, so their
 covectors come from here), ``elimination_failures`` checks covector
 elimination by scanning every member for each pair and element,
 ``alternating_topes_direct`` lists the alternating instance's topes by the
-sign-change rule, ``restriction_tope_set`` builds a deletion's tope set from
-restricted topes, and ``pattern_index`` numbers a vector's canonical pattern
+sign-change rule, ``restrict`` selects a vector's signs at kept elements,
+``restriction_tope_set`` builds a deletion's tope set from topes restricted
+that way, and ``pattern_index`` numbers a vector's canonical pattern
 on one subset, element by element; the tests compare the library's
 cocircuit, tope, covector, axiom, circuit and packed pattern computations
 against them. The library itself calls none of these.
 
 ``parse`` is the argparse command line that ``omcert.cli`` had before its
-table-driven parser; the two must agree on every run configuration and
-certificate path, and on which command lines are usage errors.
+table-driven parser; the two must agree on every run configuration, the
+certificate path among its fields, and on which command lines are usage
+errors.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import argparse
 
 from omcert.cli import RunConfig
 from omcert.matroid import TopeSet
-from omcert.signed_vector import SignedVector
+from omcert.signed_vector import SignedVector, increasing_subset
 
 # refuse enumerating more than 2**20 full-support completions
 _EXTENSION_GUARD = 20
@@ -180,10 +182,28 @@ def alternating_topes_direct(n: int, r: int) -> TopeSet:
     return TopeSet(n, r, frozenset(topes))
 
 
+def restrict(vector: SignedVector, keep: tuple[int, ...] | list[int]) -> SignedVector:
+    """Positional selection: element j of the result is the sign at the j-th kept element.
+
+    ``keep`` must be nonempty and strictly increasing within 1..n.
+    """
+    keep = increasing_subset(keep, vector.n, "keep")
+    if not keep:
+        raise ValueError("keep must be nonempty")
+    pos = neg = 0
+    for j, e in enumerate(keep):
+        bit = 1 << (e - 1)
+        if vector.pos & bit:
+            pos |= 1 << j
+        elif vector.neg & bit:
+            neg |= 1 << j
+    return SignedVector(len(keep), pos, neg)
+
+
 def restriction_tope_set(topes: TopeSet, keep: tuple[int, ...] | list[int]) -> TopeSet:
     """Canonical dedup of tope restrictions: the tope set of the deletion."""
     keep = tuple(keep)
-    restricted = frozenset(t.restrict(keep).canonical() for t in topes.topes)
+    restricted = frozenset(restrict(t, keep).canonical() for t in topes.topes)
     r = min(topes.r, len(keep))
     return TopeSet(len(keep), r, restricted)
 
@@ -271,11 +291,12 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
         family=family,
         output_path=args.output_path,
         format=args.format,
+        certificate=getattr(args, "certificate", None),
     )
 
 
-def parse(argv: list[str]) -> tuple[RunConfig, str | None]:
-    """The run configuration and certificate path of ``argv``; raises
-    SystemExit(2) on a usage error, as ``omcert.cli.parse_args`` does."""
+def parse(argv: list[str]) -> RunConfig:
+    """The run configuration of ``argv``; raises SystemExit(2) on a usage
+    error, as ``omcert.cli.parse_args`` does."""
     args = build_parser().parse_args(argv)
-    return _config_from_args(args.command_parser, args), getattr(args, "certificate", None)
+    return _config_from_args(args.command_parser, args)

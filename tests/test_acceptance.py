@@ -77,7 +77,7 @@ def test_criterion_3_forced_circuits(search_certificate):
         ok = False
         detail = str(exc)
     for survivor in search_certificate.survivors:
-        strings = set(survivor.tope_strings())
+        strings = {str(t) for t in survivor.topes}
         circuits = {k: str(v) for k, v in survivor.circuits}
         ok = ok and "+-+---" not in strings and "+----+" not in strings
         ok = ok and circuits == {(1, 2, 3, 4): "+-+-00", (1, 2, 5, 6): "+-00-+"}

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from omcert.certificate import serialize_certificate
-from omcert.cli import main, parse_args
+from omcert.cli import RunConfig, main, parse_args
 from reference import parse as reference_parse
 
 
@@ -161,6 +161,24 @@ class TestSearchCommand:
             assert code == 1
             assert out == ""
             assert f"cannot write {path}: " in err
+
+
+class FullStdout:
+    """A stdout on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+def test_unwritable_stdout(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main(["topes"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == ["error: cannot write stdout: [Errno 28] No space left on device"]
 
 
 class TestVerifyPipeline:
@@ -386,12 +404,12 @@ class TestOversizedInstances:
         assert "is too large: its tope cover visits" in err
 
     def test_largest_ground_set_at_small_rank_parses(self):
-        cfg, _ = parse_args(["topes", "--n", "32", "--rank", "3"])
+        cfg = parse_args(["topes", "--n", "32", "--rank", "3"])
         assert (cfg.command, cfg.n, cfg.rank) == ("topes", 32, 3)
 
     def test_boundary_follows_the_cover_size(self, capsys):
         # C(24, 4) * 2**4 = 170,016 completions are within the bound; C(25, 4) * 2**4 = 202,400 are not
-        assert parse_args(["topes", "--n", "24", "--rank", "5"])[0].n == 24
+        assert parse_args(["topes", "--n", "24", "--rank", "5"]).n == 24
         with pytest.raises(SystemExit) as exc:
             parse_args(["topes", "--n", "25", "--rank", "5"])
         assert exc.value.code == 2
@@ -417,7 +435,7 @@ class TestCovectorLimit:
 
     def test_bound_follows_the_covector_count(self, capsys):
         # alternating rank 3: 963 covectors at n = 16 are within the bound, 1,091 at n = 17 are not
-        assert parse_args(["axioms", "--n", "16", "--rank", "3"])[0].n == 16
+        assert parse_args(["axioms", "--n", "16", "--rank", "3"]).n == 16
         with pytest.raises(SystemExit) as exc:
             parse_args(["axioms", "--n", "17", "--rank", "3"])
         assert exc.value.code == 2
@@ -436,7 +454,7 @@ class TestCovectorLimit:
         ids=" ".join,
     )
     def test_within_the_limit_or_other_commands_parse(self, argv):
-        cfg, _ = parse_args(argv)
+        cfg = parse_args(argv)
         assert (cfg.command, cfg.n) == (argv[0], int(argv[2]))
 
     def test_strongmap_past_the_limit_reports_covectors(self, capsys):
@@ -510,7 +528,7 @@ def parsed(parse, argv):
 def test_parser_matches_argparse_reference(capsys, argv):
     expected = parsed(reference_parse, argv)
     assert parsed(parse_args, argv) == expected
-    assert expected == "exit 2" or type(expected) is tuple
+    assert expected == "exit 2" or type(expected) is RunConfig
 
 
 HELP_OPTIONS = {

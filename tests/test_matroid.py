@@ -208,7 +208,7 @@ class TestCocircuits:
             Chirotope(4, 2, (1, 0, 0, 0, 0, 0)).cocircuits()
 
     def test_moment_curve_realization_oracle(self):
-        for n, r in ((5, 3), (6, 4)):
+        for n, r in ((5, 3), (6, 4), (8, 4)):
             chi = alternating_chirotope(n, r)
             expected = set()
             for z in combinations(range(1, n + 1), r - 1):

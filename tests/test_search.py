@@ -32,7 +32,7 @@ from omcert.search import (
 )
 from omcert.signed_vector import SignedVector
 from omcert.strong_map import is_strong_map_topes
-from reference import alternating_topes_direct, covectors_from_topes, perpendicular, restriction_tope_set
+from reference import alternating_topes_direct, covectors_from_topes, perpendicular, restrict, restriction_tope_set
 
 sv = SignedVector.parse
 
@@ -329,13 +329,13 @@ class TestConclusions:
 
     def test_excluded_topes_absent(self, search_certificate):
         for survivor in search_certificate.survivors:
-            strings = set(survivor.tope_strings())
+            strings = {str(t) for t in survivor.topes}
             for tope in EXCLUDED_TOPES:
                 assert tope not in strings
 
     def test_forced_circuits(self, search_certificate):
         for survivor in search_certificate.survivors:
-            circuits = survivor.circuit_map()
+            circuits = dict(survivor.circuits)
             assert str(circuits[(1, 2, 3, 4)]) == "+-+-00"
             assert str(circuits[(1, 2, 5, 6)]) == "+-00-+"
         assert tuple(str(c) for c in search_certificate.conclusion_circuits) == FORCED_CIRCUITS
@@ -376,7 +376,7 @@ class TestConclusions:
             hits = [
                 str(t)
                 for t in alt64.ordered
-                if t.restrict(support) in (target, target.opposite())
+                if restrict(t, support) in (target, target.opposite())
             ]
             assert hits == [unique]
 

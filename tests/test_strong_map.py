@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
-from omcert.matroid import alternating_chirotope, pair_swap_chirotope, topes_of
+from omcert.matroid import TopeSet, alternating_chirotope, covectors_of, pair_swap_chirotope, topes_of
 from omcert.signed_vector import SignedVector
 from omcert.strong_map import is_strong_map_covectors, is_strong_map_topes
 from reference import covectors_from_topes, is_covector_by_extension
@@ -73,6 +73,18 @@ class TestMethodAgreement:
             assert cov_verdict.holds == (covector_sets[j] <= covector_sets[i]), (i, j)
             outcomes.add(cov_verdict.holds)
         assert outcomes == {True, False}
+
+    def test_inclusion_without_containment_on_a_non_uniform_target(self):
+        # {+++, ++-} are the topes of the rank-2 oriented matroid with e1
+        # parallel to e2; they lie inside alt(3,2)'s, but the covectors 00+
+        # and 00- do not: tope inclusion decides a strong map only on a
+        # uniform target, which topes_of guarantees and a hand-built set does not
+        source = alternating_chirotope(3, 2)
+        target = TopeSet(3, 2, frozenset({sv("+++"), sv("++-")}))
+        assert is_strong_map_topes(topes_of(source), target).holds
+        gap = {sv("00+"), sv("00-")}
+        assert gap <= covectors_from_topes(target)
+        assert not gap & covectors_of(source)
 
     def test_all_instance_pairs_agree(self, alt64, swap6, search_certificate):
         # tope inclusion and covector containment of the reference sets reach

@@ -1,7 +1,11 @@
 """Reachability of the library: every function in ``src/omcert`` is entered
 by the command line or by the benchmark's probe, or is allowlisted here with
-its reason. A helper that only its own unit test calls belongs in
-``tests/reference.py`` (when a test uses it as an oracle) or nowhere.
+its reason. Only protocol methods (dunder names) and ``Immutable._key`` may
+be allowlisted. A helper that only its own unit test calls belongs in
+``tests/reference.py`` (when a test uses it as an oracle) or nowhere. Likewise
+every parameter with a default is passed by some call in ``src/omcert`` or
+``bench/probe.py``, so no parameter is set only by tests; ``cli.main``'s
+``argv`` is exempt, because the console entry point calls ``main()`` bare.
 
 The walk runs in-process under ``sys.setprofile`` and records the code object
 of every Python frame entered. The library's functions are collected from
@@ -31,6 +35,7 @@ import functools
 import importlib
 import importlib.util
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -50,8 +55,6 @@ ALLOWED = {
     "signed_vector.Immutable.__setattr__": "refuses assignment; the pipeline assigns no field",
     "signed_vector.Immutable.__delattr__": "refuses deletion; the pipeline deletes no field",
     "signed_vector.SignedVector.__repr__": "repr protocol, for debugging",
-    "signed_vector.SignedVector.restrict": "builds the deletions of the oracle reference.restriction_tope_set",
-    "matroid.TopeSet.__contains__": "container protocol; the pipeline tests the frozenset",
 }
 
 
@@ -150,6 +153,45 @@ def test_every_library_function_is_reached(tmp_path, capsys):
     capsys.readouterr()
     unreached = sorted(name for code, name in functions.items() if code not in entered)
     assert [name for name in unreached if name not in ALLOWED] == []
+
+
+def test_allowlist_holds_only_protocol_methods():
+    others = [
+        name for name in ALLOWED
+        if name != "signed_vector.Immutable._key" and not re.fullmatch(r"__\w+__", name.rsplit(".", 1)[1])
+    ]
+    assert others == []
+
+
+def test_every_default_is_passed_by_some_call():
+    # calls are matched to functions by name: a positional argument at index
+    # i, or a keyword, passes a function's parameter there
+    src = Path(omcert.__file__).resolve().parent
+    passed = set()
+    for path in (*sorted(src.glob("*.py")), ROOT / "bench" / "probe.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed |= {(name, i) for i in range(len(node.args))}
+                passed |= {(name, k.arg) for k in node.keywords}
+    unpassed = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [(f, 0) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        for cls in (c for c in tree.body if isinstance(c, ast.ClassDef)):
+            for f in cls.body:
+                if isinstance(f, ast.FunctionDef):  # an instance method takes self implicitly
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+                    functions.append((f, 0 if static else 1))
+        for f, implicit in functions:
+            params = f.args.posonlyargs + f.args.args
+            first = len(params) - len(f.args.defaults)
+            defaulted = [(i - implicit, p.arg) for i, p in enumerate(params) if i >= first]
+            defaulted += [(None, p.arg) for p, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+            for index, arg in defaulted:
+                if (f.name, index) not in passed and (f.name, arg) not in passed:
+                    unpassed.append(f"{path.stem}.{f.name}({arg})")
+    assert [name for name in unpassed if name != "cli.main(argv)"] == []
 
 
 def test_every_class_is_a_plain_immutable_or_exception():

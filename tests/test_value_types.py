@@ -142,7 +142,7 @@ def instances() -> list[tuple[object, str]]:
         (contradiction, "verdict"),
         (DirectSearchOutcome(status="none-found", nodes=1, witness=None), "status"),
         (verdict, "holds"),
-        (RunConfig("all", 6, 4, "alternating", None, "json"), "output_path"),
+        (RunConfig("all", 6, 4, "alternating", None, "json", None), "output_path"),
         (Outcome(doc={"n": 6}, lines=["n=6"], ok=True), "lines"),
     ]
 
