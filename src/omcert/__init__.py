@@ -3,20 +3,19 @@
 The library covers exact signed-vector arithmetic, chirotope-defined
 oriented matroids with tope/cocircuit/covector generation and axiom
 checkers, strong-map verdicts, the exhaustive search for uniform rank-3
-intermediates on six elements, and the assembly of the eight-element
-nonfactorizability certificate. The ``omcert`` command line drives the same
-stages and emits versioned JSON certificates.
+intermediates on six elements, the assembly of the eight-element
+nonfactorizability certificate, and an independent search over rank-3
+chirotopes that checks the eight-element claim. The ``omcert`` command line
+drives the same stages and emits versioned JSON certificates.
 """
 
 from .contradiction import (
     AssumptionRecord,
     ContradictionCertificate,
-    DirectSearchOutcome,
     RestrictionCheck,
     build_contradiction_certificate,
     check_restriction,
     circuits_conflict,
-    direct_search_n8,
     lift_through_restriction,
     verify_premise,
 )
@@ -44,6 +43,7 @@ from .matroid import (
     phi,
     topes_of,
 )
+from .oracle import DirectSearchOutcome, direct_search_n8
 from .search import (
     SearchCertificate,
     SearchInstance,

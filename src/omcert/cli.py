@@ -16,8 +16,10 @@ summary.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 import re
 import sys
 
@@ -211,6 +213,8 @@ def run(cfg: RunConfig) -> int:
         payload = serialize_certificate(outcome.doc)
     try:
         if cfg.output_path is None:
+            if sys.stdout is None:  # the interpreter started with stdout closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(payload.decode("utf-8"))
             sys.stdout.flush()
         else:

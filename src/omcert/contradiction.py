@@ -17,6 +17,9 @@ recorded as a trusted citation. The search builds that table from the
 survivor's own topes, so on every record it emits the deletion check holds
 exactly when the uniqueness check does; the deletion identity rests on the
 README's argument and ``TestDeletionCheck::test_mask_fields_match_restricted_tope_sets``.
+
+The n=8 claim is checked apart from this pipeline by ``oracle.direct_search_n8``,
+a search over rank-3 chirotopes that shares no code with the n=6 kernel.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .search import (
     SearchCertificate,
     SurvivorRecord,
     VerificationError,
-    build_search_instance,
-    saturation_search,
     source_topes,
     target_topes,
     verify_search_conclusions,
@@ -258,44 +259,3 @@ def build_contradiction_certificate(search_cert: SearchCertificate) -> Contradic
         verdict="nonfactorizable" if failing is None else f"invalid:{failing}",
     )
 
-
-# ----------------------------------------------------------------------
-# optional independent oracle: direct search at n=8
-# ----------------------------------------------------------------------
-
-
-class DirectSearchOutcome(Immutable):
-    """Result of the budgeted backtracking search for an n=8 intermediate.
-
-    status is "none-found" when the whole space was exhausted,
-    "budget-exhausted" when the node budget ran out first, and "found" if a
-    survivor turned up (which would falsify the main result)."""
-
-    __slots__ = _fields = ("status", "nodes", "witness")
-
-    status: str
-    nodes: int
-    witness: tuple[SignedVector, ...] | None
-
-
-def direct_search_n8(budget: int) -> DirectSearchOutcome:
-    """Search for a 29-tope uniform rank-3 set between the n=8 target and
-    source topes with the saturation kernel, at most ``budget`` nodes.
-
-    A node is one candidate tope tried on top of a prefix. The whole space
-    is 177,833,728 nodes, which the kernel exhausts in 46-48 s on one core
-    of a shared 2-core machine, 3.8-3.9 million nodes per second. A node its
-    parent's critical bits prune costs one bound test, one AND and one
-    increment, or nothing when its parent resumes past it after an ascent;
-    nothing is counted per node (``pytest -m slow``: 46.4 s and 47.5 s,
-    Python 3.11.7).
-    """
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
-    instance = build_search_instance(FULL_N)
-    run = saturation_search(instance, budget=budget)
-    if run.picks:
-        witness = (*instance.base, *(instance.pool[i] for i in run.picks[0]))
-        return DirectSearchOutcome(status="found", nodes=run.nodes, witness=witness)
-    status = "budget-exhausted" if run.exhausted else "none-found"
-    return DirectSearchOutcome(status=status, nodes=run.nodes, witness=None)

@@ -455,12 +455,8 @@ class UniformTopeReport(Immutable):
     missing: tuple[tuple[int, ...], ...]
 
     @property
-    def count_ok(self) -> bool:
-        return self.expected_count == self.actual_count
-
-    @property
     def passed(self) -> bool:
-        return self.count_ok and not self.missing
+        return self.expected_count == self.actual_count and not self.missing
 
 
 @cache

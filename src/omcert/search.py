@@ -10,11 +10,11 @@ for each survivor the avoided-pattern witnesses, the two named excluded
 topes, and its circuit on every 4-subset, among them the two circuits every
 survivor is forced to share.
 
-One kernel decides every candidate, here and in the n=8 oracle: a pruned
-depth-first search over pool indices in lexicographic order, on bitmasks
-with one byte per 4-subset holding which of its 8 canonical restriction
-patterns a tope produces (the tope's ``matroid.pattern_bytes``, the fields
-every tope set's ``hit_patterns`` table is split from). A candidate fails
+One kernel decides every candidate: a pruned depth-first search over pool
+indices in lexicographic order, on bitmasks with one byte per 4-subset
+holding which of its 8 canonical restriction patterns a tope produces (the
+tope's ``matroid.pattern_bytes``, the fields every tope set's
+``hit_patterns`` table is split from). A candidate fails
 exactly when some 4-subset's byte saturates (all 8 patterns hit). A tope
 sets one bit per byte, so a child saturates a byte only by adding the one bit
 a 7-bit byte of the prefix lacks: a node reads those critical bits from the
@@ -23,9 +23,9 @@ They only grow along a branch, so a node tests its children against its
 parent's critical bits first and reads its own only when a child passes;
 after an ascent, the parent resumes where that first test stopped. Bytes
 only accumulate as topes are added, so a saturated prefix is pruned and
-the combinations below it are decided unvisited. The count of combinations
-decided is the lexicographic rank of where the search stops, taken once at
-the end: 184,756 by construction, checked by the tests' recursive reference.
+the combinations below it are decided unvisited. The search ends only
+after the root's last child, so it credits every combination, 184,756, by
+construction; the tests' recursive reference credits each subtree.
 Survivors are re-verified through the ordinary axiom checker, which also
 yields the witnesses.
 
@@ -127,8 +127,9 @@ def target_topes(n: int) -> TopeSet:
     return topes_of(pair_swap_chirotope(n))
 
 
-def build_search_instance(n: int = SEARCH_N) -> SearchInstance:
+def build_search_instance() -> SearchInstance:
     """Base = target topes, pool = the remaining source topes, fixed order."""
+    n = SEARCH_N
     source, target = source_topes(n), target_topes(n)
     if not target.topes <= source.topes:
         raise RuntimeError("target topes escaped the source tope set; generation bug")
@@ -169,15 +170,14 @@ CRITICAL = bytes(0xFF ^ b if b.bit_count() == 7 else 0xFF if b == 0xFF else 0 fo
 class SaturationRun(Immutable):
     """What one kernel run found and counted."""
 
-    __slots__ = _fields = ("picks", "nodes", "credited", "exhausted")
+    __slots__ = _fields = ("picks", "nodes", "credited")
 
     picks: tuple[tuple[int, ...], ...]  # unsaturated selections, lexicographic
     nodes: int  # children tried
-    credited: int  # selections decided: the lexicographic rank of the stop
-    exhausted: bool  # the node budget ran out before the search finished
+    credited: int  # selections decided: every one, as the run ends at the root's end
 
 
-def saturation_search(instance: SearchInstance, budget: int | None = None) -> SaturationRun:
+def saturation_search(instance: SearchInstance) -> SaturationRun:
     """Pruned depth-first search for the ``choose``-subsets of the pool whose
     combined pattern mask, with the base's, saturates no byte.
 
@@ -185,10 +185,9 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
     lexicographic order. A node is one child tried on top of an unsaturated
     prefix. A child that saturates a byte is pruned exactly, because pattern
     bytes only accumulate along a branch, with its whole subtree unvisited.
-    ``budget`` caps the nodes tried (``ValueError`` if negative), and a run
-    that hits it stops with ``exhausted`` set. The search is one loop: each
-    level's pick, prefix mask and critical mask are kept in preallocated
-    lists, and the end of the child range moves with the depth.
+    The search is one loop: each level's pick, prefix mask and critical mask
+    are kept in preallocated lists, and the end of the child range moves
+    with the depth.
 
     The critical-bit test: every tope's ``pattern_bytes`` holds exactly one
     bit per byte, so a child saturates a byte exactly when that byte of the
@@ -207,41 +206,30 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
 
     Pruned children cost one bound test, one AND and one increment each,
     and the loop counts nothing. The node count is ``off + i``: ``i`` steps
-    once per child tried, and ``off`` takes up its jump back on each ascent;
-    the budget is the bound ``stop`` at which ``off + i`` reaches it, so a
-    run halts at the same node as a test per node would. ``credited`` is
-    the rank of the stop ``(p_0, ..., p_{depth-1}, i)`` in lexicographic
-    order: level ``d``'s children from ``first_d`` (0, then ``p_{d-1} + 1``)
-    to ``p_d`` head comb(npool - first_d, choose - d) - comb(npool - p_d,
-    choose - d) selections (hockey-stick). A finished run stops at the
-    root's end and credits comb(npool, choose) by construction; the
-    independent count is the tests' reference, which credits each subtree.
+    once per child tried, and ``off`` takes up its jump back on each ascent.
+    The loop leaves only at the root's end, so ``credited`` is
+    comb(npool, choose) by construction; the independent count is the tests'
+    reference, which credits each subtree.
 
     A run resumes after an ascent without a rescan. A child's first scan
     tests the pool indices after the parent's pick against the parent's
     critical mask, as the parent would after the ascent, and its range,
     ending at ``end + 1``, covers the parent's; ``nxt[depth]`` keeps the
     index where it stopped. On the ascent the parent resumes there, clamped
-    to its new ``stop``: ``off`` only grows along a branch, so that ``stop``
-    is at most the child's and the clamp halts at the same node. A child
-    whose scan stopped on the budget never ascends.
+    to its own ``end``, one below the child's.
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
     mask, pool_masks = pattern_masks(instance)
     npool, choose, nbytes = len(pool_masks), instance.choose, len(instance.supports)
-    limit = 1 << npool if budget is None else budget  # more nodes than the tree has
     from_bytes, table = int.from_bytes, CRITICAL
     found: list[tuple[int, ...]] = []
     picks, saved_mask, saved_crit, nxt = [0] * choose, [0] * choose, [0] * choose, [0] * choose
     crit = from_bytes(mask.to_bytes(nbytes, "little").translate(table), "little")
     last, depth, i = choose - 1, 0, 0
     off, end = 0, npool - choose + 1
-    stop = min(end, limit)
     while True:
-        while i < stop and pool_masks[i] & crit:
+        while i < end and pool_masks[i] & crit:
             i += 1
-        if i < stop:  # child i passes the node's own critical mask
+        if i < end:  # child i passes the node's own critical mask
             if depth == last:
                 found.append((*picks[:depth], i))
                 i += 1
@@ -251,33 +239,22 @@ def saturation_search(instance: SearchInstance, budget: int | None = None) -> Sa
             mask |= pool_masks[i]
             end += 1
             i += 1
-            stop = limit - off
-            if stop > end:
-                stop = end
-            while i < stop and pool_masks[i] & crit:  # the parent's critical mask
+            while i < end and pool_masks[i] & crit:  # the parent's critical mask
                 i += 1
             nxt[depth - 1] = i
-            if i < stop:
+            if i < end:
                 crit = from_bytes(mask.to_bytes(nbytes, "little").translate(table), "little")
-        elif i < end:  # the budget ran out
-            break
         elif depth:
             depth -= 1
             end -= 1
             off += i - picks[depth] - 1
             mask, crit = saved_mask[depth], saved_crit[depth]
-            i, stop = nxt[depth], limit - off
-            if stop > end:
-                stop = end
-            if i > stop:
-                i = stop
+            i = nxt[depth]
+            if i > end:
+                i = end
         else:
             break
-    credited = first = 0  # the rank of the stop, (*picks[:depth], i)
-    for d, pick in enumerate((*picks[:depth], i)):
-        credited += math.comb(npool - first, choose - d) - math.comb(npool - pick, choose - d)
-        first = pick + 1
-    return SaturationRun(tuple(found), off + i, credited, exhausted=i < end)
+    return SaturationRun(tuple(found), off + i, math.comb(npool, choose))
 
 
 def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> SurvivorRecord:

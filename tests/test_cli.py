@@ -181,6 +181,16 @@ def test_unwritable_stdout(capsys, monkeypatch):
     assert err.splitlines() == ["error: cannot write stdout: [Errno 28] No space left on device"]
 
 
+def test_closed_stdout(capsys, monkeypatch):
+    # an interpreter started with stdout closed (``omcert topes >&-``) sets
+    # sys.stdout to None
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(["topes"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == ["error: cannot write stdout: [Errno 9] Bad file descriptor"]
+
+
 class TestVerifyPipeline:
     def test_verify_from_certificate_file(self, capsys, tmp_path, search_certificate):
         path = tmp_path / "search.json"

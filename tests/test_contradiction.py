@@ -16,11 +16,11 @@ from omcert.contradiction import (
     build_contradiction_certificate,
     check_restriction,
     circuits_conflict,
-    direct_search_n8,
     lift_through_restriction,
     verify_premise,
 )
 from omcert.matroid import TopeSet, circuit_table
+from omcert.oracle import DirectSearchOutcome, direct_search_n8
 from omcert.search import SurvivorRecord, source_topes, target_topes
 from omcert.signed_vector import SignedVector
 from omcert.strong_map import is_strong_map_topes
@@ -227,15 +227,16 @@ class TestDirectSearch:
         assert outcome.nodes == 500
         assert outcome.witness is None
 
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            direct_search_n8(budget=0)
+    @pytest.mark.parametrize("budget", [1, 7_784])
+    def test_budget_below_the_space_is_used_up(self, budget):
+        assert direct_search_n8(budget) == DirectSearchOutcome("budget-exhausted", budget, None)
 
-    @pytest.mark.slow
-    def test_full_exhaustion_finds_nothing(self):
-        # independent oracle for the whole result: within the budget the
-        # kernel exhausts the space and finds no witness
-        outcome = direct_search_n8(budget=250_000_000)
-        assert outcome.status == "none-found"
-        assert outcome.witness is None
-        assert outcome.nodes == 177_833_728
+    @pytest.mark.parametrize("budget", [7_785, 200_000])
+    def test_whole_space_finds_nothing(self, budget):
+        # stage A exhausts the n=8 space in 7,785 nodes without a leaf
+        assert direct_search_n8(budget) == DirectSearchOutcome("none-found", 7_785, None)
+
+    def test_budget_must_be_positive(self):
+        for budget in (0, -1):
+            with pytest.raises(ValueError):
+                direct_search_n8(budget=budget)

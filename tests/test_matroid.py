@@ -480,8 +480,15 @@ class TestUniformTopeAxioms:
     def test_wrong_rank_fails_count(self, alt64):
         mislabeled = TopeSet(6, 3, alt64.topes)
         report = check_uniform_tope_axioms(mislabeled)
-        assert not report.count_ok
         assert report.expected_count == 16 and report.actual_count == 26
+        assert not report.passed
+        # one tope short: every 4-subset still has an avoided pattern, so the
+        # count alone fails the report
+        alt63 = topes_of(alternating_chirotope(6, 3)).topes
+        short = check_uniform_tope_axioms(TopeSet(6, 3, alt63 - {min(alt63, key=SignedVector.order_key)}))
+        assert short.missing == ()
+        assert short.expected_count == 16 and short.actual_count == 15
+        assert not short.passed
 
 
 class TestPatternBytes:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from omcert.matroid import (
     TopeSet,
+    canonical_tope_count,
     check_covector_axioms,
     check_uniform_tope_axioms,
     circuit_on_support,
@@ -25,9 +26,10 @@ from omcert.search import (
     SearchInstance,
     SurvivorRecord,
     VerificationError,
-    build_search_instance,
     pattern_masks,
     saturation_search,
+    source_topes,
+    target_topes,
     verify_search_conclusions,
 )
 from omcert.signed_vector import SignedVector
@@ -37,23 +39,20 @@ from reference import alternating_topes_direct, covectors_from_topes, perpendicu
 sv = SignedVector.parse
 
 
-def pruned_dfs(instance: SearchInstance, budget: int | None = None) -> SaturationRun:
+def pruned_dfs(instance: SearchInstance) -> SaturationRun:
     """Reference kernel: the recursive pruned search, testing every byte of
     each child's mask with Mycroft's zero-byte test on its complement."""
     base, pool_masks = pattern_masks(instance)
     npool, choose = len(pool_masks), instance.choose
     low = int.from_bytes(b"\x01" * len(instance.supports), "little")
     full, high = (1 << 8 * len(instance.supports)) - 1, low << 7
-    limit = math.inf if budget is None else budget
     found: list[tuple[int, ...]] = []
     nodes = credited = 0
 
-    def walk(children: range, prefix: tuple[int, ...], mask: int, rem: int) -> bool:
-        """Try each child after ``prefix``; False once the budget runs out."""
+    def walk(children: range, prefix: tuple[int, ...], mask: int, rem: int) -> None:
+        """Try each child after ``prefix``."""
         nonlocal nodes, credited
         for i in children:
-            if nodes == limit:
-                return False
             nodes += 1
             m = mask | pool_masks[i]
             if ((m ^ full) - low) & m & high:
@@ -61,12 +60,20 @@ def pruned_dfs(instance: SearchInstance, budget: int | None = None) -> Saturatio
             elif rem == 1:
                 found.append((*prefix, i))
                 credited += 1
-            elif not walk(range(i + 1, npool - rem + 2), (*prefix, i), m, rem - 1):
-                return False
-        return True
+            else:
+                walk(range(i + 1, npool - rem + 2), (*prefix, i), m, rem - 1)
 
-    finished = walk(range(npool - choose + 1), (), base, choose)
-    return SaturationRun(tuple(found), nodes, credited, exhausted=not finished)
+    walk(range(npool - choose + 1), (), base, choose)
+    return SaturationRun(tuple(found), nodes, credited)
+
+
+def n8_instance() -> SearchInstance:
+    """The kernel's instance on the n=8 pair, built as ``build_search_instance``
+    builds n=6's: the bytes tests read its 56 bytes."""
+    source, target = source_topes(8), target_topes(8)
+    base = tuple(sorted(target.topes, key=SignedVector.order_key))
+    pool = tuple(sorted(source.topes - target.topes, key=SignedVector.order_key))
+    return SearchInstance(n=8, rank=3, choose=canonical_tope_count(8, 3) - len(base), base=base, pool=pool)
 
 
 def flat_scan(instance: SearchInstance) -> list[tuple[int, ...]]:
@@ -89,7 +96,7 @@ class TestKernel:
         run = saturation_search(search_instance)
         assert list(run.picks) == flat_scan(search_instance)
         assert run.credited == 184756
-        assert not run.exhausted
+        assert run == pruned_dfs(search_instance)
 
     # the first two examples saturate only the lowest and only the highest
     # byte; in the third the base alone saturates byte 1
@@ -110,27 +117,12 @@ class TestKernel:
         run = saturation_search(instance)
         assert list(run.picks) == flat_scan(instance)
         assert run.credited == math.comb(len(pool), choose)
-        assert not run.exhausted
         assert run == pruned_dfs(instance)
-        # every budget from 0 to two past the node total: the run stops inside
-        # a pruned run, on a descent, after a rebuilt critical mask and, in
-        # the third example, among root children the base alone prunes
-        for budget in range(run.nodes + 3):
-            assert saturation_search(instance, budget) == pruned_dfs(instance, budget), budget
-
-    def test_matches_pruned_dfs_at_every_budget_scale(self, search_instance):
-        assert saturation_search(search_instance) == pruned_dfs(search_instance)
-        for budget in (*range(1, 12728, 397), 12726, 12727, 12728):
-            run = saturation_search(search_instance, budget=budget)
-            assert run == pruned_dfs(search_instance, budget=budget), budget
-        n8 = build_search_instance(8)
-        for budget in (1, 4_321, 65_537, 200_000):
-            assert saturation_search(n8, budget=budget) == pruned_dfs(n8, budget=budget), budget
 
     def test_one_bit_per_byte(self, search_instance):
         # the critical-bit test relies on it: one child fills at most the one
         # missing bit of a byte
-        for instance in (search_instance, build_search_instance(8)):
+        for instance in (search_instance, n8_instance()):
             pool_masks = pattern_masks(instance)[1]
             nbytes = len(instance.supports)
             for mask in (*pool_masks, *(pattern_bytes(t.neg, instance.n, 3) for t in instance.base)):
@@ -143,7 +135,7 @@ class TestKernel:
         # mask first, which holds only if a child that passes a prefix's test
         # keeps every critical bit of the prefix
         rng = random.Random(20261019)
-        for instance in (search_instance, build_search_instance(8)):
+        for instance in (search_instance, n8_instance()):
             nbytes = len(instance.supports)
             children = pattern_masks(instance)[1]
             topes = [*(pattern_bytes(t.neg, instance.n, 3) for t in instance.base), *children]
@@ -172,27 +164,8 @@ class TestKernel:
             want = unset[0] if len(unset) == 1 else 0xFF if not unset else 0
             assert CRITICAL[value] == want, value
 
-    def test_negative_budget_rejected(self, search_instance):
-        for budget in (-1, -3):
-            with pytest.raises(ValueError, match="non-negative"):
-                saturation_search(search_instance, budget=budget)
-        assert saturation_search(search_instance, budget=0) == SaturationRun((), 0, 0, True)
-
-    def test_n8_prefix_pinned(self):
-        run = saturation_search(build_search_instance(8), budget=200_000)
-        assert run.nodes == 200_000
-        assert run.credited == 35_610_622_176_170
-        assert run.picks == ()
-        assert run.exhausted
-
     def test_node_total_pinned(self, search_instance):
         assert saturation_search(search_instance).nodes == 12727
-
-    def test_budget_stops_the_run(self, search_instance):
-        run = saturation_search(search_instance, budget=100)
-        assert run.exhausted and run.nodes == 100
-        run = saturation_search(search_instance, budget=12727)
-        assert not run.exhausted and len(run.picks) == 20
 
 
 class TestInstance:

@@ -25,7 +25,10 @@ which keeps its own for speed. Only the validated types (``SignedVector``,
 ``Immutable``'s, with every field given. And the packed pattern fields stay in two modules:
 no module other than ``matroid``, which computes them, and ``search``, whose
 kernel ORs them, imports ``pattern_bytes``. No module imports an underscore
-name from another: what one module shares with another is public.
+name from another: what one module shares with another is public. Stage A,
+``oracle``, imports nothing from ``search`` and none of the kernel's pattern
+or axiom names, so it stays an independent check, and importing ``omcert``
+leaves its table unbuilt.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import importlib
 import importlib.util
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -237,6 +241,40 @@ def test_only_matroid_and_search_import_pattern_bytes():
             if "pattern_bytes" in names or isinstance(node, ast.Attribute) and node.attr == "pattern_bytes":
                 importers.add(path.stem)
     assert importers == {"search"}
+
+
+def test_oracle_shares_no_kernel_code():
+    # stage A is an independent check of the kernel's n=8 claim: it imports
+    # nothing from ``search`` and none of the pattern or axiom code the
+    # kernel and its survivors run on
+    kernel = {
+        "pattern_masks", "pattern_bytes", "saturation_search", "CRITICAL",
+        "check_uniform_tope_axioms", "circuit_table", "circuit_on_support",
+    }
+    path = Path(omcert.__file__).resolve().parent / "oracle.py"
+    modules, names = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "search" not in modules and "omcert.search" not in modules
+    assert names & kernel == set()
+
+
+def test_import_leaves_the_oracle_table_unbuilt():
+    # every command-line run imports omcert; the 5-point table is built only
+    # when stage A runs
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(omcert.__file__).resolve().parents[1])!r}); "
+        "import omcert, omcert.oracle; print(omcert.oracle.local_table.cache_info().currsize)"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_no_module_imports_a_private_name():

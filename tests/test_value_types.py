@@ -10,12 +10,7 @@ from itertools import product
 import pytest
 
 from omcert.cli import Outcome, RunConfig
-from omcert.contradiction import (
-    AssumptionRecord,
-    ContradictionCertificate,
-    DirectSearchOutcome,
-    RestrictionCheck,
-)
+from omcert.contradiction import AssumptionRecord, ContradictionCertificate, RestrictionCheck
 from omcert.matroid import (
     Chirotope,
     CovectorAxiomReport,
@@ -26,6 +21,7 @@ from omcert.matroid import (
     check_uniform_tope_axioms,
     covectors_of,
 )
+from omcert.oracle import DirectSearchOutcome, OracleRun
 from omcert.search import SaturationRun, SearchCertificate, SearchInstance, SurvivorRecord
 from omcert.signed_vector import Immutable, SignedVector
 from omcert.strong_map import StrongMapVerdict
@@ -136,7 +132,8 @@ def instances() -> list[tuple[object, str]]:
         (check_covector_axioms(covectors_of(alternating_chirotope(3, 2))), "vector_count"),
         (instance, "pool"),
         (search, "survivors"),
-        (SaturationRun(picks=((0,),), nodes=1, credited=1, exhausted=False), "nodes"),
+        (SaturationRun(picks=((0,),), nodes=1, credited=1), "nodes"),
+        (OracleRun(leaves=(alternating_chirotope(5, 3),), nodes=1, exhausted=False), "leaves"),
         (restriction, "lifted_circuit"),
         (assumption, "verified"),
         (contradiction, "verdict"),
@@ -156,11 +153,11 @@ def test_every_converted_type_is_covered():
     covered = {type(value) for value, _ in instances()}
     assert covered == {
         SignedVector, Chirotope, TopeSet, SurvivorRecord, UniformTopeReport,
-        CovectorAxiomReport, SearchInstance, SearchCertificate, SaturationRun,
+        CovectorAxiomReport, SearchInstance, SearchCertificate, SaturationRun, OracleRun,
         RestrictionCheck, AssumptionRecord, ContradictionCertificate, DirectSearchOutcome,
         StrongMapVerdict, RunConfig, Outcome,
     }
-    assert len(records()) == 13
+    assert len(records()) == 14
 
 
 @pytest.mark.parametrize(
