@@ -19,10 +19,7 @@ exactly when some 4-subset's byte saturates (all 8 patterns hit). A tope
 sets one bit per byte, so a child saturates a byte only by adding the one bit
 a 7-bit byte of the prefix lacks: a node reads those critical bits from the
 byte table ``CRITICAL``, and each child is tested against them with one AND.
-They only grow along a branch, so a node tests its children against its
-parent's critical bits first and reads its own only when a child passes;
-after an ascent, the parent resumes where that first test stopped. Bytes
-only accumulate as topes are added, so a saturated prefix is pruned and
+Bytes only accumulate as topes are added, so a saturated prefix is pruned and
 the combinations below it are decided unvisited. The search ends only
 after the root's last child, so it credits every combination, 184,756, by
 construction; the tests' recursive reference credits each subtree.
@@ -187,7 +184,9 @@ def saturation_search(instance: SearchInstance) -> SaturationRun:
     bytes only accumulate along a branch, with its whole subtree unvisited.
     The search is one loop: each level's pick, prefix mask and critical mask
     are kept in preallocated lists, and the end of the child range moves
-    with the depth.
+    with the depth. A descent saves the prefix's masks and builds the
+    child's critical mask once; an ascent restores them and resumes at the
+    next pick.
 
     The critical-bit test: every tope's ``pattern_bytes`` holds exactly one
     bit per byte, so a child saturates a byte exactly when that byte of the
@@ -197,64 +196,38 @@ def saturation_search(instance: SearchInstance) -> SaturationRun:
     is nonzero. A byte the base alone saturates translates to 0xFF, so every
     root child is tried and pruned.
 
-    The parent's critical mask is reused. A child that passes a prefix's test
-    adds no bit to a 7-bit byte, so its own critical mask contains the
-    prefix's: critical masks only grow along a branch. A node first tests its
-    children against its parent's ``crit``, and builds its own only when a
-    child passes; that child is then tested again, against the node's mask.
-    A node whose children all fail the parent's test never builds one.
-
-    Pruned children cost one bound test, one AND and one increment each,
-    and the loop counts nothing. The node count is ``off + i``: ``i`` steps
-    once per child tried, and ``off`` takes up its jump back on each ascent.
     The loop leaves only at the root's end, so ``credited`` is
     comb(npool, choose) by construction; the independent count is the tests'
     reference, which credits each subtree.
-
-    A run resumes after an ascent without a rescan. A child's first scan
-    tests the pool indices after the parent's pick against the parent's
-    critical mask, as the parent would after the ascent, and its range,
-    ending at ``end + 1``, covers the parent's; ``nxt[depth]`` keeps the
-    index where it stopped. On the ascent the parent resumes there, clamped
-    to its own ``end``, one below the child's.
     """
     mask, pool_masks = pattern_masks(instance)
     npool, choose, nbytes = len(pool_masks), instance.choose, len(instance.supports)
     from_bytes, table = int.from_bytes, CRITICAL
     found: list[tuple[int, ...]] = []
-    picks, saved_mask, saved_crit, nxt = [0] * choose, [0] * choose, [0] * choose, [0] * choose
+    picks, saved_mask, saved_crit = [0] * choose, [0] * choose, [0] * choose
     crit = from_bytes(mask.to_bytes(nbytes, "little").translate(table), "little")
-    last, depth, i = choose - 1, 0, 0
-    off, end = 0, npool - choose + 1
+    last, depth, i, nodes, end = choose - 1, 0, 0, 0, npool - choose + 1
     while True:
-        while i < end and pool_masks[i] & crit:
+        if i < end:
+            nodes += 1
+            if not pool_masks[i] & crit:
+                if depth == last:
+                    found.append((*picks[:depth], i))
+                else:
+                    picks[depth], saved_mask[depth], saved_crit[depth] = i, mask, crit
+                    depth += 1
+                    mask |= pool_masks[i]
+                    crit = from_bytes(mask.to_bytes(nbytes, "little").translate(table), "little")
+                    end += 1
             i += 1
-        if i < end:  # child i passes the node's own critical mask
-            if depth == last:
-                found.append((*picks[:depth], i))
-                i += 1
-                continue
-            picks[depth], saved_mask[depth], saved_crit[depth] = i, mask, crit
-            depth += 1
-            mask |= pool_masks[i]
-            end += 1
-            i += 1
-            while i < end and pool_masks[i] & crit:  # the parent's critical mask
-                i += 1
-            nxt[depth - 1] = i
-            if i < end:
-                crit = from_bytes(mask.to_bytes(nbytes, "little").translate(table), "little")
         elif depth:
             depth -= 1
             end -= 1
-            off += i - picks[depth] - 1
             mask, crit = saved_mask[depth], saved_crit[depth]
-            i = nxt[depth]
-            if i > end:
-                i = end
+            i = picks[depth] + 1
         else:
             break
-    return SaturationRun(tuple(found), off + i, math.comb(npool, choose))
+    return SaturationRun(tuple(found), nodes, math.comb(npool, choose))
 
 
 def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> SurvivorRecord:

@@ -85,10 +85,9 @@ class TestSandwich:
         with pytest.raises(RuntimeError, match="global re-check"):
             sandwich_search(alt64, swap6)
 
-    @pytest.mark.slow
     def test_n7_control(self):
-        # the slow marker's independent oracle: 1,120 leaves, each re-checked
-        # through topes_of
+        # an independent oracle at n=7: 1,120 leaves, each re-checked through
+        # topes_of
         source, target = alt(7, 4), alt(7, 2)
         run = sandwich_search(source, target)
         assert len(run.leaves) == 1_120 and not run.exhausted

@@ -69,7 +69,7 @@ def pruned_dfs(instance: SearchInstance) -> SaturationRun:
 
 def n8_instance() -> SearchInstance:
     """The kernel's instance on the n=8 pair, built as ``build_search_instance``
-    builds n=6's: the bytes tests read its 56 bytes."""
+    builds n=6's: the one-bit test reads its 56 bytes."""
     source, target = source_topes(8), target_topes(8)
     base = tuple(sorted(target.topes, key=SignedVector.order_key))
     pool = tuple(sorted(source.topes - target.topes, key=SignedVector.order_key))
@@ -129,30 +129,6 @@ class TestKernel:
                 fields = mask.to_bytes(nbytes, "little")
                 assert all(field and field & field - 1 == 0 for field in fields)
                 assert mask >> 8 * nbytes == 0
-
-    def test_critical_mask_only_grows(self, search_instance):
-        # the kernel tests a node's children against its parent's critical
-        # mask first, which holds only if a child that passes a prefix's test
-        # keeps every critical bit of the prefix
-        rng = random.Random(20261019)
-        for instance in (search_instance, n8_instance()):
-            nbytes = len(instance.supports)
-            children = pattern_masks(instance)[1]
-            topes = [*(pattern_bytes(t.neg, instance.n, 3) for t in instance.base), *children]
-
-            def crit(mask: int) -> int:
-                return int.from_bytes(mask.to_bytes(nbytes, "little").translate(CRITICAL), "little")
-
-            tested = 0
-            for _ in range(60):
-                m = 0
-                for t in rng.sample(topes, rng.randint(1, len(instance.base) + instance.choose)):
-                    m |= t
-                for child in children:
-                    if not child & crit(m):
-                        assert crit(m) & ~crit(m | child) == 0
-                        tested += bool(crit(m))
-            assert tested > 50  # children that met a prefix with critical bits
 
     def test_critical_table_pinned(self):
         # independent of the table's construction: list each value's unset
