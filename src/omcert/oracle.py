@@ -30,14 +30,18 @@ The local tests are exact:
   only necessary, and the leaf re-check decides.
 
 The search backtracks over the 3-subsets in colex order, with χ(1,2,3) = +
-(χ and -χ are one oriented matroid). Each 5-subset S holds one int bitset
-over the table: the maps inside S's sandwich that agree with every sign
-assigned so far. A node is one sign tried on one triple: it ANDs the
-bitsets of the C(n-3, 2) subsets that hold the triple with the maps carrying
-that sign there, and it is pruned when one of them becomes empty. At a leaf
-every bitset holds exactly one map, so the leaf is a chirotope inside the
-sandwich; ``topes_of`` re-checks it globally. alt(8,4) → m2(8) has no leaf,
-in 7,785 nodes.
+(χ and -χ are one oriented matroid). Its whole state is one int. Each
+5-subset S owns a field of W bits, W one more than the largest candidate
+count: the low bits hold the maps inside S's sandwich (renumbered 0..k-1)
+that agree with every sign assigned so far, and the top bit is a guard kept
+at 0. A node is one sign tried on one triple: it ANDs the state with a mask
+that keeps, in the fields of the C(n-3, 2) subsets holding the triple, the
+maps carrying that sign there, and it is pruned when one of those fields
+empties. Setting every guard and subtracting each field's low bit clears
+exactly the empty fields' guards, so one subtraction tests them all. At a
+leaf every field holds exactly one map, so the leaf is a chirotope inside
+the sandwich; ``topes_of`` re-checks it globally. alt(8,4) → m2(8) has no
+leaf, in 7,785 nodes.
 """
 
 from __future__ import annotations
@@ -65,11 +69,11 @@ EVERY = (1 << CODES) - 1  # every code, as a set: bit m is code m
 
 
 @cache
-def local_table() -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def local_table() -> tuple[int, tuple[int, ...]]:
     """The 5-point table, each entry a set of codes as an int over ``EVERY``:
-    the codes that satisfy the 3-term Grassmann-Plücker relations, per local
-    triple the codes negative there, and per canonical vector on [5] the
-    codes it is a tope of. Every entry is computed for all codes at once.
+    the codes that satisfy the 3-term Grassmann-Plücker relations, and per
+    canonical vector on [5] the codes it is a tope of. Every entry is
+    computed for all codes at once.
 
     For each element a and the other four b1 < b2 < b3 < b4, the relation
     asks that χ(a,b1,b2)χ(a,b3,b4), -χ(a,b1,b3)χ(a,b2,b4) and
@@ -119,16 +123,23 @@ def local_table() -> tuple[int, tuple[int, ...], tuple[int, ...]]:
             for i, e in enumerate(quad[1:]):
                 same &= differs[i] ^ (0 if neg >> e & 1 ^ neg >> quad[0] & 1 else EVERY)
             hidden[v] |= same
-    return EVERY & ~violated, negative, tuple(EVERY & ~h for h in hidden)
+    return EVERY & ~violated, tuple(EVERY & ~h for h in hidden)
 
 
-def _restricted_topes(topes: TopeSet, subset: tuple[int, ...]) -> int:
-    """The canonical restrictions of ``topes`` to a 5-subset (0-based), as a
-    16-bit mask over the vectors numbered as in ``local_table``."""
-    out, mask = 0, sum(1 << e for e in subset)
-    for neg in {t.neg & mask for t in topes.topes}:
-        code = sum((neg >> e & 1) << j for j, e in enumerate(subset))
-        out |= 1 << ((code ^ 0b11111 if code & 1 else code) >> 1)
+def restrictions(topes: TopeSet) -> list[int]:
+    """The canonical restrictions of ``topes`` to each 5-subset of [n]
+    (0-based, in ``combinations`` order), as 16-bit masks over the vectors
+    numbered as in ``local_table``. Bit-sliced over the topes: bit j of
+    ``column[e]`` is set when tope j is negative at e, and vector v shows on
+    S when some tope differs from S's least element exactly where v's bits
+    are."""
+    column = [sum((t.neg >> e & 1) << j for j, t in enumerate(topes.topes)) for e in range(topes.n)]
+    out = []
+    for first, *rest in combinations(column, 5):
+        parts = [(1 << len(topes)) - 1]  # per vector so far, the topes showing it
+        for c in rest:
+            parts = [p & x for x in (~(c ^ first), c ^ first) for p in parts]
+        out.append(sum(1 << v for v, p in enumerate(parts) if p))
     return out
 
 
@@ -150,60 +161,78 @@ def sandwich_search(source: TopeSet, target: TopeSet, budget: int | None = None)
     ``exhausted`` set. Each leaf's ``topes_of`` must lie between the two
     sets and have the uniform count, or ``RuntimeError`` is raised: the
     local tests are exact, so a failure there is a bug in them.
+    ``ValueError`` if the two sets lie on different ground sets, n < 5, or
+    the budget is neither None nor an int >= 0.
     """
     n = source.n
-    chirotopes, negative, holds = local_table()
+    if target.n != n:
+        raise ValueError(f"source and target lie on {n} and {target.n} elements")
+    if n < 5:
+        raise ValueError(f"stage A needs at least 5 elements, got {n}")
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise ValueError(f"budget must be None or an int >= 0, got {budget!r}")
+    chirotopes, holds = local_table()
     triples = sorted(combinations(range(n), RANK), key=lambda t: t[::-1])
     index = {t: i for i, t in enumerate(triples)}
-    signed = [(EVERY ^ m, m) for m in negative]  # per local triple, the codes + there, - there
-    # candidates[s]: the codes inside subset s's sandwich; moves[t][bit]: for
-    # each subset s holding triple t, (s, the codes with that sign there)
-    candidates, moves = [], [([], []) for _ in triples]
-    for s, subset in enumerate(combinations(range(n), 5)):
-        low, high = _restricted_topes(target, subset), _restricted_topes(source, subset)
+    sandwiches = list(zip(restrictions(target), restrictions(source)))
+    # per distinct sandwich: its codes, renumbered 0..k-1 in ascending order,
+    # and per local triple those negative there
+    tables = {}
+    for low, high in set(sandwiches):
         c = chirotopes
         for v in range(16):
             if low >> v & 1:
                 c &= holds[v]
             elif not high >> v & 1:
                 c &= ~holds[v]
-        candidates.append(c)
-        for k, local in enumerate(LOCAL_TRIPLES):
-            move = moves[index[tuple(subset[j] for j in local)]]
-            for bit in (0, 1):
-                move[bit].append((s, signed[k][bit]))
+        codes = [m for m, b in enumerate(f"{c:b}"[::-1]) if b == "1"]
+        columns = [sum((m >> k & 1) << i for i, m in enumerate(codes)) for k in range(len(LOCAL_TRIPLES))]
+        tables[low, high] = (1 << len(codes)) - 1, columns
+    # subset s owns bits s*W .. s*W+W-1; keep[t][bit] is all ones outside the
+    # fields of the subsets holding triple t, the codes with that sign inside
+    width = max(codes.bit_length() for codes, _ in tables.values()) + 1
+    field = (1 << width) - 1
+    keep = [[(1 << width * len(sandwiches)) - 1] * 2 for _ in triples]
+    guards = [0] * len(triples)
+    state = lows = 0
+    for s, (subset, sandwich) in enumerate(zip(combinations(range(n), 5), sandwiches)):
+        codes, columns = tables[sandwich]
+        at = s * width
+        state |= codes << at
+        lows |= 1 << at
+        for (x, y, z), column in zip(LOCAL_TRIPLES, columns):
+            t = index[subset[x], subset[y], subset[z]]
+            keep[t][0] ^= (field ^ codes ^ column) << at
+            keep[t][1] ^= (field ^ column) << at
+            guards[t] |= 1 << (at + width - 1)
+    every_guard = lows << (width - 1)
 
     limit = math.inf if budget is None else budget
     signs = [0] * len(triples)
     leaves: list[Chirotope] = []
     nodes = 0
 
-    def descend(depth: int, bitsets: list[int]) -> bool:
-        """Try each sign of triple ``depth`` on a copy of the bitsets; False
-        once the budget runs out."""
+    def descend(depth: int, state: int) -> bool:
+        """Try each sign of triple ``depth``; False once the budget runs out."""
         nonlocal nodes
         if depth == len(triples):
             sign = dict(zip(triples, signs))
             values = tuple(-1 if sign[t] else 1 for t in combinations(range(n), RANK))
             leaves.append(Chirotope(n, RANK, values))
             return True
+        guard, masks = guards[depth], keep[depth]
         for bit in (0,) if depth == 0 else (0, 1):
             if nodes == limit:
                 return False
             nodes += 1
-            child = bitsets[:]
-            for s, mask in moves[depth][bit]:
-                c = child[s] & mask
-                if not c:
-                    break
-                child[s] = c
-            else:
+            child = state & masks[bit]
+            if ((child | every_guard) - lows) & guard == guard:
                 signs[depth] = bit
                 if not descend(depth + 1, child):
                     return False
         return True
 
-    exhausted = not descend(0, candidates)
+    exhausted = not descend(0, state)
     for chi in leaves:
         topes = topes_of(chi)
         if not target.topes <= topes.topes <= source.topes or len(topes) != canonical_tope_count(n, RANK):
@@ -232,10 +261,10 @@ def direct_search_n8(budget: int) -> DirectSearchOutcome:
     The whole space is 7,785 nodes and holds no leaf, so any budget of at
     least 7,785 returns "none-found" at 7,785 nodes; a lower one returns
     "budget-exhausted" with ``nodes == budget``. ``ValueError`` if the budget
-    is not positive.
+    is not a positive int.
     """
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
+    if type(budget) is not int or budget <= 0:
+        raise ValueError(f"budget must be a positive int, got {budget!r}")
     source = topes_of(alternating_chirotope(8, RANK + 1))
     target = topes_of(pair_swap_chirotope(8))
     run = sandwich_search(source, target, budget)

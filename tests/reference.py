@@ -15,6 +15,12 @@ on one subset, element by element; the tests compare the library's
 cocircuit, tope, covector, axiom, circuit and packed pattern computations
 against them. The library itself calls none of these.
 
+``restricted_topes`` reads a tope set's canonical restrictions to one
+5-subset tope by tope and element by element, and ``bitset_sandwich_search``
+is stage A's forward check as it stood before the packed state: one int
+bitset of candidate codes per 5-subset, copied at every node. The tests
+compare ``oracle.restrictions`` and ``oracle.sandwich_search`` against them.
+
 ``parse`` is the argparse command line that ``omcert.cli`` had before its
 table-driven parser; the two must agree on every run configuration, the
 certificate path among its fields, and on which command lines are usage
@@ -24,9 +30,12 @@ errors.
 from __future__ import annotations
 
 import argparse
+import math
+from itertools import combinations
 
 from omcert.cli import RunConfig
-from omcert.matroid import TopeSet
+from omcert.matroid import Chirotope, TopeSet
+from omcert.oracle import CODES, LOCAL_TRIPLES, RANK, OracleRun, local_table
 from omcert.signed_vector import SignedVector, increasing_subset
 
 # refuse enumerating more than 2**20 full-support completions
@@ -206,6 +215,75 @@ def restriction_tope_set(topes: TopeSet, keep: tuple[int, ...] | list[int]) -> T
     restricted = frozenset(restrict(t, keep).canonical() for t in topes.topes)
     r = min(topes.r, len(keep))
     return TopeSet(len(keep), r, restricted)
+
+
+def restricted_topes(topes: TopeSet, subset: tuple[int, ...]) -> int:
+    """The canonical restrictions of ``topes`` to a 5-subset (0-based), as a
+    16-bit mask: bit v is set when some tope's sign at ``subset[i + 1]``
+    differs from its sign at ``subset[0]`` exactly for the bits i of v."""
+    out = 0
+    for t in topes.topes:
+        signs = [t.sign(e + 1) for e in subset]
+        out |= 1 << sum(1 << i for i, x in enumerate(signs[1:]) if x != signs[0])
+    return out
+
+
+def bitset_sandwich_search(source: TopeSet, target: TopeSet, budget: int | None = None) -> OracleRun:
+    """Stage A with one int bitset over the 1,024 codes per 5-subset: a node
+    ANDs a copy of the bitsets of the subsets that hold its triple with the
+    codes carrying its sign there, and is pruned when one of them empties.
+    Leaves are not re-checked."""
+    n = source.n
+    chirotopes, holds = local_table()
+    triples = sorted(combinations(range(n), RANK), key=lambda t: t[::-1])
+    index = {t: i for i, t in enumerate(triples)}
+    negative = [sum(1 << m for m in range(CODES) if m >> k & 1) for k in range(len(LOCAL_TRIPLES))]
+    signed = [((1 << CODES) - 1 ^ m, m) for m in negative]
+    candidates, moves = [], [([], []) for _ in triples]
+    for s, subset in enumerate(combinations(range(n), 5)):
+        low, high = restricted_topes(target, subset), restricted_topes(source, subset)
+        c = chirotopes
+        for v in range(16):
+            if low >> v & 1:
+                c &= holds[v]
+            elif not high >> v & 1:
+                c &= ~holds[v]
+        candidates.append(c)
+        for k, local in enumerate(LOCAL_TRIPLES):
+            move = moves[index[tuple(subset[j] for j in local)]]
+            for bit in (0, 1):
+                move[bit].append((s, signed[k][bit]))
+
+    limit = math.inf if budget is None else budget
+    signs = [0] * len(triples)
+    leaves: list[Chirotope] = []
+    nodes = 0
+
+    def descend(depth: int, bitsets: list[int]) -> bool:
+        nonlocal nodes
+        if depth == len(triples):
+            sign = dict(zip(triples, signs))
+            values = tuple(-1 if sign[t] else 1 for t in combinations(range(n), RANK))
+            leaves.append(Chirotope(n, RANK, values))
+            return True
+        for bit in (0,) if depth == 0 else (0, 1):
+            if nodes == limit:
+                return False
+            nodes += 1
+            child = bitsets[:]
+            for s, mask in moves[depth][bit]:
+                c = child[s] & mask
+                if not c:
+                    break
+                child[s] = c
+            else:
+                signs[depth] = bit
+                if not descend(depth + 1, child):
+                    return False
+        return True
+
+    exhausted = not descend(0, candidates)
+    return OracleRun(tuple(leaves), nodes, exhausted)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -237,6 +237,6 @@ class TestDirectSearch:
         assert direct_search_n8(budget) == DirectSearchOutcome("none-found", 7_785, None)
 
     def test_budget_must_be_positive(self):
-        for budget in (0, -1):
+        for budget in (0, -1, 2.5):
             with pytest.raises(ValueError):
                 direct_search_n8(budget=budget)
