@@ -175,8 +175,8 @@ def sandwich_search(source: TopeSet, target: TopeSet, budget: int | None = None)
     triples = sorted(combinations(range(n), RANK), key=lambda t: t[::-1])
     index = {t: i for i, t in enumerate(triples)}
     sandwiches = list(zip(restrictions(target), restrictions(source)))
-    # per distinct sandwich: its codes, renumbered 0..k-1 in ascending order,
-    # and per local triple those negative there
+    # per distinct sandwich: its k codes renumbered 0..k-1 in ascending order,
+    # as the mask of all k, and per local triple those negative there
     tables = {}
     for low, high in set(sandwiches):
         c = chirotopes
@@ -190,19 +190,19 @@ def sandwich_search(source: TopeSet, target: TopeSet, budget: int | None = None)
         tables[low, high] = (1 << len(codes)) - 1, columns
     # subset s owns bits s*W .. s*W+W-1; keep[t][bit] is all ones outside the
     # fields of the subsets holding triple t, the codes with that sign inside
-    width = max(codes.bit_length() for codes, _ in tables.values()) + 1
+    width = max(held.bit_length() for held, _ in tables.values()) + 1
     field = (1 << width) - 1
     keep = [[(1 << width * len(sandwiches)) - 1] * 2 for _ in triples]
     guards = [0] * len(triples)
     state = lows = 0
     for s, (subset, sandwich) in enumerate(zip(combinations(range(n), 5), sandwiches)):
-        codes, columns = tables[sandwich]
+        held, columns = tables[sandwich]
         at = s * width
-        state |= codes << at
+        state |= held << at
         lows |= 1 << at
         for (x, y, z), column in zip(LOCAL_TRIPLES, columns):
             t = index[subset[x], subset[y], subset[z]]
-            keep[t][0] ^= (field ^ codes ^ column) << at
+            keep[t][0] ^= (field ^ held ^ column) << at
             keep[t][1] ^= (field ^ column) << at
             guards[t] |= 1 << (at + width - 1)
     every_guard = lows << (width - 1)
