@@ -27,7 +27,8 @@ The local tests are exact:
   changes. A vector with 4 or more shows 4 on some 5-subset, and every tope
   of a restriction extends to a tope, so ``T(χ) ⊆ source`` holds exactly
   when ``T(χ|S) ⊆ source|S`` on every S. For any other source the test is
-  only necessary, and the leaf re-check decides.
+  only necessary, and the leaf re-check drops a leaf whose topes leave the
+  source.
 
 The search backtracks over the 3-subsets in colex order, with χ(1,2,3) = +
 (χ and -χ are one oriented matroid). Its whole state is one int. Each
@@ -37,10 +38,10 @@ that agree with every sign assigned so far, and the top bit is a guard kept
 at 0. A node is one sign tried on one triple: it ANDs the state with a mask
 that keeps, in the fields of the C(n-3, 2) subsets holding the triple, the
 maps carrying that sign there, and it is pruned when one of those fields
-empties. Setting every guard and subtracting each field's low bit clears
-exactly the empty fields' guards, so one subtraction tests them all. At a
-leaf every field holds exactly one map, so the leaf is a chirotope inside
-the sandwich; ``topes_of`` re-checks it globally. alt(8,4) → m2(8) has no
+empties. Adding all ones below every guard carries into exactly the
+nonempty fields' guards, so one addition tests them all. At a leaf every
+field holds exactly one map, so the leaf is a chirotope inside the
+sandwich; ``topes_of`` re-checks it globally. alt(8,4) → m2(8) has no
 leaf, in 7,785 nodes.
 """
 
@@ -158,9 +159,12 @@ def sandwich_search(source: TopeSet, target: TopeSet, budget: int | None = None)
     ``target ⊆ T(χ) ⊆ source``, by forward checking over 5-point tables.
 
     ``budget`` caps the nodes tried; a run that reaches it stops with
-    ``exhausted`` set. Each leaf's ``topes_of`` must lie between the two
-    sets and have the uniform count, or ``RuntimeError`` is raised: the
-    local tests are exact, so a failure there is a bug in them.
+    ``exhausted`` set. Each leaf's ``topes_of`` must contain the target and
+    have the uniform count, or ``RuntimeError`` is raised: those local tests
+    are exact, so a failure there is a bug in them. A leaf whose topes leave
+    the source is dropped, not reported and not a reason to refuse the
+    input: for a source that is not alternating the local test
+    ``T(χ|S) ⊆ source|S`` is only necessary.
     ``ValueError`` if the two sets lie on different ground sets, n < 5, or
     the budget is neither None nor an int >= 0.
     """
@@ -205,7 +209,7 @@ def sandwich_search(source: TopeSet, target: TopeSet, budget: int | None = None)
             keep[t][0] ^= (field ^ held ^ column) << at
             keep[t][1] ^= (field ^ column) << at
             guards[t] |= 1 << (at + width - 1)
-    every_guard = lows << (width - 1)
+    fill = lows * ((1 << (width - 1)) - 1)
 
     limit = math.inf if budget is None else budget
     signs = [0] * len(triples)
@@ -226,18 +230,21 @@ def sandwich_search(source: TopeSet, target: TopeSet, budget: int | None = None)
                 return False
             nodes += 1
             child = state & masks[bit]
-            if ((child | every_guard) - lows) & guard == guard:
+            if (child + fill) & guard == guard:
                 signs[depth] = bit
                 if not descend(depth + 1, child):
                     return False
         return True
 
     exhausted = not descend(0, state)
+    inside = []
     for chi in leaves:
-        topes = topes_of(chi)
-        if not target.topes <= topes.topes <= source.topes or len(topes) != canonical_tope_count(n, RANK):
+        topes = topes_of(chi).topes
+        if not target.topes <= topes or len(topes) != canonical_tope_count(n, RANK):
             raise RuntimeError(f"leaf {chi.values} fails the global re-check; a local test is wrong")
-    return OracleRun(tuple(leaves), nodes, exhausted)
+        if topes <= source.topes:
+            inside.append(chi)
+    return OracleRun(tuple(inside), nodes, exhausted)
 
 
 class DirectSearchOutcome(Immutable):

@@ -15,12 +15,12 @@ indices in lexicographic order, on bitmasks with one byte per 4-subset
 holding which of its 8 canonical restriction patterns a tope produces (the
 tope's ``matroid.pattern_bytes``, the fields every tope set's
 ``hit_patterns`` table is split from). A candidate fails
-exactly when some 4-subset's byte saturates (all 8 patterns hit). A tope
-sets one bit per byte, so a child saturates a byte only by adding the one bit
-a 7-bit byte of the prefix lacks: a node reads those critical bits from the
-byte table ``CRITICAL``, and each child is tested against them with one AND.
-Bytes only accumulate as topes are added, so a saturated prefix is pruned and
-the combinations below it are decided unvisited. The search ends only
+exactly when some 4-subset's byte saturates (all 8 patterns hit). Each
+byte sits in a 9-bit field under a guard bit kept at 0, and adding 1 to
+every field carries into a guard exactly where the byte is 0xFF, so one add
+tests every byte of a child (Warren, *Hacker's Delight*, ch. 6). Bytes only
+accumulate, so a saturated prefix is pruned and the combinations below it
+are decided unvisited. The search ends only
 after the root's last child, so it credits every combination, 184,756, by
 construction; the tests' recursive reference credits each subtree.
 Survivors are re-verified through the ordinary axiom checker, which also
@@ -159,11 +159,6 @@ def pattern_masks(instance: SearchInstance) -> tuple[int, tuple[int, ...]]:
     return base, tuple(pattern_bytes(t.neg, n, r) for t in instance.pool)
 
 
-# For each byte value, the bits a child must not add: the missing bit of a
-# 7-bit byte, every bit of a saturated one, none otherwise.
-CRITICAL = bytes(0xFF ^ b if b.bit_count() == 7 else 0xFF if b == 0xFF else 0 for b in range(256))
-
-
 class SaturationRun(Immutable):
     """What one kernel run found and counted."""
 
@@ -182,48 +177,47 @@ def saturation_search(instance: SearchInstance) -> SaturationRun:
     lexicographic order. A node is one child tried on top of an unsaturated
     prefix. A child that saturates a byte is pruned exactly, because pattern
     bytes only accumulate along a branch, with its whole subtree unvisited.
-    The search is one loop: each level's pick, prefix mask and critical mask
-    are kept in preallocated lists, and the end of the child range moves
-    with the depth. A descent saves the prefix's masks and builds the
-    child's critical mask once; an ascent restores them and resumes at the
-    next pick.
+    The search is one loop: each level's pick and prefix mask are kept in
+    preallocated lists, and the end of the child range moves with the
+    depth. A descent saves the prefix's mask; an ascent restores it and
+    resumes at the next pick.
 
-    The critical-bit test: every tope's ``pattern_bytes`` holds exactly one
-    bit per byte, so a child saturates a byte exactly when that byte of the
-    prefix has 7 bits set and the child holds the missing one. ``CRITICAL``
-    translates each byte of a prefix mask into ``crit``, the bits a child
-    must not add; a child saturates a byte iff its mask ANDed with ``crit``
-    is nonzero. A byte the base alone saturates translates to 0xFF, so every
-    root child is tried and pruned.
+    The carry test: once per run, each pattern byte is laid into a 9-bit
+    field under a guard bit that stays 0. Adding ``low``, each field's
+    lowest bit, carries into a guard exactly where the byte is 0xFF and
+    never across a field, so a child saturates a byte iff its mask plus
+    ``low`` meets ``guard``. A byte the base alone saturates stays 0xFF in
+    every child, so every root child is tried and pruned.
 
     The loop leaves only at the root's end, so ``credited`` is
     comb(npool, choose) by construction; the independent count is the tests'
     reference, which credits each subtree.
     """
-    mask, pool_masks = pattern_masks(instance)
-    npool, choose, nbytes = len(pool_masks), instance.choose, len(instance.supports)
-    from_bytes, table = int.from_bytes, CRITICAL
+    base, pool_bytes = pattern_masks(instance)
+    fields = range(len(instance.supports))
+    mask, *pool_masks = (sum((m >> 8 * q & 0xFF) << 9 * q for q in fields) for m in (base, *pool_bytes))
+    low = sum(1 << 9 * q for q in fields)
+    npool, choose, guard = len(pool_masks), instance.choose, low << 8
     found: list[tuple[int, ...]] = []
-    picks, saved_mask, saved_crit = [0] * choose, [0] * choose, [0] * choose
-    crit = from_bytes(mask.to_bytes(nbytes, "little").translate(table), "little")
+    picks, saved = [0] * choose, [0] * choose
     last, depth, i, nodes, end = choose - 1, 0, 0, 0, npool - choose + 1
     while True:
         if i < end:
             nodes += 1
-            if not pool_masks[i] & crit:
+            child = mask | pool_masks[i]
+            if not (child + low) & guard:
                 if depth == last:
                     found.append((*picks[:depth], i))
                 else:
-                    picks[depth], saved_mask[depth], saved_crit[depth] = i, mask, crit
+                    picks[depth], saved[depth] = i, mask
                     depth += 1
-                    mask |= pool_masks[i]
-                    crit = from_bytes(mask.to_bytes(nbytes, "little").translate(table), "little")
+                    mask = child
                     end += 1
             i += 1
         elif depth:
             depth -= 1
             end -= 1
-            mask, crit = saved_mask[depth], saved_crit[depth]
+            mask = saved[depth]
             i = picks[depth] + 1
         else:
             break

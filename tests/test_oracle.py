@@ -124,6 +124,20 @@ class TestSandwich:
         assert (run.nodes, len(run.leaves), run.exhausted) == (1_343, 130, False)
         assert_rechecked(run.leaves, alt64, target)
 
+    @pytest.mark.parametrize("removed", ["++--++", "+--++-"])
+    def test_leaf_outside_a_non_alternating_source_is_dropped(self, alt64, removed):
+        # with one tope removed the source is not alternating, its local test
+        # is only necessary, and the control's leaves whose topes use the
+        # removed tope pass it: the re-check drops them instead of raising
+        target = alt(6, 2)
+        source = TopeSet(6, 4, frozenset(t for t in alt64.topes if str(t) != removed))
+        assert len(source) == len(alt64) - 1
+        run = sandwich_search(source, target)
+        inside = tuple(chi for chi in sandwich_search(alt64, target).leaves if topes_of(chi).topes <= source.topes)
+        assert len(inside) == 65
+        assert run == OracleRun(inside, 1_343, False)
+        assert_rechecked(run.leaves, source, target)
+
     def test_budget_stops_the_run(self, alt64, swap6):
         whole = sandwich_search(alt64, swap6)
         for budget in (1, 100, whole.nodes - 1):

@@ -18,7 +18,6 @@ from omcert.matroid import (
 )
 from omcert.search import (
     CIRCUIT_SUPPORTS,
-    CRITICAL,
     EXCLUDED_TOPES,
     FORCED_CIRCUITS,
     SaturationRun,
@@ -120,8 +119,8 @@ class TestKernel:
         assert run == pruned_dfs(instance)
 
     def test_one_bit_per_byte(self, search_instance):
-        # the critical-bit test relies on it: one child fills at most the one
-        # missing bit of a byte
+        # a property of pattern_bytes: a tope's restriction to a 4-subset is
+        # one pattern; the kernel's carry test does not rely on it
         for instance in (search_instance, n8_instance()):
             pool_masks = pattern_masks(instance)[1]
             nbytes = len(instance.supports)
@@ -129,16 +128,6 @@ class TestKernel:
                 fields = mask.to_bytes(nbytes, "little")
                 assert all(field and field & field - 1 == 0 for field in fields)
                 assert mask >> 8 * nbytes == 0
-
-    def test_critical_table_pinned(self):
-        # independent of the table's construction: list each value's unset
-        # bits; exactly one is the bit a child must not add, none means every
-        # bit is, and two or more mean none is
-        assert len(CRITICAL) == 256
-        for value in range(256):
-            unset = [1 << k for k in range(8) if not value >> k & 1]
-            want = unset[0] if len(unset) == 1 else 0xFF if not unset else 0
-            assert CRITICAL[value] == want, value
 
     def test_node_total_pinned(self, search_instance):
         assert saturation_search(search_instance).nodes == 12727

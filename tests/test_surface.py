@@ -248,7 +248,7 @@ def test_oracle_shares_no_kernel_code():
     # nothing from ``search`` and none of the pattern or axiom code the
     # kernel and its survivors run on
     kernel = {
-        "pattern_masks", "pattern_bytes", "saturation_search", "CRITICAL",
+        "pattern_masks", "pattern_bytes", "saturation_search",
         "check_uniform_tope_axioms", "circuit_table", "circuit_on_support",
     }
     path = Path(omcert.__file__).resolve().parent / "oracle.py"
