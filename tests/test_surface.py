@@ -9,10 +9,10 @@ every parameter with a default is passed by some call in ``src/omcert`` or
 
 The walk runs in-process under ``sys.setprofile`` and records the code object
 of every Python frame entered. The library's functions are collected from
-the modules: module-level functions, the functions behind ``functools.cache``
-wrappers (whose caches are cleared first, so a cached call enters the
-function again), and every method, property and cached property of a class
-defined there.
+the modules and the package: module-level functions, the functions behind
+``functools.cache`` wrappers (whose caches are cleared first, so a cached
+call enters the function again), and every method, property and cached
+property of a class defined there.
 
 Design guards sit next to the walk. Every class in ``src/omcert`` is a plain
 ``Immutable`` or ``Exception`` subclass, so no class is generated at import
@@ -27,8 +27,9 @@ no module other than ``matroid``, which computes them, and ``search``, whose
 kernel ORs them, imports ``pattern_bytes``. No module imports an underscore
 name from another: what one module shares with another is public. Stage A,
 ``oracle``, imports nothing from ``search`` and none of the kernel's pattern
-or axiom names, so it stays an independent check, and importing ``omcert``
-leaves its table unbuilt.
+or axiom names, so it stays an independent check. A bare ``import omcert``
+loads none of its modules (each public name resolves from one export table
+on first use), and importing stage A leaves its table unbuilt.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ ALLOWED = {
     "signed_vector.Immutable.__setattr__": "refuses assignment; the pipeline assigns no field",
     "signed_vector.Immutable.__delattr__": "refuses deletion; the pipeline deletes no field",
     "signed_vector.SignedVector.__repr__": "repr protocol, for debugging",
+    "omcert.__getattr__": "module attribute protocol; a name it resolved is kept in the package, so a later walk never enters it",
+    "omcert.__dir__": "dir protocol, for interactive use",
 }
 
 
@@ -85,7 +88,8 @@ def library_functions() -> dict[object, str]:
     """Code object -> ``module.qualname`` for every function written in ``src/omcert``."""
     src = Path(omcert.__file__).resolve().parent
     found = {}
-    for module in library_modules():
+    # the package last, so a function it has cached keeps its home module's name
+    for module in (*library_modules(), omcert):
         short = module.__name__.removeprefix("omcert.")
         for name, value in vars(module).items():
             pairs = list(_functions_of(value, f"{short}.{name}"))
@@ -265,16 +269,38 @@ def test_oracle_shares_no_kernel_code():
     assert names & kernel == set()
 
 
-def test_import_leaves_the_oracle_table_unbuilt():
-    # every command-line run imports omcert; the 5-point table is built only
-    # when stage A runs
-    code = (
-        f"import sys; sys.path.insert(0, {str(Path(omcert.__file__).resolve().parents[1])!r}); "
-        "import omcert, omcert.oracle; print(omcert.oracle.local_table.cache_info().currsize)"
+PUBLIC = [
+    "AssumptionRecord", "Chirotope", "ContradictionCertificate", "CovectorAxiomReport",
+    "DirectSearchOutcome", "RestrictionCheck", "SearchCertificate", "SearchInstance",
+    "SignedVector", "StrongMapVerdict", "SurvivorRecord", "TopeSet", "UniformTopeReport",
+    "VerificationError", "alternating_chirotope", "build_contradiction_certificate",
+    "build_search_instance", "canonical_tope_count", "certificate_document",
+    "check_covector_axioms", "check_restriction", "check_uniform_tope_axioms",
+    "circuit_on_support", "circuits_conflict", "covectors_of", "direct_search_n8",
+    "enumerate_survivors", "is_covector", "is_strong_map_covectors", "is_strong_map_topes",
+    "lift_through_restriction", "pair_swap_chirotope", "phi", "search_certificate_from_document",
+    "serialize_certificate", "sign_string_key", "topes_of", "validate_certificate_document",
+    "validate_contradiction_document", "validate_search_document", "verify_premise",
+    "verify_search_conclusions",
+]
+SUBMODULES = ("contradiction", "certificate", "matroid", "oracle", "search", "signed_vector", "strong_map")
+
+
+def fresh(code: str) -> list[str]:
+    """The words printed by ``code``, run in a fresh ``python -I`` with ``src`` on the path."""
+    path = str(Path(omcert.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {path!r}); {code}"],
+        capture_output=True, text=True, timeout=60,
     )
-    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"]
+    return proc.stdout.split()
+
+
+def test_import_leaves_the_oracle_table_unbuilt():
+    # a bare import of omcert loads no submodule, and importing stage A still
+    # leaves its 5-point table unbuilt: it is built only when stage A runs
+    assert fresh("import omcert, omcert.oracle; print(omcert.oracle.local_table.cache_info().currsize)") == ["0"]
 
 
 def test_no_module_imports_a_private_name():
@@ -284,3 +310,43 @@ def test_no_module_imports_a_private_name():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("omcert")):
                 private += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def test_bare_import_loads_no_submodule_and_no_json():
+    loaded = fresh("before = set(sys.modules); import omcert; print(*sorted(set(sys.modules) - before))")
+    assert [name for name in loaded if name.startswith("omcert")] == ["omcert"]
+    assert "json" not in loaded
+
+
+def test_bare_import_resolves_every_submodule():
+    names = " ".join(SUBMODULES)
+    resolved = fresh(
+        f"import omcert; print(*(getattr(omcert, m) is sys.modules['omcert.' + m] for m in {names!r}.split()))"
+    )
+    assert resolved == ["True"] * len(SUBMODULES)
+
+
+def test_public_names_pinned():
+    assert omcert.__all__ == PUBLIC
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in omcert.__all__:
+        value = getattr(omcert, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert vars(omcert)[name] is value, name  # kept, so the next use is a plain lookup
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from omcert import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == omcert.__all__
+
+
+def test_dir_lists_the_public_names_and_modules():
+    assert set(omcert.__all__) | set(SUBMODULES) <= set(dir(omcert))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        omcert.no_such_name
