@@ -5,7 +5,9 @@ One schema serves both certificate flavors; the top-level keys are always
 order. Signed vectors serialize as strings over {+,-,0}; element subsets
 serialize as comma-joined ascending integers inside key strings. Documents
 are built from deterministically ordered data only, so serialized bytes are
-identical across runs and thread counts.
+identical across runs and thread counts. The bytes come from the writer
+here, not from ``json``, which a run that writes a certificate never loads;
+they equal ``json.dumps(doc, indent=2, ensure_ascii=False)`` and a newline.
 
 Validation regenerates the certificate and diffs the two, on one checking
 path that all four public validators share. It checks that the document is
@@ -33,7 +35,6 @@ document that validates.
 
 from __future__ import annotations
 
-import json
 import re
 
 from .contradiction import (
@@ -167,9 +168,52 @@ def certificate_document(cert: SearchCertificate | ContradictionCertificate) -> 
     return search_certificate_document(cert)
 
 
+# what a JSON string writes for each character it escapes: \u00XX below
+# U+0020 except the five short escapes, and the quote and backslash
+_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)} | {ord(c): "\\" + e for c, e in zip('\b\t\n\f\r"\\', 'btnfr"\\')}
+
+
+def _json_string(s: str) -> str:
+    # a printable string holds no character below U+0020
+    if s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return f'"{s.translate(_ESCAPES)}"'
+
+
+def _json(value: object, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, ensure_ascii=False)`` writes
+    it at the nesting ``indent``: dicts with str keys, lists, str, int, bool
+    and None; any other type raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(value)
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if kind is list:
+        items = [_json(v, inner) for v in value]
+        opening, closing = "[", "]"
+    elif kind is dict:
+        if not all(type(k) is str for k in value):
+            raise TypeError("JSON object keys must be str")
+        items = [f"{_json_string(k)}: {_json(v, inner)}" for k, v in value.items()]
+        opening, closing = "{", "}"
+    else:
+        raise TypeError(f"{kind.__name__} is not a JSON type")
+    if not items:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+
+
 def serialize_certificate(cert: SearchCertificate | ContradictionCertificate | dict) -> bytes:
+    """The document's bytes: UTF-8 of ``json.dumps(doc, indent=2,
+    ensure_ascii=False)`` and a newline, from the writer above."""
     doc = cert if isinstance(cert, dict) else certificate_document(cert)
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return (_json(doc, "") + "\n").encode("utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +227,11 @@ _PLAIN_KEY = re.compile(r"[A-Za-z0-9_]+")
 def _path_key(key: str) -> str:
     """A key as it appears in a problem path: plain keys as they are, any other
     as a JSON string literal, so no key can break a problem across lines."""
-    return key if _PLAIN_KEY.fullmatch(key) else json.dumps(key)
+    if _PLAIN_KEY.fullmatch(key):
+        return key
+    import json  # ASCII escapes keep U+0085, U+2028 and U+2029 off the line too
+
+    return json.dumps(key)
 
 
 def _path(path: tuple) -> str:

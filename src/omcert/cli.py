@@ -17,7 +17,6 @@ summary.
 from __future__ import annotations
 
 import errno
-import json
 import math
 import os
 import re
@@ -159,12 +158,30 @@ def _run_contradiction(cfg: RunConfig) -> Outcome | int:
     if cfg.certificate is None:
         search_cert = enumerate_survivors(build_search_instance())
     else:
+        import json  # only a run that reads a document loads it
+
+        repeated = []
+
+        def pairs_to_dict(pairs: list[tuple[str, object]]) -> dict[str, object]:
+            # json keeps the last value of a repeated key; the validators see
+            # only the parsed dict, so a repeat is caught here
+            obj = {}
+            for key, value in pairs:
+                if key in obj:
+                    repeated.append(key)
+                obj[key] = value
+            return obj
+
         try:
             with open(cfg.certificate, "rb") as fh:
-                loaded = json.load(fh)
+                loaded = json.load(fh, object_pairs_hook=pairs_to_dict)
         except (OSError, ValueError, RecursionError) as exc:
             # ValueError: malformed JSON or undecodable bytes; RecursionError: too deeply nested
             print(f"error: cannot load {cfg.certificate}: {exc}", file=sys.stderr)
+            return 1
+        for key in repeated:
+            print(f"invalid certificate: an object repeats the key {json.dumps(key)}", file=sys.stderr)
+        if repeated:
             return 1
         try:
             search_cert = search_certificate_from_document(loaded)

@@ -35,7 +35,7 @@ from .search import (
     target_topes,
     verify_search_conclusions,
 )
-from .signed_vector import Immutable, SignedVector
+from .signed_vector import Immutable, SignedVector, increasing_subset
 from .strong_map import StrongMapVerdict, is_strong_map_topes
 
 FULL_N = 8
@@ -101,7 +101,12 @@ def verify_premise() -> StrongMapVerdict:
 
 
 def lift_through_restriction(circuit: SignedVector, kept: tuple[int, ...]) -> SignedVector:
-    """Place a restricted circuit's signs back at the kept positions of [8]."""
+    """Place a restricted circuit's signs back at the kept positions of [8].
+    Raises ValueError unless ``kept`` is strictly increasing within 1..8 and
+    the circuit lives on ``len(kept)`` elements."""
+    kept = increasing_subset(kept, FULL_N, "kept")
+    if circuit.n != len(kept):
+        raise ValueError(f"circuit {circuit} lives on {circuit.n} elements, but {len(kept)} are kept")
     pos = neg = 0
     for j, e in enumerate(kept):
         s = circuit.sign(j + 1)

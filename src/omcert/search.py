@@ -87,10 +87,12 @@ class SurvivorRecord(Immutable):
     lexicographic order, None where zero or several patterns are avoided;
     ``circuits`` is its entries on the two forced supports. The table is
     derived from the topes and is not serialized. To change one field,
-    build a new record from the old one's fields.
+    build a new record from the old one's fields. A record the search
+    builds also keeps the ``TopeSet`` it validated, which is not a field.
     """
 
-    __slots__ = _fields = ("topes", "vc_witnesses", "excluded_absent", "circuits", "circuit_table")
+    _fields = ("topes", "vc_witnesses", "excluded_absent", "circuits", "circuit_table")
+    __slots__ = (*_fields, "_tope_set")
 
     topes: tuple[SignedVector, ...]
     vc_witnesses: tuple[tuple[tuple[int, ...], SignedVector], ...]
@@ -99,7 +101,10 @@ class SurvivorRecord(Immutable):
     circuit_table: tuple[SignedVector | None, ...]
 
     def tope_set(self) -> TopeSet:
-        return TopeSet(self.topes[0].n, SEARCH_RANK, frozenset(self.topes))
+        """The TopeSet of ``topes``: the one the search kept, else a new one
+        (a record built by hand, copied or unpickled)."""
+        kept = getattr(self, "_tope_set", None)
+        return kept if kept is not None else TopeSet(self.topes[0].n, SEARCH_RANK, frozenset(self.topes))
 
 
 class SearchCertificate(Immutable):
@@ -240,13 +245,15 @@ def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> Surviv
         if circuit is None:
             raise VerificationError(f"picks {picks} carry no unique circuit on {q}")
     strings = tope_set.strings
-    return SurvivorRecord(
+    record = SurvivorRecord(
         topes=tope_set.ordered,
         vc_witnesses=report.witnesses,
         excluded_absent=tuple((t, t not in strings) for t in EXCLUDED_TOPES),
         circuits=circuits,
         circuit_table=table,
     )
+    object.__setattr__(record, "_tope_set", tope_set)
+    return record
 
 
 def enumerate_survivors(instance: SearchInstance) -> SearchCertificate:

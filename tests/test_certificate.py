@@ -5,6 +5,8 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import omcert.certificate
 import omcert.contradiction
@@ -72,6 +74,16 @@ EDITS = {
 }
 
 
+# text that reaches every escape: control characters, quotes, backslashes,
+# characters json leaves raw (DEL, NEL, U+2028, U+2029) and astral ones
+JSON_TEXT = st.text(st.sampled_from('\x00\b\t\n\x0b\f\r\x1f"\\/ +-,\x7f\x85\u2028\u2029\U0001f600') | st.characters(codec="utf-8"))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**300), 10**300) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
 @pytest.fixture(scope="module")
 def search_doc(search_certificate):
     return json.loads(serialize_certificate(search_certificate))
@@ -83,6 +95,21 @@ def contradiction_doc(contradiction_certificate):
 
 
 class TestSerialization:
+    @settings(max_examples=300, deadline=None)
+    @example(doc={})
+    @example(doc={"": [], "a": {}, "b": [[], {}, [[{}]], {"c": {"d": []}}], "e": ""})
+    @given(doc=st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=4))
+    def test_writer_is_json_dumps(self, doc):
+        assert serialize_certificate(doc) == (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "doc", [{"a": 1.0}, {"a": (1,)}, {"a": [b"x"]}, {1: "x"}, {"a": {None: 1}}],
+        ids=["float", "tuple", "bytes", "int-key", "none-key"],
+    )
+    def test_writer_refuses_other_types(self, doc):
+        with pytest.raises(TypeError):
+            serialize_certificate(doc)
+
     def test_deterministic_bytes(self, search_certificate):
         assert serialize_certificate(search_certificate) == serialize_certificate(
             search_certificate

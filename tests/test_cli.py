@@ -10,18 +10,23 @@ from pathlib import Path
 import pytest
 
 from omcert.certificate import serialize_certificate
-from omcert.cli import RunConfig, main, parse_args
+from omcert.cli import _HANDLERS, RunConfig, main, parse_args
 from reference import parse as reference_parse
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+JSON_MODULES = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
+
+
 def test_import_leaves_out_dataclasses_and_inspect(tmp_path):
     # a command-line run is mostly start-up: dataclasses pulls in inspect, ast,
-    # dis and tokenize, and argparse pulls in gettext, which imports locale
-    # when it parses. Only modules the run adds count, so a site hook that
-    # already imported them cannot fail this test.
+    # dis and tokenize, argparse pulls in gettext, which imports locale when
+    # it parses, and json compiles its scanner's and encoder's regexes. Only
+    # modules the run adds count, so a site hook that already imported them
+    # cannot fail this test. Reading a certificate does load json.
+    search = str(tmp_path / "search.json")
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -30,16 +35,21 @@ def test_import_leaves_out_dataclasses_and_inspect(tmp_path):
         f"assert omcert.cli.main(['all', '--output', {str(tmp_path / 'all.json')!r}]) == 0\n"
         "print(' '.join(sorted(imported)))\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        f"assert omcert.cli.main(['lemma6', '--output', {search!r}]) == 0\n"
+        "assert 'json' not in set(sys.modules) - before\n"
+        f"assert omcert.cli.main(['verify-n8', '--certificate', {search!r}, '--format', 'text']) == 0\n"
+        "assert 'json' in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    imported, ran = (set(line.split()) for line in proc.stdout.splitlines())
+    imported, ran = (set(line.split()) for line in proc.stdout.splitlines()[:2])
+    assert proc.stdout.splitlines()[-1] == "verdict: nonfactorizable"
     assert "omcert.cli" in imported
     assert not imported & {"dataclasses", "inspect"}
-    assert not ran & {"argparse", "gettext", "locale", "dataclasses", "inspect"}
+    assert not ran & {"argparse", "gettext", "locale", "dataclasses", "inspect", *JSON_MODULES}
 
 
 def test_import_leaves_out_typing_and_contextlib():
@@ -241,9 +251,21 @@ class TestVerifyPipeline:
         assert "instance.rank is 5, expected 3" in err
         assert "instance.source_rank is 7, expected 4" in err
 
-    def test_key_cannot_forge_problem_lines(self, capsys, tmp_path, search_certificate):
+    # every separator str.splitlines splits on, and its escape in a problem
+    # path: the ASCII escapes of json.dumps, not the writer's, which leaves
+    # U+0085, U+2028 and U+2029 raw
+    @pytest.mark.parametrize(
+        "separator, escaped",
+        [
+            ("\n", "\\n"), ("\r", "\\r"), ("\x0b", "\\u000b"), ("\x0c", "\\f"),
+            ("\x1c", "\\u001c"), ("\x1d", "\\u001d"), ("\x1e", "\\u001e"),
+            ("\x85", "\\u0085"), ("\u2028", "\\u2028"), ("\u2029", "\\u2029"),
+        ],
+        ids=["LF", "CR", "VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+    )
+    def test_key_cannot_forge_problem_lines(self, capsys, tmp_path, search_certificate, separator, escaped):
         doc = json.loads(serialize_certificate(search_certificate))
-        doc["a\ninvalid certificate: everything fine"] = 1
+        doc[f"a{separator}invalid certificate: everything fine"] = 1
         doc["survivors"][0]["circuits"]["1,2,3,4"] = "+-+-0-"
         path = tmp_path / "forged.json"
         path.write_text(json.dumps(doc))
@@ -252,7 +274,24 @@ class TestVerifyPipeline:
         assert out == ""
         assert err.splitlines() == [
             "invalid certificate: document.survivors[0].circuits.\"1,2,3,4\" is '+-+-0-', expected '+-+-00'",
-            'invalid certificate: document."a\\ninvalid certificate: everything fine" is unexpected',
+            f'invalid certificate: document."a{escaped}invalid certificate: everything fine" is unexpected',
+        ]
+
+    def test_repeated_key_refused(self, capsys, tmp_path, search_certificate):
+        # json keeps the last of a repeated key; a reader that keeps the first
+        # would see version 99, so the document states two things
+        text = serialize_certificate(search_certificate).decode("utf-8")
+        text = text.replace('"version": 1,', '"version": 99,\n  "version": 1,', 1)
+        text = text.replace('"n": 6,', '"n": 6,\n    "n\u2028": 0,\n    "n\u2028": 0,', 1)
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify-n8", "--certificate", str(path))
+        assert code == 1
+        assert out == ""
+        # one line per repeat, in the order their objects close, each key escaped to one line
+        assert err.splitlines() == [
+            'invalid certificate: an object repeats the key "n\\u2028"',
+            'invalid certificate: an object repeats the key "version"',
         ]
 
     def test_pipeline_certificate_named_as_such(self, capsys, tmp_path, contradiction_certificate):
@@ -330,6 +369,16 @@ def test_output_pinned(capsys, tmp_path, search_certificate, command, fmt):
         code, out, _ = run_cli(capsys, *argv, "--output", str(path))
         assert (code, out) == (OUTPUT_PINS[command, fmt][0], "")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == OUTPUT_PINS[command, fmt][1]
+
+
+@pytest.mark.parametrize("command", ["topes", "axioms", "strongmap", "lemma6", "verify-n8", "all"])
+def test_json_output_is_json_dumps_of_the_document(capsys, command):
+    # omcert writes JSON itself; its bytes are those json.dumps writes
+    cfg = parse_args([command])
+    doc = _HANDLERS[command](cfg).doc
+    code, out, _ = run_cli(capsys, command, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 # Malformed option lists: unknown or missing options and values, bad types and choices

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from itertools import combinations
 
 import pytest
@@ -45,6 +46,18 @@ class TestLift:
 
     def test_second_restriction_lift(self):
         assert str(lift_through_restriction(sv("+-+-00"), KEPT_B)) == "+-00+-00"
+
+    @pytest.mark.parametrize("kept", [(1, 2, 3, 4, 6, 5), (1, 2, 3, 4, 5, 9), (0, 2, 3, 4, 5, 6)])
+    def test_kept_must_increase_within_eight(self, kept):
+        with pytest.raises(ValueError, match=r"kept must be strictly increasing within 1\.\.8"):
+            lift_through_restriction(sv("+-00-+"), kept)
+
+    @pytest.mark.parametrize("circuit", ["+-+-00-+", "+-"])
+    def test_circuit_must_live_on_the_kept_set(self, circuit):
+        # an 8-element circuit would lose its last two signs; a 2-element one
+        # would fail on an element it does not have
+        with pytest.raises(ValueError, match=re.escape(f"circuit {circuit} lives on {len(circuit)} elements, but 6 are kept")):
+            lift_through_restriction(sv(circuit), KEPT_A)
 
     def test_lift_is_support_faithful(self, contradiction_certificate):
         cert = contradiction_certificate
