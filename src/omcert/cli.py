@@ -12,11 +12,17 @@ Exit codes: 0 = verified, 1 = a mathematical check failed or the output
 (file or stdout) could not be written, 2 = usage error. JSON is the
 authoritative certificate format; text output is a derived human-readable
 summary.
+
+``entry`` is the process entry, the one function that both the ``omcert``
+console script and ``python -m omcert.cli`` call. It alone freezes the
+garbage collector before the interpreter exits; ``main`` and ``run`` never
+do, so they stay safe to call in-process.
 """
 
 from __future__ import annotations
 
 import errno
+import gc
 import math
 import os
 import re
@@ -385,5 +391,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def entry() -> None:
+    """Run ``main`` on ``sys.argv`` and exit with its code. Whether ``main``
+    returns or raises (``SystemExit`` from a usage error or ``--help``), the
+    tracked objects move into the collector's permanent generation first,
+    which finalization's collection passes never walk; atexit handlers, the
+    flush of stdout and stderr and the exit code stay as they were."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import ast
+import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -620,3 +623,110 @@ def test_help_lists_every_option(capsys, command):
     assert out.startswith(f"usage: omcert {command} [-h] ")
     listed = [line.split()[0] for line in out.split("options:\n")[1].splitlines()]
     assert listed == ["-h,", *HELP_OPTIONS[command]]
+
+
+# The process entry: ``python -m omcert.cli`` and the ``omcert`` console
+# script both run ``cli.entry`` in a fresh interpreter.
+
+
+def run_process(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "omcert.cli", *argv], capture_output=True, env=env, timeout=60
+    )
+
+
+class TestProcessEntry:
+    def test_all_writes_the_in_process_bytes(self, capsys, tmp_path):
+        path = tmp_path / "all.json"
+        proc = run_process("all", "--output", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert main(["all", "--output", str(tmp_path / "in-process.json")]) == 0
+        assert path.read_bytes() == (tmp_path / "in-process.json").read_bytes()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == OUTPUT_PINS["all", "json"][1]
+
+    def test_text_reaches_a_pipe_in_full(self, capsys):
+        proc = run_process("lemma6", "--format", "text")
+        assert (proc.returncode, proc.stdout.decode("utf-8")) == run_cli(capsys, "lemma6", "--format", "text")[:2]
+        assert hashlib.sha256(proc.stdout).hexdigest() == OUTPUT_PINS["lemma6", "text"][1]
+
+    def test_corrupted_certificate_exits_1(self, tmp_path, search_certificate):
+        doc = json.loads(serialize_certificate(search_certificate))
+        doc["survivors"][0]["topes"][0] = "000000"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = run_process("verify-n8", "--certificate", str(path))
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"invalid certificate: ")
+
+    def test_unknown_option_exits_2(self):
+        proc = run_process("all", "--bogus")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.endswith(b"omcert all: error: unrecognized arguments: --bogus\n")
+
+    def test_help_exits_0(self):
+        proc = run_process("--help")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith(b"usage: omcert ")
+
+
+# runs omcert.cli as __main__, as ``python -m`` does, and reports the exit
+# code and the collector's freeze count on stderr's last line
+FREEZE_PROBE = """\
+import gc, runpy, sys
+sys.argv = ["omcert", *sys.argv[1:]]
+code = "returned"
+try:
+    runpy.run_module("omcert.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, gc.get_freeze_count(), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["topes", "--output", "{tmp}/topes.json"], 0),
+        (["topes", "--output", "{tmp}/missing/topes.json"], 1),
+        (["topes", "--bogus"], 2),
+        (["--help"], 0),
+    ],
+    ids=["returns-0", "returns-1", "usage-error", "help"],
+)
+def test_process_entry_freezes_on_every_way_out(tmp_path, argv, code):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, frozen = proc.stderr.splitlines()[-1].split()
+    assert int(exit_code) == code
+    assert int(frozen) > 0
+
+
+def test_main_never_freezes(capsys, tmp_path):
+    before = gc.get_freeze_count()
+    assert main(["topes"]) == 0
+    assert main(["topes", "--output", str(tmp_path / "missing" / "topes.json")]) == 1
+    for argv in (["topes", "--bogus"], ["--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_main_block_entry():
+    # the console script and ``python -m omcert.cli`` call one function
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    section = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(re.findall(r'^([\w-]+) = "([\w.:]+)"$', section, re.M))
+    module, function = scripts["omcert"].split(":")
+    tree = ast.parse((SRC / "omcert" / "cli.py").read_text())
+    block = next(
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    )
+    called = [ast.unparse(node.func) for node in ast.walk(block) if isinstance(node, ast.Call)]
+    assert (module, called) == ("omcert.cli", [function])

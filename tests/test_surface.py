@@ -5,7 +5,8 @@ be allowlisted. A helper that only its own unit test calls belongs in
 ``tests/reference.py`` (when a test uses it as an oracle) or nowhere. Likewise
 every parameter with a default is passed by some call in ``src/omcert`` or
 ``bench/probe.py``, so no parameter is set only by tests; ``cli.main``'s
-``argv`` is exempt, because the console entry point calls ``main()`` bare.
+``argv`` is exempt, because the process entry ``cli.entry`` calls ``main()``
+bare.
 
 The walk runs in-process under ``sys.setprofile`` and records the code object
 of every Python frame entered. The library's functions are collected from
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import gc
 import importlib
 import importlib.util
 import pkgutil
@@ -47,7 +49,7 @@ from pathlib import Path
 import pytest
 
 import omcert
-from omcert.cli import main
+from omcert.cli import entry, main
 from omcert.signed_vector import Immutable, SignedVector
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -110,9 +112,9 @@ def load_probe():
     return probe
 
 
-def walk(tmp_path: Path) -> None:
-    """Every command, an invalid certificate, a usage error and help, then
-    every probe mode."""
+def walk(tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+    """Every command, an invalid certificate, a usage error and help, help
+    through the process entry, then every probe mode."""
     search, full = str(tmp_path / "search.json"), str(tmp_path / "all.json")
     text = ["--format", "text"]
     for argv in (
@@ -133,6 +135,13 @@ def walk(tmp_path: Path) -> None:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == code
+    # the entry's freeze is recorded, not made, so this process is not pinned
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    monkeypatch.setattr(sys, "argv", ["omcert", "-h"])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert (exc.value.code, frozen) == (0, [True])
     probe = load_probe()
     for argv in (
         ["validate", full],
@@ -144,7 +153,7 @@ def walk(tmp_path: Path) -> None:
         assert probe.main(argv) == 0, argv
 
 
-def test_every_library_function_is_reached(tmp_path, capsys):
+def test_every_library_function_is_reached(tmp_path, capsys, monkeypatch):
     functions = library_functions()
     assert set(ALLOWED) <= set(functions.values()), "stale allowlist entries"
     entered = set()
@@ -155,7 +164,7 @@ def test_every_library_function_is_reached(tmp_path, capsys):
 
     sys.setprofile(record)
     try:
-        walk(tmp_path)
+        walk(tmp_path, monkeypatch)
     finally:
         sys.setprofile(None)
     capsys.readouterr()
