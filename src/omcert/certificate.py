@@ -35,8 +35,6 @@ document that validates.
 
 from __future__ import annotations
 
-import re
-
 from .contradiction import (
     FULL_N,
     ContradictionCertificate,
@@ -221,13 +219,15 @@ def serialize_certificate(cert: SearchCertificate | ContradictionCertificate | d
 # ----------------------------------------------------------------------
 
 
-_PLAIN_KEY = re.compile(r"[A-Za-z0-9_]+")
+def _plain_key(key: str) -> bool:
+    """A non-empty key of ASCII letters, digits and underscores only."""
+    return key.isascii() and key.replace("_", "0").isalnum()
 
 
 def _path_key(key: str) -> str:
     """A key as it appears in a problem path: plain keys as they are, any other
     as a JSON string literal, so no key can break a problem across lines."""
-    if _PLAIN_KEY.fullmatch(key):
+    if _plain_key(key):
         return key
     import json  # ASCII escapes keep U+0085, U+2028 and U+2029 off the line too
 

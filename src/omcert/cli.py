@@ -25,7 +25,6 @@ import errno
 import gc
 import math
 import os
-import re
 import sys
 
 from .certificate import (
@@ -274,8 +273,19 @@ _COMMANDS = {
     "verify-n8": ("premise, restriction and conflict checks at n=8", (*_EMIT, "--threads", "--certificate")),
     "all": ("full pipeline certificate", (*_EMIT, "--threads")),
 }
-# a token that cannot be an option's value: a dash word that is not a negative number
-_OPTION_LIKE = re.compile(r"-(?!\d+$|\d*\.\d+$)[^ ]+")
+
+
+def _option_like(token: str) -> bool:
+    """A token that cannot be an option's value: a dash word (no space) that
+    is not a negative number, decimal digits with at most one point inside
+    or before them; one trailing newline is ignored, as a regex ``$`` would."""
+    word = token[1:]
+    if token[:1] != "-" or not word or " " in word:
+        return False
+    whole, point, fraction = word.removesuffix("\n").partition(".")
+    if point:
+        return not (fraction.isdecimal() and (whole.isdecimal() or not whole))
+    return not whole.isdecimal()
 
 
 def _usage(command: str | None) -> str:
@@ -366,7 +376,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
             continue
         if not has_value:
             value = next(tokens, None)
-            if value is None or _OPTION_LIKE.fullmatch(value):
+            if value is None or _option_like(value):
                 _usage_error(command, f"argument {name}: expected one argument")
         kind = _OPTIONS[name][1]
         if kind is int:

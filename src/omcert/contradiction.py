@@ -10,13 +10,10 @@ circuits on the support {1,2,5,6}, which no oriented matroid can.
 Two standard facts are consumed as named assumptions rather than re-proved:
 circuits of a deletion are exactly the parent circuits supported inside the
 kept set, and a uniform oriented matroid carries exactly one circuit pair
-per (rank+1)-subset. Both are checked over the search survivors, reading the
-circuit table each survivor record carries, and a failed check fails the
-verdict; the reduction of an arbitrary intermediate to a uniform one is
-recorded as a trusted citation. The search builds that table from the
-survivor's own topes, so on every record it emits the deletion check holds
-exactly when the uniqueness check does; the deletion identity rests on the
-README's argument and ``TestDeletionCheck::test_mask_fields_match_restricted_tope_sets``.
+per (rank+1)-subset. Both are checked over the search survivors against the
+circuits each survivor's topes carry, and each can fail the verdict on its
+own; the reduction of an arbitrary intermediate to a uniform one is recorded
+as a trusted citation.
 
 The n=8 claim is checked apart from this pipeline by ``oracle.direct_search_n8``,
 a search over rank-3 chirotopes that shares no code with the n=6 kernel.
@@ -29,7 +26,6 @@ from .search import (
     SEARCH_N,
     SOURCE_RANK,
     SearchCertificate,
-    SurvivorRecord,
     VerificationError,
     source_topes,
     target_topes,
@@ -152,42 +148,35 @@ def circuits_conflict(a: SignedVector, b: SignedVector) -> bool:
     return a.support_mask == b.support_mask and a != b and a != b.opposite()
 
 
-def _check_circuit_uniqueness(survivors: tuple[SurvivorRecord, ...]) -> bool:
-    """Every survivor carries exactly one circuit pair per 4-subset, i.e. its
-    circuit table has no None entry (``circuit_table`` writes None where
-    zero or several patterns are avoided)."""
-    return all(c is not None for s in survivors for c in s.circuit_table)
+def _check_circuit_uniqueness(tables: tuple[tuple[SignedVector | None, ...], ...]) -> bool:
+    """Every survivor's topes carry exactly one circuit pair per 4-subset:
+    its ``circuit_table`` has no None entry (zero or several avoided patterns)."""
+    return all(c is not None for table in tables for c in table)
 
 
-def _check_deletion_circuits(survivors: tuple[SurvivorRecord, ...]) -> bool:
-    """Circuits of survivor deletions agree with the parent circuits, read
-    from each survivor's circuit table, supported in the kept set, across
-    every 5-element deletion and every 4-subset of it.
+def _check_deletion_circuits(cert: SearchCertificate, tables: tuple[tuple[SignedVector | None, ...], ...]) -> bool:
+    """Each survivor's ``vc_witnesses`` lists the instance's 4-subsets in
+    lexicographic order, each witness equal up to sign to the circuit the
+    survivor's topes carry there (its ``tables`` entry); a None entry is left
+    to ``_check_circuit_uniqueness``.
 
-    One table comparison per survivor checks every deletion: the table must
-    have an entry for each 4-subset Q, none None, equal up to sign to the
-    circuit its topes carry on Q (``matroid.circuit_table``). That is the
-    deletion check because a deletion's pattern field on Q is the parent's:
-    restricting a tope to the kept set and then to Q restricts it to Q, and
-    neither the canonical sign nor deduplication changes the OR of the
-    fields. So every deletion has exactly one avoided pattern on each of its
-    4-subsets, the restricted parent circuit, exactly when the parent does.
-    A record that ``search._survivor_record`` builds carries the
-    ``circuit_table`` of its own topes, so on it this holds exactly when
-    ``_check_circuit_uniqueness`` does; the deletion identity rests on the
-    argument above and ``TestDeletionCheck::test_mask_fields_match_restricted_tope_sets``.
+    That covers every 5-element deletion: on a 4-subset Q of the kept set, a
+    deletion's topes produce the parent's patterns on Q (restricting to the
+    kept set, then to Q, restricts to Q), so the deletion's circuit on Q is
+    the restricted parent circuit (README).
     """
-    for survivor in survivors:
-        carried = circuit_table(survivor.tope_set())
-        if len(survivor.circuit_table) != len(carried):
+    supports = cert.instance.supports
+    for survivor, table in zip(cert.survivors, tables):
+        if tuple(q for q, _ in survivor.vc_witnesses) != supports:
             return False
-        for circuit, want in zip(survivor.circuit_table, carried):
-            if circuit is None or want is None or circuit not in (want, want.opposite()):
+        for (_, witness), circuit in zip(survivor.vc_witnesses, table):
+            if circuit is not None and witness not in (circuit, circuit.opposite()):
                 return False
     return True
 
 
 def _assumption_records(cert: SearchCertificate) -> tuple[AssumptionRecord, ...]:
+    tables = tuple(circuit_table(s.tope_set()) for s in cert.survivors)
     return (
         AssumptionRecord(
             name="deletion-circuits",
@@ -195,7 +184,7 @@ def _assumption_records(cert: SearchCertificate) -> tuple[AssumptionRecord, ...]
                 "circuits of a deletion are exactly the circuits of the parent "
                 "matroid whose support lies inside the kept set"
             ),
-            verified=_check_deletion_circuits(cert.survivors),
+            verified=_check_deletion_circuits(cert, tables),
             note="checked on every 5-element deletion of every survivor",
         ),
         AssumptionRecord(
@@ -204,7 +193,7 @@ def _assumption_records(cert: SearchCertificate) -> tuple[AssumptionRecord, ...]
                 "a uniform oriented matroid of rank r carries exactly one circuit "
                 "pair per (r+1)-subset of the ground set"
             ),
-            verified=_check_circuit_uniqueness(cert.survivors),
+            verified=_check_circuit_uniqueness(tables),
             note="checked on all 4-subsets of every survivor",
         ),
         AssumptionRecord(

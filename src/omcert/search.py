@@ -7,8 +7,7 @@ topes containing all 6 of the target's and drawn from the source's 26. The
 search decides all C(20, 10) = 184,756 ways to pick the 10 free topes,
 keeps the candidates that satisfy the uniform tope-set axioms, and records
 for each survivor the avoided-pattern witnesses, the two named excluded
-topes, and its circuit on every 4-subset, among them the two circuits every
-survivor is forced to share.
+topes, and the two circuits every survivor is forced to share.
 
 One kernel decides every candidate: a pruned depth-first search over pool
 indices in lexicographic order, on bitmasks with one byte per 4-subset
@@ -81,24 +80,21 @@ class SearchInstance(Immutable):
 
 
 class SurvivorRecord(Immutable):
-    """One candidate that passed the uniform tope-set axioms.
-
-    ``circuit_table`` holds the circuit on every (rank+1)-subset in
-    lexicographic order, None where zero or several patterns are avoided;
-    ``circuits`` is its entries on the two forced supports. The table is
-    derived from the topes and is not serialized. To change one field,
-    build a new record from the old one's fields. A record the search
-    builds also keeps the ``TopeSet`` it validated, which is not a field.
+    """One candidate that passed the uniform tope-set axioms: its fields are
+    its certificate entry. ``vc_witnesses`` is the avoided pattern of least
+    index on every (rank+1)-subset, ``circuits`` the circuit its topes carry
+    on each forced support. To change one field, build a new record from the
+    old one's fields. A record the search builds also keeps the ``TopeSet``
+    it validated, which is not a field.
     """
 
-    _fields = ("topes", "vc_witnesses", "excluded_absent", "circuits", "circuit_table")
+    _fields = ("topes", "vc_witnesses", "excluded_absent", "circuits")
     __slots__ = (*_fields, "_tope_set")
 
     topes: tuple[SignedVector, ...]
     vc_witnesses: tuple[tuple[tuple[int, ...], SignedVector], ...]
     excluded_absent: tuple[tuple[str, bool], ...]
     circuits: tuple[tuple[tuple[int, ...], SignedVector], ...]
-    circuit_table: tuple[SignedVector | None, ...]
 
     def tope_set(self) -> TopeSet:
         """The TopeSet of ``topes``: the one the search kept, else a new one
@@ -230,9 +226,9 @@ def saturation_search(instance: SearchInstance) -> SaturationRun:
 
 
 def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> SurvivorRecord:
-    """The record of the base plus the picked pool topes, with its circuit on
-    every support, read off the same ``hit_patterns`` entries as the axiom
-    report; raises if they fail the uniform tope-set axioms or carry no
+    """The record of the base plus the picked pool topes, with its circuits on
+    the forced supports, read off the same ``hit_patterns`` entries as the
+    axiom report; raises if they fail the uniform tope-set axioms or carry no
     unique circuit on a forced support."""
     members = frozenset(instance.base) | {instance.pool[i] for i in picks}
     tope_set = TopeSet(instance.n, instance.rank, members)
@@ -250,7 +246,6 @@ def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> Surviv
         vc_witnesses=report.witnesses,
         excluded_absent=tuple((t, t not in strings) for t in EXCLUDED_TOPES),
         circuits=circuits,
-        circuit_table=table,
     )
     object.__setattr__(record, "_tope_set", tope_set)
     return record

@@ -24,13 +24,16 @@ compare ``oracle.restrictions`` and ``oracle.sandwich_search`` against them.
 ``parse`` is the argparse command line that ``omcert.cli`` had before its
 table-driven parser; the two must agree on every run configuration, the
 certificate path among its fields, and on which command lines are usage
-errors.
+errors. ``OPTION_LIKE`` and ``PLAIN_KEY`` are the patterns that
+``cli._option_like`` and ``certificate._plain_key`` test without ``re``;
+the two must accept the same strings as their pattern's ``fullmatch``.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import re
 from itertools import combinations
 
 from omcert.cli import RunConfig
@@ -284,6 +287,13 @@ def bitset_sandwich_search(source: TopeSet, target: TopeSet, budget: int | None 
 
     exhausted = not descend(0, candidates)
     return OracleRun(tuple(leaves), nodes, exhausted)
+
+
+# a token that cannot be an option's value: a dash word that is not a negative number
+OPTION_LIKE = re.compile(r"-(?!\d+$|\d*\.\d+$)[^ ]+")
+
+# a key a problem path shows as it is
+PLAIN_KEY = re.compile(r"[A-Za-z0-9_]+")
 
 
 def build_parser() -> argparse.ArgumentParser:

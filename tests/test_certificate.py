@@ -22,6 +22,7 @@ from omcert.certificate import (
 from omcert.cli import main
 from omcert.matroid import circuit_table
 from omcert.search import CIRCUIT_SUPPORTS, VerificationError
+from reference import PLAIN_KEY
 
 # sha256 of the emitted certificates; any change to their bytes must be deliberate
 SEARCH_SHA256 = "64f4e2c3c28f2e7c9cd02c4392bfc53380ac0e13d08acf5ad6cfb4d09c9bfaca"
@@ -372,6 +373,13 @@ class TestValidation:
             "document.conclusion.premise_strong_map.method is 'vibes', expected 'tope-inclusion'"
         ]
         assert calls == ["conclusion", "premise_strong_map", "method"]
+
+    @given(key=st.text(st.sampled_from("aZ09_-. \n٣é") | st.characters(), max_size=6))
+    @example(key="")
+    @example(key="_")
+    @example(key="K\u212a")  # a letter outside ASCII
+    def test_plain_key_matches_the_pattern(self, key):
+        assert omcert.certificate._plain_key(key) is bool(PLAIN_KEY.fullmatch(key))
 
     @pytest.mark.parametrize("field", SEARCH_INSTANCE_FIELDS)
     def test_search_instance_metadata_checked(self, search_doc, field):

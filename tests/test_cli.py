@@ -13,7 +13,11 @@ from pathlib import Path
 import pytest
 
 from omcert.certificate import serialize_certificate
-from omcert.cli import _HANDLERS, RunConfig, main, parse_args
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from omcert.cli import _HANDLERS, RunConfig, _option_like, main, parse_args
+from reference import OPTION_LIKE
 from reference import parse as reference_parse
 
 
@@ -55,17 +59,43 @@ def test_import_leaves_out_dataclasses_and_inspect(tmp_path):
     assert not ran & {"argparse", "gettext", "locale", "dataclasses", "inspect", *JSON_MODULES}
 
 
-def test_import_leaves_out_typing_and_contextlib():
-    # annotations are strings, so no module imports typing at run time; under
-    # -I -S nothing else loads it, nor the contextlib it pulls in
+def isolated_cli_import() -> set[str]:
+    """The modules loaded by ``import omcert.cli`` in a fresh ``python -I -S``."""
     code = f"import sys; sys.path.insert(0, {str(SRC)!r}); import omcert.cli; print(*sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert "omcert.cli" in loaded
-    assert not loaded & {"typing", "contextlib"}
+    assert {"omcert.cli", "omcert.certificate"} <= loaded
+    return loaded
+
+
+def test_import_leaves_out_typing_and_contextlib():
+    # annotations are strings, so no module imports typing at run time; under
+    # -I -S nothing else loads it, nor the contextlib it pulls in
+    assert not isolated_cli_import() & {"typing", "contextlib"}
+
+
+def test_import_leaves_out_re():
+    # the option test and the certificate's key test are str methods; under
+    # -I -S no other module loads re
+    assert "re" not in isolated_cli_import()
+
+
+# tokens near the pattern's edges: dashes, points, spaces, newlines, ASCII
+# and non-ASCII decimal digits, and a superscript digit that is not decimal
+TOKEN_CHARS = st.sampled_from("-.0 9\n\ta٣²") | st.characters()
+
+
+@given(token=st.text(TOKEN_CHARS, max_size=6) | st.text(TOKEN_CHARS, max_size=5).map("-".__add__))
+@example(token="-5\n")
+@example(token="-.5")
+@example(token="-5.")
+@example(token="-\n")
+@example(token="-1.5\n\n")
+def test_option_like_matches_the_pattern(token):
+    assert _option_like(token) is bool(OPTION_LIKE.fullmatch(token))
 
 
 def run_cli(capsys, *argv):

@@ -12,6 +12,7 @@ import omcert.contradiction
 from omcert.certificate import serialize_certificate, validate_contradiction_document
 from omcert.contradiction import (
     CONFLICT_SUPPORT,
+    FULL_N,
     KEPT_A,
     KEPT_B,
     build_contradiction_certificate,
@@ -20,11 +21,11 @@ from omcert.contradiction import (
     lift_through_restriction,
     verify_premise,
 )
-from omcert.matroid import TopeSet, circuit_table
+from omcert.matroid import Chirotope, TopeSet, check_uniform_tope_axioms, circuit_table, subset_ranks
 from omcert.oracle import DirectSearchOutcome, direct_search_n8
-from omcert.search import SurvivorRecord, source_topes, target_topes
+from omcert.search import SearchCertificate, SurvivorRecord, source_topes, target_topes
 from omcert.signed_vector import SignedVector
-from omcert.strong_map import is_strong_map_topes
+from omcert.strong_map import StrongMapVerdict, is_strong_map_topes
 from reference import alternating_topes_direct, restrict, restriction_tope_set
 
 sv = SignedVector.parse
@@ -126,7 +127,7 @@ class TestCertificate:
         ],
     )
     def test_failed_assumption_fails_verdict(self, monkeypatch, search_certificate, check, name):
-        monkeypatch.setattr(omcert.contradiction, check, lambda tables: False)
+        monkeypatch.setattr(omcert.contradiction, check, lambda *args: False)
         cert = build_contradiction_certificate(search_cert=search_certificate)
         assert cert.verdict == f"invalid:{name}"
         doc = json.loads(serialize_certificate(cert))
@@ -138,54 +139,77 @@ class TestCertificate:
         assert any(p.startswith("document.conclusion.verdict is") for p in problems)
 
 
-def with_table_entry(survivor, index, entry):
-    table = list(survivor.circuit_table)
-    table[index] = entry
-    return SurvivorRecord(
-        topes=survivor.topes,
-        vc_witnesses=survivor.vc_witnesses,
-        excluded_absent=survivor.excluded_absent,
-        circuits=survivor.circuits,
-        circuit_table=tuple(table),
-    )
+def with_survivors(cert: SearchCertificate, survivors) -> SearchCertificate:
+    return SearchCertificate(cert.instance, cert.combinations_checked, tuple(survivors), cert.conclusion_circuits)
 
 
+def with_witnesses(survivor: SurvivorRecord, witnesses) -> SurvivorRecord:
+    return SurvivorRecord(survivor.topes, tuple(witnesses), survivor.excluded_absent, survivor.circuits)
+
+
+def other_pattern(circuit: SignedVector) -> SignedVector:
+    """Another canonical pattern on the same support: the last element flipped."""
+    last = 1 << (circuit.support_mask.bit_length() - 1)
+    swapped = SignedVector(circuit.n, circuit.pos ^ last, circuit.neg ^ last)
+    assert swapped.support_mask == circuit.support_mask and swapped.is_canonical()
+    return swapped
+
+
+def with_swapped_witness(cert: SearchCertificate, survivor: int, index: int) -> SearchCertificate:
+    """``cert`` with one survivor's witness on one 4-subset swapped for
+    another pattern there; the topes still carry one circuit per 4-subset."""
+    survivors = list(cert.survivors)
+    witnesses = list(survivors[survivor].vc_witnesses)
+    q, witness = witnesses[index]
+    witnesses[index] = (q, other_pattern(witness))
+    survivors[survivor] = with_witnesses(survivors[survivor], witnesses)
+    return with_survivors(cert, survivors)
+
+
+def check_deletion(cert: SearchCertificate) -> bool:
+    tables = tuple(circuit_table(s.tope_set()) for s in cert.survivors)
+    return omcert.contradiction._check_deletion_circuits(cert, tables)
+
+
+QUADS = tuple(combinations(range(1, 7), 4))
 SOURCE6 = alternating_topes_direct(6, 4).ordered
 
 
 def deletion_oracle(survivor: SurvivorRecord) -> bool:
-    """The deletion check on objects: on every 5-element kept set, the
-    circuits of the deletion's own tope set equal, up to sign, the circuit
-    table's entries on the kept set's 4-subsets, restricted to it."""
-    if len(survivor.circuit_table) != 15:
+    """The deletion check on objects: the witnesses name the 4-subsets in
+    lexicographic order, and on every 5-element kept set each circuit the
+    deletion's own tope set carries equals, up to sign, the witness on that
+    4-subset restricted to the kept set."""
+    if tuple(q for q, _ in survivor.vc_witnesses) != QUADS:
         return False
-    table = dict(zip(combinations(range(1, 7), 4), survivor.circuit_table))
+    witnesses = dict(survivor.vc_witnesses)
     parent = survivor.tope_set()
     for kept in combinations(range(1, 7), 5):
         carried = circuit_table(restriction_tope_set(parent, kept))
         for q, want in zip(combinations(kept, 4), carried):
-            circuit = table[q]
-            if circuit is None or want is None or restrict(circuit, kept) not in (want, want.opposite()):
+            if want is not None and restrict(witnesses[q], kept) not in (want, want.opposite()):
                 return False
     return True
+
+
+def least_avoided_witnesses(tope_set: TopeSet) -> tuple:
+    """The pattern of least index each 4-subset avoids, ``++++`` on one that avoids none."""
+    found = dict(check_uniform_tope_axioms(tope_set).witnesses)
+    return tuple((q, found.get(q, SignedVector(6, sum(1 << (e - 1) for e in q), 0))) for q in QUADS)
 
 
 class TestDeletionCheck:
     @pytest.mark.parametrize("index", [0, 7, 14])
     def test_swapped_circuit_rejected(self, search_certificate, index):
-        # another canonical pattern on the same support: flip its last element
-        survivors = search_certificate.survivors
-        circuit = survivors[3].circuit_table[index]
-        last = 1 << (circuit.support_mask.bit_length() - 1)
-        swapped = SignedVector(circuit.n, circuit.pos ^ last, circuit.neg ^ last)
-        assert swapped.support_mask == circuit.support_mask and swapped.is_canonical()
-        bad = survivors[:3] + (with_table_entry(survivors[3], index, swapped),) + survivors[4:]
-        assert omcert.contradiction._check_deletion_circuits(bad) is False
+        assert check_deletion(with_swapped_witness(search_certificate, 3, index)) is False
 
     def test_missing_circuit_rejected(self, search_certificate):
-        survivors = search_certificate.survivors
-        bad = (with_table_entry(survivors[0], 5, None),) + survivors[1:]
-        assert omcert.contradiction._check_deletion_circuits(bad) is False
+        # the last witness dropped: every remaining one still matches its circuit
+        survivors = list(search_certificate.survivors)
+        witnesses = list(survivors[0].vc_witnesses)
+        del witnesses[-1]
+        survivors[0] = with_witnesses(survivors[0], witnesses)
+        assert check_deletion(with_survivors(search_certificate, survivors)) is False
 
     def test_mask_fields_match_restricted_tope_sets(self, search_certificate):
         # the identity behind the check: a deletion's pattern field on a
@@ -202,35 +226,111 @@ class TestDeletionCheck:
     @example(topes=0, mutation="none", index=0, shift=1)
     @example(topes=4, mutation="negate", index=9, shift=1)
     @example(topes=7, mutation="swap", index=3, shift=1)
+    @example(topes=2, mutation="reorder", index=14, shift=1)
     @given(
         topes=st.integers(0, 19) | st.lists(st.integers(0, 25), min_size=16, max_size=16, unique=True),
-        mutation=st.sampled_from(("none", "swap", "negate", "empty", "move")),
+        mutation=st.sampled_from(("none", "swap", "negate", "drop", "move", "reorder")),
         index=st.integers(0, 14),
         shift=st.integers(1, 14),
     )
     def test_check_equals_object_path_oracle(self, search_certificate, topes, mutation, index, shift):
-        # a survivor, or 16 random alt(6,4) topes with their own table; then
-        # one table entry swapped, negated, set to None or put on another support
+        # a survivor, or 16 random alt(6,4) topes with their least avoided
+        # patterns as witnesses; then one witness swapped, negated, dropped,
+        # taken from another support or moved to another place
         if isinstance(topes, int):
             record = search_certificate.survivors[topes]
         else:
             tope_set = TopeSet(6, 3, frozenset(SOURCE6[i] for i in topes))
-            record = SurvivorRecord(tope_set.ordered, (), (), (), circuit_table(tope_set))
-        entry = record.circuit_table[index]
-        if mutation == "swap" and entry is not None:
-            last = 1 << (entry.support_mask.bit_length() - 1)
-            entry = SignedVector(entry.n, entry.pos ^ last, entry.neg ^ last)
-        elif mutation == "negate" and entry is not None:
-            entry = entry.opposite()
-        elif mutation == "empty":
-            entry = None
+            record = SurvivorRecord(tope_set.ordered, least_avoided_witnesses(tope_set), (), ())
+        witnesses = list(record.vc_witnesses)
+        q, witness = witnesses[index]
+        other = (index + shift) % 15
+        if mutation == "swap":
+            witnesses[index] = (q, other_pattern(witness))
+        elif mutation == "negate":
+            witnesses[index] = (q, witness.opposite())
+        elif mutation == "drop":
+            del witnesses[index]
         elif mutation == "move":
-            entry = record.circuit_table[(index + shift) % 15]
-        record = with_table_entry(record, index, entry)
+            witnesses[index] = (q, witnesses[other][1])
+        elif mutation == "reorder":
+            witnesses[index], witnesses[other] = witnesses[other], witnesses[index]
+        record = with_witnesses(record, witnesses)
         expected = deletion_oracle(record)
-        assert omcert.contradiction._check_deletion_circuits((record,)) is expected
+        assert check_deletion(with_survivors(search_certificate, [record])) is expected
         if isinstance(topes, int):
             assert expected is (mutation in ("none", "negate"))
+
+
+class TestVerdictNames:
+    """Each gate forced closed on its own is the one the verdict names."""
+
+    def verdict(self, search_certificate) -> str:
+        return build_contradiction_certificate(search_cert=search_certificate).verdict
+
+    def test_premise(self, monkeypatch, search_certificate):
+        failed = StrongMapVerdict(holds=False, method="tope-inclusion", corank=2, witness=None)
+        monkeypatch.setattr(omcert.contradiction, "is_strong_map_topes", lambda source, target: failed)
+        assert self.verdict(search_certificate) == "invalid:premise"
+
+    def test_search(self, search_certificate):
+        survivors = list(search_certificate.survivors)
+        first = survivors[0]
+        excluded = ((first.excluded_absent[0][0], False), *first.excluded_absent[1:])
+        survivors[0] = SurvivorRecord(first.topes, first.vc_witnesses, excluded, first.circuits)
+        assert self.verdict(with_survivors(search_certificate, survivors)) == "invalid:search"
+
+    @pytest.mark.parametrize(
+        "name, family, inside",
+        [
+            # an n=8 value on a subset inside one kept set only, flipped
+            ("restriction-a", "alternating_chirotope", (1, 2, 3, 4)),
+            ("restriction-a", "pair_swap_chirotope", (3, 4)),
+            ("restriction-b", "alternating_chirotope", (1, 2, 7, 8)),
+            ("restriction-b", "pair_swap_chirotope", (7, 8)),
+        ],
+        ids=["a-source", "a-target", "b-source", "b-target"],
+    )
+    def test_restriction(self, monkeypatch, search_certificate, name, family, inside):
+        build = getattr(omcert.contradiction, family)
+
+        def flipped(n, *rank):
+            chi = build(n, *rank)
+            if n != FULL_N:
+                return chi
+            values = list(chi.values)
+            values[subset_ranks(n, chi.r)[inside]] *= -1
+            return Chirotope(n, chi.r, tuple(values))
+
+        monkeypatch.setattr(omcert.contradiction, family, flipped)
+        assert self.verdict(search_certificate) == f"invalid:{name}"
+
+    def test_circuit_conflict(self, monkeypatch, search_certificate):
+        monkeypatch.setattr(omcert.contradiction, "circuits_conflict", lambda a, b: False)
+        assert self.verdict(search_certificate) == "invalid:circuit-conflict"
+
+    def test_deletion_circuits(self, search_certificate):
+        cert = build_contradiction_certificate(with_swapped_witness(search_certificate, 3, 7))
+        verified = {a.name: a.verified for a in cert.assumptions}
+        assert verified["deletion-circuits"] is False
+        assert verified["uniform-circuit-uniqueness"] is True
+        assert cert.verdict == "invalid:deletion-circuits"
+
+    def test_uniform_circuit_uniqueness(self, search_certificate):
+        # survivor 0 without the tope ++++--: two patterns avoided on
+        # {3,4,5,6}, one on every other 4-subset, witnesses as the axiom
+        # report gives them
+        survivors = list(search_certificate.survivors)
+        first = survivors[0]
+        tope_set = TopeSet(6, 3, first.tope_set().topes - {sv("++++--")})
+        assert [q for q, c in zip(QUADS, circuit_table(tope_set)) if c is None] == [(3, 4, 5, 6)]
+        witnesses = check_uniform_tope_axioms(tope_set).witnesses
+        survivors[0] = SurvivorRecord(tope_set.ordered, witnesses, first.excluded_absent, first.circuits)
+        cert = build_contradiction_certificate(with_survivors(search_certificate, survivors))
+        verified = {a.name: a.verified for a in cert.assumptions}
+        assert verified["deletion-circuits"] is True
+        assert verified["uniform-circuit-uniqueness"] is False
+        assert cert.verdict == "invalid:uniform-circuit-uniqueness"
 
 
 class TestDirectSearch:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -14,6 +15,7 @@ from omcert.matroid import (
     check_covector_axioms,
     check_uniform_tope_axioms,
     circuit_on_support,
+    circuit_table,
     pattern_bytes,
 )
 from omcert.search import (
@@ -25,6 +27,7 @@ from omcert.search import (
     SearchInstance,
     SurvivorRecord,
     VerificationError,
+    _survivor_record,
     pattern_masks,
     saturation_search,
     source_topes,
@@ -168,9 +171,23 @@ class TestEnumeration:
         quads = tuple(combinations(range(1, 7), 4))
         for survivor in search_certificate.survivors:
             ts = survivor.tope_set()
-            table = survivor.circuit_table
+            table = circuit_table(ts)
             assert table == tuple(circuit_on_support(ts, q) for q in quads)
             assert tuple((q, table[quads.index(q)]) for q in CIRCUIT_SUPPORTS) == survivor.circuits
+
+    def test_saturated_picks_raise(self, search_instance):
+        # the kernel's first pruned child is (0, 1, ..., depth): its first
+        # descents keep the prefix 0..depth-1 unsaturated, and adding pool
+        # tope ``depth`` saturates a byte; every pick extending it does too
+        base, pool_masks = pattern_masks(search_instance)
+        mask, depth = base, 0
+        while not any((mask | pool_masks[depth]) >> 8 * q & 0xFF == 0xFF for q in range(15)):
+            mask |= pool_masks[depth]
+            depth += 1
+        assert depth < search_instance.choose - 1
+        picks = tuple(range(search_instance.choose))
+        with pytest.raises(VerificationError, match=re.escape(f"picks {picks} fail the uniform tope-set axioms")):
+            _survivor_record(search_instance, picks)
 
     def test_survivors_contain_base(self, search_certificate, search_instance):
         base = set(search_instance.base)
@@ -281,8 +298,9 @@ class TestConclusions:
     def test_witness_and_circuit_built_once(self, search_certificate):
         # a survivor avoids one pattern per 4-subset: its witness is its circuit
         for survivor in search_certificate.survivors:
-            assert len(survivor.vc_witnesses) == len(survivor.circuit_table) == 15
-            for (_, witness), circuit in zip(survivor.vc_witnesses, survivor.circuit_table):
+            table = circuit_table(survivor.tope_set())
+            assert len(survivor.vc_witnesses) == len(table) == 15
+            for (_, witness), circuit in zip(survivor.vc_witnesses, table):
                 assert witness is circuit
 
     def test_verify_rejects_tampered_certificate(self, search_certificate):
@@ -292,7 +310,6 @@ class TestConclusions:
             vc_witnesses=first.vc_witnesses,
             excluded_absent=((EXCLUDED_TOPES[0], False), (EXCLUDED_TOPES[1], True)),
             circuits=first.circuits,
-            circuit_table=first.circuit_table,
         )
         tampered = SearchCertificate(
             instance=search_certificate.instance,

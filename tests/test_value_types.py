@@ -79,7 +79,6 @@ def survivor(**changed) -> SurvivorRecord:
         "vc_witnesses": (((1, 2), sv("+-")),),
         "excluded_absent": (("+-", True),),
         "circuits": (((1, 2), sv("+-")),),
-        "circuit_table": (sv("+-"),),
     }
     return SurvivorRecord(**(fields | changed))
 
@@ -127,7 +126,7 @@ def instances() -> list[tuple[object, str]]:
         (sv("+-0"), "pos"),
         (alternating_chirotope(4, 2), "values"),
         (topes, "topes"),
-        (survivor(), "circuit_table"),
+        (survivor(), "circuits"),
         (check_uniform_tope_axioms(topes), "witnesses"),
         (check_covector_axioms(covectors_of(alternating_chirotope(3, 2))), "vector_count"),
         (instance, "pool"),
