@@ -189,7 +189,7 @@ def _pattern_slots(n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Bit-sliced subset table for ``pattern_bytes``: ``slots[k][e - 1]``
     has the lowest bit of the field of every (r+1)-subset whose k-th element
     is e, and ``low`` has the lowest bit of every field."""
-    width = 1 << r
+    width = (1 << r) + 1
     slots = [[0] * n for _ in range(r + 1)]
     low = 0
     for i, q in enumerate(combinations(range(1, n + 1), r + 1)):
@@ -202,23 +202,27 @@ def _pattern_slots(n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 @cache
 def pattern_bytes(neg: int, n: int, r: int) -> int:
     """Packed pattern fields of a full-support vector on 1..n, from its
-    negative mask: one field of 2**r bits per (r+1)-subset Q in
-    lexicographic order, holding the single bit of the vector's canonical
-    pattern on Q. That pattern's index normalizes the sign at the least
-    element of Q to '+' and sets bit j-1 when the j-th further element then
-    reads '-'; ``_pattern_vector`` is the inverse. So on (1, 2, 3), '++-' is
-    2 and '+-+' is 1.
+    negative mask: one field per (r+1)-subset Q in lexicographic order, of
+    2**r pattern bits holding the single bit of the vector's canonical
+    pattern on Q, under one guard bit kept at 0, so 2**r + 1 bits in all.
+    That pattern's index normalizes the sign at the least element of Q to
+    '+' and sets bit j-1 when the j-th further element then reads '-';
+    ``_pattern_vector`` is the inverse. So on (1, 2, 3), '++-' is 2 and
+    '+-+' is 1, and the all-plus vector (``neg`` 0) has bit 0 of every field.
 
     ORing the fields of several vectors gives, field by field, the set of
-    canonical patterns their restrictions produce. At r = 3 a field is one
-    byte. Cached per (neg, n, r): a tope's fields are built once per process.
+    canonical patterns their restrictions produce, and the guards stay 0.
+    So adding the all-plus vector's fields carries into a guard exactly
+    where all 2**r patterns are hit, and never across a field: one add
+    tests every field (Warren, *Hacker's Delight*, ch. 6). Cached per
+    (neg, n, r): a tope's fields are built once per process.
 
     All fields are built at once, bit-sliced: ``v[k]`` has the lowest bit of
     each field whose subset's k-th element is negative, so ``v[k] ^ v[0]``
     marks the fields where bit k-1 of the pattern index is set. Starting from
     bit 0 in every field, each such k moves the field's one bit up by
-    2**(k-1), which stays inside the field because the index so far is below
-    2**(k-1).
+    2**(k-1), which stays below the field's guard because the index so far
+    is below 2**(k-1).
     """
     slots, low = _pattern_slots(n, r)
     negative = [e for e in range(n) if neg >> e & 1]
@@ -241,9 +245,9 @@ class TopeSet(Immutable):
     cached on first use: for every (r+1)-subset Q in lexicographic order, a
     bitmask of the canonical patterns (numbered as in ``pattern_bytes``) that
     the topes' restrictions to Q produce. It is the OR of the topes'
-    ``pattern_bytes``, split back into one entry per Q. Every axiom and
-    circuit check reads it. It is not a field, so neither equality nor the
-    certificate bytes read it. The sorted topes, ``ordered``, and their
+    ``pattern_bytes``, split back into one entry per Q without its guard
+    bit. Every axiom and circuit check reads it. It is not a field, so
+    neither equality nor the certificate bytes read it. The sorted topes, ``ordered``, and their
     ``strings`` are cached the same way; the caches live in the instance
     ``__dict__``, which ``cached_property`` writes directly.
     """
@@ -278,8 +282,8 @@ class TopeSet(Immutable):
         packed = 0
         for t in self.topes:
             packed |= pattern_bytes(t.neg, self.n, self.r)
-        width = 1 << self.r
-        ones = (1 << width) - 1
+        width = (1 << self.r) + 1
+        ones = (1 << width - 1) - 1
         count = math.comb(self.n, self.r + 1)
         return tuple(packed >> (width * i) & ones for i in range(count))
 

@@ -10,16 +10,13 @@ for each survivor the avoided-pattern witnesses, the two named excluded
 topes, and the two circuits every survivor is forced to share.
 
 One kernel decides every candidate: a pruned depth-first search over pool
-indices in lexicographic order, on bitmasks with one byte per 4-subset
-holding which of its 8 canonical restriction patterns a tope produces (the
-tope's ``matroid.pattern_bytes``, the fields every tope set's
-``hit_patterns`` table is split from). A candidate fails
-exactly when some 4-subset's byte saturates (all 8 patterns hit). Each
-byte sits in a 9-bit field under a guard bit kept at 0, and adding 1 to
-every field carries into a guard exactly where the byte is 0xFF, so one add
-tests every byte of a child (Warren, *Hacker's Delight*, ch. 6). Bytes only
-accumulate, so a saturated prefix is pruned and the combinations below it
-are decided unvisited. The search ends only
+indices in lexicographic order, on the topes' ``matroid.pattern_bytes``,
+one field per (rank+1)-subset holding which of its canonical restriction
+patterns a tope produces (the fields every tope set's ``hit_patterns``
+table is split from). A candidate fails exactly when some field saturates
+(all its patterns hit), which one carry test over the fields' guard bits
+decides. Fields only accumulate, so a saturated prefix is pruned and the
+combinations below it are decided unvisited. The search ends only
 after the root's last child, so it credits every combination, 184,756, by
 construction; the tests' recursive reference credits each subtree.
 Survivors are re-verified through the ordinary axiom checker, which also
@@ -147,19 +144,6 @@ def build_search_instance() -> SearchInstance:
 # ----------------------------------------------------------------------
 
 
-def pattern_masks(instance: SearchInstance) -> tuple[int, tuple[int, ...]]:
-    """The base topes' OR and each pool tope's ``matroid.pattern_bytes`` at
-    the instance's rank 3: one byte per 4-subset, in lexicographic order,
-    holding the bit of the canonical pattern the tope's restriction produces
-    there, the fields a tope set's ``hit_patterns`` splits apart. ORing tope
-    masks accumulates the hit patterns; a byte reaching 0xFF means all 8 are hit."""
-    n, r = instance.n, instance.rank
-    base = 0
-    for t in instance.base:
-        base |= pattern_bytes(t.neg, n, r)
-    return base, tuple(pattern_bytes(t.neg, n, r) for t in instance.pool)
-
-
 class SaturationRun(Immutable):
     """What one kernel run found and counted."""
 
@@ -172,33 +156,36 @@ class SaturationRun(Immutable):
 
 def saturation_search(instance: SearchInstance) -> SaturationRun:
     """Pruned depth-first search for the ``choose``-subsets of the pool whose
-    combined pattern mask, with the base's, saturates no byte.
+    ``pattern_bytes``, ORed with the base's, saturate no field.
 
     Pool indices are picked in increasing order, so selections are found in
     lexicographic order. A node is one child tried on top of an unsaturated
-    prefix. A child that saturates a byte is pruned exactly, because pattern
-    bytes only accumulate along a branch, with its whole subtree unvisited.
+    prefix. A child that saturates a field is pruned exactly, because pattern
+    fields only accumulate along a branch, with its whole subtree unvisited.
     The search is one loop: each level's pick and prefix mask are kept in
     preallocated lists, and the end of the child range moves with the
     depth. A descent saves the prefix's mask; an ascent restores it and
     resumes at the next pick.
 
-    The carry test: once per run, each pattern byte is laid into a 9-bit
-    field under a guard bit that stays 0. Adding ``low``, each field's
-    lowest bit, carries into a guard exactly where the byte is 0xFF and
-    never across a field, so a child saturates a byte iff its mask plus
-    ``low`` meets ``guard``. A byte the base alone saturates stays 0xFF in
-    every child, so every root child is tried and pruned.
+    The carry test: ``low``, the all-plus vector's fields, has pattern 0, the
+    lowest bit, in every field, so a child saturates a field iff its mask
+    plus ``low`` meets ``guard``, the fields' guard bits. A field the base
+    alone saturates stays full in every child, so every root child is tried
+    and pruned. With ``choose`` 0 the one empty selection is the base alone.
 
     The loop leaves only at the root's end, so ``credited`` is
     comb(npool, choose) by construction; the independent count is the tests'
     reference, which credits each subtree.
     """
-    base, pool_bytes = pattern_masks(instance)
-    fields = range(len(instance.supports))
-    mask, *pool_masks = (sum((m >> 8 * q & 0xFF) << 9 * q for q in fields) for m in (base, *pool_bytes))
-    low = sum(1 << 9 * q for q in fields)
-    npool, choose, guard = len(pool_masks), instance.choose, low << 8
+    n, r = instance.n, instance.rank
+    mask = 0
+    for t in instance.base:
+        mask |= pattern_bytes(t.neg, n, r)
+    pool_masks = [pattern_bytes(t.neg, n, r) for t in instance.pool]
+    low = pattern_bytes(0, n, r)
+    npool, choose, guard = len(pool_masks), instance.choose, low << 2**r
+    if not choose:
+        return SaturationRun(() if (mask + low) & guard else ((),), 0, 1)
     found: list[tuple[int, ...]] = []
     picks, saved = [0] * choose, [0] * choose
     last, depth, i, nodes, end = choose - 1, 0, 0, 0, npool - choose + 1
@@ -253,7 +240,14 @@ def _survivor_record(instance: SearchInstance, picks: tuple[int, ...]) -> Surviv
 
 def enumerate_survivors(instance: SearchInstance) -> SearchCertificate:
     """Run the kernel once over the whole instance and assemble the
-    certificate; the conclusion is the first survivor's circuit pair."""
+    certificate; the conclusion is the first survivor's circuit pair.
+    Raises ValueError, before the kernel runs, when the instance's supports
+    lack a forced circuit's."""
+    lacking = [q for q in CIRCUIT_SUPPORTS if q not in instance.supports]
+    if lacking:
+        raise ValueError(
+            f"an instance on n={instance.n} at rank {instance.rank} has no forced circuit support {lacking}"
+        )
     run = saturation_search(instance)
     survivors = tuple(_survivor_record(instance, picks) for picks in run.picks)
     if not survivors:

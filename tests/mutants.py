@@ -31,7 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-C, S, O, V = "contradiction.py", "search.py", "oracle.py", "certificate.py"
+C, S, O, V, M = "contradiction.py", "search.py", "oracle.py", "certificate.py", "matroid.py"
 VERDICTS = "tests/test_contradiction.py::TestVerdictNames"
 
 MUTANTS = {
@@ -118,15 +118,27 @@ MUTANTS = {
     ),
     "kernel-guard-low-by-one": (
         S,
-        "instance.choose, low << 8",
-        "instance.choose, low << 7",
+        "instance.choose, low << 2**r",
+        "instance.choose, low << 2**r - 1",
         "tests/test_search.py::TestKernel::test_matches_flat_scan_reference",
     ),
     "kernel-low-skips-a-field": (
         S,
-        "low = sum(1 << 9 * q for q in fields)",
-        "low = sum(1 << 9 * q for q in fields[1:])",
+        "low = pattern_bytes(0, n, r)",
+        "low = pattern_bytes(0, n, r) & ~1",
         "tests/test_search.py::TestKernel::test_matches_flat_scan_reference",
+    ),
+    "pattern-fields-unguarded": (
+        M,
+        "width = (1 << r) + 1",
+        "width = 1 << r",
+        "tests/test_matroid.py::TestPatternBytes::test_fields_agree_with_pattern_index",
+    ),
+    "forced-circuit-unread": (
+        S,
+        "            if got != want:",
+        "            if False:",
+        "tests/test_search.py::TestConclusions::test_verify_rejects_a_survivor_off_the_forced_circuit",
     ),
     "excluded-flag-unread": (
         S,
@@ -165,6 +177,12 @@ MUTANTS = {
         'f"{_path((*path, key))} is unexpected" for key in stated if key not in expected',
         'f"{_path((*path, key))} is unexpected" for key in stated if False',
         "tests/test_certificate.py::TestValidation::test_edit_rejected_at_its_path[extra-key]",
+    ),
+    "lemma6-conclusions-unchecked": (
+        V,
+        "            verify_search_conclusions(search)\n",
+        "            pass\n",
+        "tests/test_certificate.py::TestValidation::test_search_conclusions_checked",
     ),
     "json-type-unchecked": (
         V,

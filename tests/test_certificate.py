@@ -344,6 +344,14 @@ class TestValidation:
             assert problems[0].startswith("the search failed: picks (")
             assert problems[0].endswith("carry no unique circuit on (1, 2, 5, 6)")
 
+    def test_search_conclusions_checked(self, monkeypatch, search_doc):
+        # the document equals the regenerated one, but the forced pair the
+        # search must carry is another: a lemma6 document then fails
+        monkeypatch.setattr(omcert.search, "FORCED_CIRCUITS", ("+-+-00", "+-00+-"))
+        assert validate_search_document(search_doc) == [
+            "search conclusions do not hold: survivor 0: circuit on (1, 2, 5, 6) is +-00-+, expected +-00+-"
+        ]
+
     def test_validation_builds_each_survivor_entry_once(self, monkeypatch, contradiction_doc):
         built = []
 

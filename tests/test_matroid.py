@@ -494,7 +494,8 @@ class TestUniformTopeAxioms:
 class TestPatternBytes:
     @pytest.mark.parametrize("n, r", [(4, 2), (6, 2), (5, 3), (6, 3), (8, 3), (5, 4), (7, 4)])
     def test_fields_agree_with_pattern_index(self, n, r):
-        width = 1 << r
+        # each field is 2**r pattern bits under a guard bit that stays 0
+        width = (1 << r) + 1
         subsets = list(combinations(range(1, n + 1), r + 1))
         for neg in range(1 << n):
             packed = pattern_bytes(neg, n, r)
@@ -504,11 +505,12 @@ class TestPatternBytes:
 
     def test_rank_four_fields_are_sixteen_bits(self):
         # element 5 negative puts pattern 8 on {1,...,5}: bit 8 of the first
-        # field, which a byte-wide packing would lose into the next field
+        # field, which a byte-wide packing would lose into the next field;
+        # each 16-bit field sits under its guard, so fields are 17 bits apart
         neg = 0b010000
         assert pattern_index(neg, (1, 2, 3, 4, 5)) == 8
         fields = [8, 0, 4, 4, 4, 4]
-        assert pattern_bytes(neg, 6, 4) == sum(1 << 16 * i + pid for i, pid in enumerate(fields))
+        assert pattern_bytes(neg, 6, 4) == sum(1 << 17 * i + pid for i, pid in enumerate(fields))
 
     def test_hit_patterns_agree_with_pattern_index(self, alt64, swap6, alt84):
         for topes in (alt64, swap6, alt84):

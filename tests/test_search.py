@@ -28,7 +28,7 @@ from omcert.search import (
     SurvivorRecord,
     VerificationError,
     _survivor_record,
-    pattern_masks,
+    enumerate_survivors,
     saturation_search,
     source_topes,
     target_topes,
@@ -36,20 +36,46 @@ from omcert.search import (
 )
 from omcert.signed_vector import SignedVector
 from omcert.strong_map import is_strong_map_topes
-from reference import alternating_topes_direct, covectors_from_topes, perpendicular, restrict, restriction_tope_set
+from reference import (
+    alternating_topes_direct,
+    covectors_from_topes,
+    pattern_index,
+    perpendicular,
+    restrict,
+    restriction_tope_set,
+)
 
 sv = SignedVector.parse
 
 
+def reference_masks(instance: SearchInstance) -> tuple[int, list[int], int]:
+    """The base's OR and each pool tope's pattern mask, packed from
+    ``reference.pattern_index`` (not from the kernel's ``pattern_bytes``):
+    one field of 2**rank bits per (rank+1)-subset, with no guard bit, and
+    that field width."""
+    width, supports = 1 << instance.rank, instance.supports
+
+    def packed(tope: SignedVector) -> int:
+        return sum(1 << width * i + pattern_index(tope.neg, q) for i, q in enumerate(supports))
+
+    base = 0
+    for tope in instance.base:
+        base |= packed(tope)
+    return base, [packed(tope) for tope in instance.pool], width
+
+
 def pruned_dfs(instance: SearchInstance) -> SaturationRun:
-    """Reference kernel: the recursive pruned search, testing every byte of
-    each child's mask with Mycroft's zero-byte test on its complement."""
-    base, pool_masks = pattern_masks(instance)
-    npool, choose = len(pool_masks), instance.choose
-    low = int.from_bytes(b"\x01" * len(instance.supports), "little")
-    full, high = (1 << 8 * len(instance.supports)) - 1, low << 7
+    """Reference kernel: the recursive pruned search, testing every field of
+    each child's mask with Mycroft's zero-field test on its complement."""
+    base, pool_masks, width = reference_masks(instance)
+    npool, choose, count = len(pool_masks), instance.choose, len(instance.supports)
+    low = sum(1 << width * i for i in range(count))
+    full, high = (1 << width * count) - 1, low << width - 1
     found: list[tuple[int, ...]] = []
     nodes = credited = 0
+
+    def saturated(m: int) -> int:
+        return ((m ^ full) - low) & m & high
 
     def walk(children: range, prefix: tuple[int, ...], mask: int, rem: int) -> None:
         """Try each child after ``prefix``."""
@@ -57,7 +83,7 @@ def pruned_dfs(instance: SearchInstance) -> SaturationRun:
         for i in children:
             nodes += 1
             m = mask | pool_masks[i]
-            if ((m ^ full) - low) & m & high:
+            if saturated(m):
                 credited += math.comb(npool - i - 1, rem - 1)
             elif rem == 1:
                 found.append((*prefix, i))
@@ -65,6 +91,8 @@ def pruned_dfs(instance: SearchInstance) -> SaturationRun:
             else:
                 walk(range(i + 1, npool - rem + 2), (*prefix, i), m, rem - 1)
 
+    if not choose:
+        return SaturationRun(() if saturated(base) else ((),), 0, 1)
     walk(range(npool - choose + 1), (), base, choose)
     return SaturationRun(tuple(found), nodes, credited)
 
@@ -80,17 +108,29 @@ def n8_instance() -> SearchInstance:
 
 def flat_scan(instance: SearchInstance) -> list[tuple[int, ...]]:
     """Reference: visit every combination in lexicographic order and test
-    each pattern byte on its own, with no pruning."""
-    base, pool_masks = pattern_masks(instance)
-    offsets = range(0, 8 * len(instance.supports), 8)
+    each pattern field on its own, with no pruning."""
+    base, pool_masks, width = reference_masks(instance)
+    full = (1 << width) - 1
+    offsets = range(0, width * len(instance.supports), width)
     expected = []
     for combo in combinations(range(len(instance.pool)), instance.choose):
         m = base
         for i in combo:
             m |= pool_masks[i]
-        if all((m >> off) & 0xFF != 0xFF for off in offsets):
+        if all(m >> off & full != full for off in offsets):
             expected.append(combo)
     return expected
+
+
+def sandwich(n: int, rank: int) -> SearchInstance:
+    """The kernel's instance between alternating tope sets, built as
+    ``build_search_instance`` builds n=6's: base = alt(n, rank-1)'s topes,
+    pool = alt(n, rank+1)'s others, choose what a rank-``rank`` tope set
+    needs on top of the base."""
+    lower, upper = alternating_topes_direct(n, rank - 1), alternating_topes_direct(n, rank + 1)
+    pool = tuple(t for t in upper.ordered if t not in lower.topes)
+    choose = canonical_tope_count(n, rank) - len(lower)
+    return SearchInstance(n=n, rank=rank, choose=choose, base=lower.ordered, pool=pool)
 
 
 class TestKernel:
@@ -100,22 +140,36 @@ class TestKernel:
         assert run.credited == 184756
         assert run == pruned_dfs(search_instance)
 
-    # the first two examples saturate only the lowest and only the highest
-    # byte; in the third the base alone saturates byte 1
+    # base = alt(n, rank-1)'s topes and pool = alt(n, rank+1)'s others, with
+    # the number of picks each such sandwich has
+    @pytest.mark.parametrize("n, rank, picks", [(5, 2, 20), (6, 2, 48), (6, 4, 48), (7, 2, 112)])
+    def test_every_rank_matches_reference(self, n, rank, picks):
+        instance = sandwich(n, rank)
+        run = saturation_search(instance)
+        assert len(run.picks) == picks
+        assert list(run.picks) == flat_scan(instance)
+        assert run == pruned_dfs(instance)
+
+    # at rank 3, the first two examples saturate only the lowest and only
+    # the highest field; in the third the base alone saturates field 1, so
+    # with nothing to choose, as in the fourth, the empty selection fails
     @settings(max_examples=60, deadline=None)
-    @example(order=[1, 9, 22, 19, 18, 21, 12, 5, 20, 16, 7], base_size=8, pool_size=3, choose=2)
-    @example(order=[17, 23, 1, 10, 19, 25, 6, 5, 9, 13, 18, 0], base_size=6, pool_size=6, choose=2)
-    @example(order=[7, 22, 0, 17, 15, 12, 10, 21, 4, 20, 25, 23, 19, 24], base_size=8, pool_size=6, choose=3)
+    @example(order=[1, 9, 22, 19, 18, 21, 12, 5, 20, 16, 7], base_size=8, pool_size=3, choose=2, rank=3)
+    @example(order=[17, 23, 1, 10, 19, 25, 6, 5, 9, 13, 18, 0], base_size=6, pool_size=6, choose=2, rank=3)
+    @example(order=[7, 22, 0, 17, 15, 12, 10, 21, 4, 20, 25, 23, 19, 24], base_size=8, pool_size=6, choose=3, rank=3)
+    @example(order=[7, 22, 0, 17, 15, 12, 10, 21, 4, 20, 25, 23, 19, 24], base_size=8, pool_size=6, choose=0, rank=3)
+    @example(order=list(range(26)), base_size=0, pool_size=1, choose=0, rank=2)
     @given(
         order=st.permutations(range(26)),
         base_size=st.integers(0, 8),
         pool_size=st.integers(1, 10),
-        choose=st.integers(1, 4),
+        choose=st.integers(0, 4),
+        rank=st.sampled_from([2, 3, 4]),
     )
-    def test_random_instances_match_flat_scan(self, order, base_size, pool_size, choose):
+    def test_random_instances_match_flat_scan(self, order, base_size, pool_size, choose, rank):
         base = tuple(SOURCE6[i] for i in order[:base_size])
         pool = tuple(SOURCE6[i] for i in order[base_size : base_size + pool_size])
-        instance = SearchInstance(n=6, rank=3, choose=choose, base=base, pool=pool)
+        instance = SearchInstance(n=6, rank=rank, choose=choose, base=base, pool=pool)
         run = saturation_search(instance)
         assert list(run.picks) == flat_scan(instance)
         assert run.credited == math.comb(len(pool), choose)
@@ -123,14 +177,15 @@ class TestKernel:
 
     def test_one_bit_per_byte(self, search_instance):
         # a property of pattern_bytes: a tope's restriction to a 4-subset is
-        # one pattern; the kernel's carry test does not rely on it
+        # one pattern, one of the 8 bits below its 9-bit field's guard; the
+        # kernel's carry test relies only on the guards being 0
         for instance in (search_instance, n8_instance()):
-            pool_masks = pattern_masks(instance)[1]
-            nbytes = len(instance.supports)
-            for mask in (*pool_masks, *(pattern_bytes(t.neg, instance.n, 3) for t in instance.base)):
-                fields = mask.to_bytes(nbytes, "little")
-                assert all(field and field & field - 1 == 0 for field in fields)
-                assert mask >> 8 * nbytes == 0
+            count = len(instance.supports)
+            for tope in (*instance.base, *instance.pool):
+                mask = pattern_bytes(tope.neg, instance.n, 3)
+                fields = [mask >> 9 * q & 0x1FF for q in range(count)]
+                assert all(field and field & field - 1 == 0 and field < 0x100 for field in fields)
+                assert mask >> 9 * count == 0
 
     def test_node_total_pinned(self, search_instance):
         assert saturation_search(search_instance).nodes == 12727
@@ -178,16 +233,24 @@ class TestEnumeration:
     def test_saturated_picks_raise(self, search_instance):
         # the kernel's first pruned child is (0, 1, ..., depth): its first
         # descents keep the prefix 0..depth-1 unsaturated, and adding pool
-        # tope ``depth`` saturates a byte; every pick extending it does too
-        base, pool_masks = pattern_masks(search_instance)
+        # tope ``depth`` saturates a field; every pick extending it does too
+        base, pool_masks, width = reference_masks(search_instance)
+        full = (1 << width) - 1
         mask, depth = base, 0
-        while not any((mask | pool_masks[depth]) >> 8 * q & 0xFF == 0xFF for q in range(15)):
+        while not any((mask | pool_masks[depth]) >> width * q & full == full for q in range(15)):
             mask |= pool_masks[depth]
             depth += 1
         assert depth < search_instance.choose - 1
         picks = tuple(range(search_instance.choose))
         with pytest.raises(VerificationError, match=re.escape(f"picks {picks} fail the uniform tope-set axioms")):
             _survivor_record(search_instance, picks)
+
+    @pytest.mark.parametrize("n, rank", [(5, 3), (6, 2)])
+    def test_instance_without_forced_supports_refused(self, n, rank):
+        # both sandwiches have picks that pass the axioms, but neither has a
+        # (rank+1)-subset (1, 2, 5, 6) to read a forced circuit on
+        with pytest.raises(ValueError, match=re.escape(f"on n={n} at rank {rank} has no forced circuit support")):
+            enumerate_survivors(sandwich(n, rank))
 
     def test_survivors_contain_base(self, search_certificate, search_instance):
         base = set(search_instance.base)
@@ -270,12 +333,16 @@ class TestPatternTable:
         assert_pattern_table_agrees(TopeSet(6, 3, frozenset(SOURCE6[i] for i in picks)))
 
     def test_kernel_bytes_match_table(self, search_instance):
-        base_mask, pool_masks = pattern_masks(search_instance)
+        # the fields the kernel ORs are the table's entries, each in 9 bits
+        # under a guard bit that stays 0
+        base_mask = 0
+        for tope in search_instance.base:
+            base_mask |= pattern_bytes(tope.neg, 6, 3)
         base = TopeSet(6, 3, frozenset(search_instance.base))
-        assert base_mask == sum(hit << 8 * qi for qi, hit in enumerate(base.hit_patterns))
-        for tope, mask in zip(search_instance.pool, pool_masks):
+        assert base_mask == sum(hit << 9 * qi for qi, hit in enumerate(base.hit_patterns))
+        for tope in search_instance.pool:
             table = TopeSet(6, 3, frozenset({tope})).hit_patterns
-            assert [mask >> 8 * qi & 0xFF for qi in range(15)] == list(table)
+            assert pattern_bytes(tope.neg, 6, 3) == sum(hit << 9 * qi for qi, hit in enumerate(table))
 
 
 class TestConclusions:
@@ -318,6 +385,25 @@ class TestConclusions:
             conclusion_circuits=search_certificate.conclusion_circuits,
         )
         with pytest.raises(VerificationError, match="survivor 0"):
+            verify_search_conclusions(tampered)
+
+    def test_verify_rejects_a_survivor_off_the_forced_circuit(self, search_certificate):
+        # the conclusion pair is the first survivor's, so a later survivor
+        # with another circuit on a forced support is caught on its own
+        second = search_certificate.survivors[1]
+        bad_survivor = SurvivorRecord(
+            topes=second.topes,
+            vc_witnesses=second.vc_witnesses,
+            excluded_absent=second.excluded_absent,
+            circuits=((CIRCUIT_SUPPORTS[0], sv("+--+00")), second.circuits[1]),
+        )
+        tampered = SearchCertificate(
+            instance=search_certificate.instance,
+            combinations_checked=search_certificate.combinations_checked,
+            survivors=(search_certificate.survivors[0], bad_survivor, *search_certificate.survivors[2:]),
+            conclusion_circuits=search_certificate.conclusion_circuits,
+        )
+        with pytest.raises(VerificationError, match=re.escape("survivor 1: circuit on (1, 2, 3, 4) is +--+00, expected +-+-00")):
             verify_search_conclusions(tampered)
 
     def test_unique_tope_hitting_each_forced_pattern(self, alt64):
